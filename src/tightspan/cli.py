@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from contextlib import nullcontext
 from multiprocessing import Pool
 
 from .closure import HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
@@ -26,7 +28,6 @@ from .matroid import (
     MatroidError,
     Valuation,
     corank_valuation,
-    is_matroidal,
     non_matroidal_witness,
     parse_census_line,
 )
@@ -51,40 +52,50 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _open_output(path: str | None):
+    """Context manager for the output stream: stdout, or ``path`` opened
+    for writing.  A path that cannot be opened is an InputError."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(out_path) as fh:
+        fh.write(text)
+
+
+def _load(what: str, path: str, parse):
+    """Parse the JSON object in ``path``; a file that is not a JSON object,
+    lacks a key or holds a value of the wrong shape is an InputError."""
+    text = _read(path)
+    try:
+        if not isinstance(json.loads(text), dict):
+            raise ValueError("expected a JSON object")
+        return parse(text)
+    except ZeroDivisionError as exc:
+        raise InputError(f"bad {what} in {path}: a fraction has denominator 0") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _load_config(path: str) -> PointConfig:
-    try:
-        return PointConfig.from_json(_read(path))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad point configuration in {path}: {exc}") from exc
+    return _load("point configuration", path, PointConfig.from_json)
 
 
 def _load_heights(path: str) -> HeightFunction:
-    try:
-        return HeightFunction.from_json(_read(path))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad height function in {path}: {exc}") from exc
+    return _load("height function", path, HeightFunction.from_json)
 
 
 def _load_matroid(path: str) -> Matroid:
-    try:
-        return Matroid.from_json(_read(path))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad matroid in {path}: {exc}") from exc
+    return _load("matroid", path, Matroid.from_json)
 
 
 def _load_valuation(owner: Matroid, path: str) -> Valuation:
-    try:
-        return Valuation.from_json(owner, _read(path))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad valuation in {path}: {exc}") from exc
+    return _load("valuation", path, lambda text: Valuation.from_json(owner, text))
 
 
 def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
@@ -131,10 +142,10 @@ def cmd_face_lattice(args) -> int:
 
 
 def cmd_fan_lattice(args) -> int:
+    fan = _load("fan", args.input, Fan.from_json)
     try:
-        fan = Fan.from_json(_read(args.input))
         system = fan_closure(fan)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad fan in {args.input}: {exc}") from exc
     diagram = ganter_hasse(system, node_cap=args.node_cap)
     _emit(_diagram_output(diagram, args.format), args.output)
@@ -240,8 +251,7 @@ def cmd_corank_lift(args) -> int:
     v = corank_valuation(m)
     _emit(v.to_json() + "\n", args.output)
     if args.emit_uniform:
-        with open(args.emit_uniform, "w", encoding="utf-8") as fh:
-            fh.write(Matroid.uniform(m.r, m.n).to_json() + "\n")
+        _emit(Matroid.uniform(m.r, m.n).to_json() + "\n", args.emit_uniform)
     return 0
 
 
@@ -262,45 +272,67 @@ def _scan_line(task) -> dict:
         record.update(ok=False, error=str(exc), node_cap=True)
     except (MatroidError, ValueError) as exc:
         record.update(ok=False, error=str(exc))
+    except Exception as exc:  # a fault on one line must not lose the others
+        traceback.print_exc(file=sys.stderr)
+        record.update(ok=False, error=str(exc), exception=type(exc).__name__)
     return record
+
+
+def _scan_record_text(rec: dict, fmt: str) -> str:
+    if fmt != "pretty":
+        return json.dumps(rec, sort_keys=True) + "\n"
+    if rec.get("ok"):
+        return (
+            f"line {rec['line']:4d}  bounded {tuple(rec['bounded_f_vector'])}"
+            f"  f {tuple(rec['f_vector'])}\n"
+        )
+    if "exception" in rec:
+        return f"line {rec['line']:4d}  FAILED ({rec['exception']}): {rec['error']}\n"
+    return f"line {rec['line']:4d}  SKIPPED: {rec['error']}\n"
+
+
+def _scan_records(tasks, jobs: int):
+    """Records of the census lines in line order, each yielded as soon as
+    it and all lines before it are done, so that a scan cut short keeps
+    what it has already written."""
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            yield from pool.imap(_scan_line, tasks)
+    else:
+        yield from map(_scan_line, tasks)
 
 
 def cmd_fvector_scan(args) -> int:
     text = _read(args.census)
-    lines = [
-        (i, ln.strip())
+    tasks = [
+        (i, ln.strip(), args.n, args.r, args.order, args.lift, args.node_cap)
         for i, ln in enumerate(text.splitlines())
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    tasks = [
-        (i, ln, args.n, args.r, args.order, args.lift, args.node_cap)
-        for i, ln in lines
-    ]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            records = pool.map(_scan_line, tasks)
-    else:
-        records = [_scan_line(t) for t in tasks]
-
-    ok = sum(1 for rec in records if rec.get("ok"))
-    if args.format == "pretty":
-        out = []
-        for rec in records:
+    ok = failed = crashed = 0
+    with _open_output(args.output) as out:
+        for rec in _scan_records(tasks, args.jobs):
+            out.write(_scan_record_text(rec, args.format))
+            out.flush()
             if rec.get("ok"):
-                out.append(
-                    f"line {rec['line']:4d}  bounded {tuple(rec['bounded_f_vector'])}"
-                    f"  f {tuple(rec['f_vector'])}"
-                )
+                ok += 1
             else:
-                out.append(f"line {rec['line']:4d}  SKIPPED: {rec['error']}")
-        out.append(f"summary: {ok} ok, {len(records) - ok} failed")
-        _emit("\n".join(out) + "\n", args.output)
-    else:
-        body = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        body += json.dumps(
-            {"summary": {"ok": ok, "failed": len(records) - ok}}, sort_keys=True
-        ) + "\n"
-        _emit(body, args.output)
+                failed += 1
+                crashed += "exception" in rec
+        if args.format == "pretty":
+            out.write(f"summary: {ok} ok, {failed} failed\n")
+        else:
+            out.write(
+                json.dumps({"summary": {"ok": ok, "failed": failed}}, sort_keys=True)
+                + "\n"
+            )
+    if crashed:
+        print(
+            f"error: {crashed} census line(s) raised an unexpected exception; "
+            'see the records with an "exception" key',
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -336,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subdivide", help="regular subdivision of lifted points")
     p.add_argument("points")
     p.add_argument("heights")
-    p.add_argument("--node-cap", type=int, default=10_000_000)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_subdivide)
 

@@ -85,6 +85,78 @@ class ClosureSystem:
         return self._close_fn(subset)
 
 
+def transpose(rows, width: int) -> tuple[int, ...]:
+    """Transpose of a 0/1 matrix given as row masks over ``width`` columns:
+    entry k of the result is the mask of the rows whose bit k is set."""
+    cols = [0] * width
+    for j, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << j
+            r ^= low
+    return tuple(cols)
+
+
+class IncidenceClosure(ClosureSystem):
+    """Closure system given by an incidence structure between generators
+    (the ground elements) and points.
+
+    ``rows[j]`` is the point mask of generator j.  The cell of a set F of
+    generators is the intersection of their rows (all points for F empty),
+    and F closes to every generator whose row contains that cell:
+    cl(F) = close_cell(cell(F)), with cl(empty set) = empty set.  A cell
+    lying inside one of the ``forbidden`` point masks closes to the full
+    ground set instead; this is the lower-set restriction of
+    :func:`restrict_to_lower_set` with keep(F) = "cell(F) lies in no
+    forbidden mask", stated as a mask test.
+
+    Closing runs through :meth:`ClosureSystem.close`, as for every other
+    system, so :func:`ganter_hasse` needs no special case for it.
+    """
+
+    def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
+        rows = tuple(rows)
+        if len(rows) != ground.size:
+            raise ValueError("one incidence row per ground element is required")
+        all_points = (1 << n_points) - 1
+        if any(r & ~all_points for r in rows):
+            raise ValueError("incidence row outside the point set")
+        super().__init__(ground, self._close)
+        self.rows = rows
+        self.n_points = n_points
+        self.containing = transpose(rows, n_points)
+        self.forbidden = tuple(forbidden)
+        self._all_points = all_points
+        self._full = ground.full_mask
+
+    def cell(self, subset: int) -> int:
+        """Intersection of the rows of the generators in ``subset``."""
+        q = self._all_points
+        rows = self.rows
+        while subset:
+            low = subset & -subset
+            q &= rows[low.bit_length() - 1]
+            subset ^= low
+        return q
+
+    def close_cell(self, cell: int) -> int:
+        """All generators whose row contains ``cell``, or the full ground
+        set when ``cell`` lies inside a forbidden mask."""
+        for t in self.forbidden:
+            if cell & ~t == 0:
+                return self._full
+        out = self._full
+        containing = self.containing
+        while cell:
+            low = cell & -cell
+            out &= containing[low.bit_length() - 1]
+            cell ^= low
+        return out
+
+    def _close(self, subset: int) -> int:
+        return self.close_cell(self.cell(subset)) if subset else 0
+
+
 @dataclass
 class HasseDiagram:
     """Covering-relation digraph of the closed sets, arcs directed upward.

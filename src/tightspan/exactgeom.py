@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .closure import ClosureSystem, GroundSet
+from .closure import GroundSet, IncidenceClosure, transpose
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -456,27 +456,16 @@ def cone_hrep(generators, lines=()) -> list[tuple[IntVector, int]]:
 # face-lattice closure operators
 # ---------------------------------------------------------------------------
 
-def polytope_closure_vertex(inc: IncidenceMatrix) -> ClosureSystem:
+def polytope_closure_vertex(inc: IncidenceMatrix) -> IncidenceClosure:
     """Ground set = vertices; close(A) = vertex set of the smallest face
-    containing A.  The incidence matrix must be over the vertex set."""
+    containing A.  The incidence matrix must be over the vertex set: a
+    vertex's row is the set of facets through it."""
     nv = inc.n_points
     ground = GroundSet(nv, labels=tuple(f"v{i}" for i in range(nv)))
-    full = ground.full_mask
-    rows = inc.rows
-
-    def close(a: int) -> int:
-        if a == 0:
-            return 0
-        c = full
-        for r in rows:
-            if a & r == a:
-                c &= r
-        return c
-
-    return ClosureSystem(ground, close)
+    return IncidenceClosure(ground, transpose(inc.rows, nv), len(inc.rows))
 
 
-def polytope_closure_facet(inc: IncidenceMatrix) -> ClosureSystem:
+def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
     """Ground set = facets; close(F) = all facets containing the face cut
     out by F.  Yields the face lattice with inverted relations; the empty
     face (empty intersection) closes to the full facet set."""
@@ -484,23 +473,7 @@ def polytope_closure_facet(inc: IncidenceMatrix) -> ClosureSystem:
     if nf == 0:
         raise ValueError("facet closure needs at least one facet")
     ground = GroundSet(nf, labels=tuple(f"f{i}" for i in range(nf)))
-    rows = inc.rows
-    all_pts = (1 << inc.n_points) - 1
-
-    def close(f: int) -> int:
-        if f == 0:
-            return 0
-        q = all_pts
-        for j in range(nf):
-            if f >> j & 1:
-                q &= rows[j]
-        out = 0
-        for j, r in enumerate(rows):
-            if q & ~r == 0:
-                out |= 1 << j
-        return out
-
-    return ClosureSystem(ground, close)
+    return IncidenceClosure(ground, inc.rows, inc.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +495,8 @@ class Fan:
         for r in self.rays:
             if r != _primitive(r):
                 raise ValueError(f"ray {r} is not primitive")
+        if any(not 0 <= i < len(self.rays) for c in self.maximal_cones for i in c):
+            raise ValueError("cone refers to a ray index outside the ray list")
         masks = [sum(1 << i for i in c) for c in self.maximal_cones]
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
@@ -544,67 +519,42 @@ class Fan:
         )
 
 
-def fan_closure(fan: Fan) -> ClosureSystem:
+def fan_closure(fan: Fan) -> IncidenceClosure:
     """Closure operator on the rays of a fan plus one artificial top element.
 
     close(F) is the ray set of the smallest cone of the fan containing all
     rays of F, or the full ground set (including the artificial element)
-    when no cone contains F.
+    when no cone contains F.  As an incidence structure the points are the
+    maximal cones and the (cone, facet) pairs, and a ray's row holds the
+    cones and cone facets it lies in.  The cell of F then lists the cones
+    containing F together with their facets through F, and closes to the
+    intersection over those cones of the smallest face containing F.  The
+    artificial element has an empty row, so it joins the closure exactly
+    when the cell is empty, i.e. when no cone contains F.
     """
     nr = len(fan.rays)
     ground = GroundSet(
         nr + 1, labels=tuple(f"r{i}" for i in range(nr)) + ("inf",)
     )
-    full = ground.full_mask
-    inf_bit = 1 << nr
-
-    cones = []
+    point_rays: list[int] = []
     for cone in fan.maximal_cones:
         if not cone:
-            cones.append((0, []))
             continue
-        cone_mask = sum(1 << i for i in cone)
-        gens = [fan.rays[i] for i in cone]
-        facets = cone_hrep(gens, lines=fan.lineality)
-        # remap facet incidence masks from local generator order to ray indices
-        rows = []
-        for _, local in facets:
-            m = 0
-            for j, ray_idx in enumerate(cone):
-                if local >> j & 1:
-                    m |= 1 << ray_idx
-            rows.append(m)
-        # every listed ray must be extreme: the smallest face containing it
-        # (rays on all facets through it) must be the ray alone
-        for i in cone:
-            face = cone_mask
-            for row in rows:
-                if row >> i & 1:
-                    face &= row
-            if face != 1 << i:
+        hrep = cone_hrep([fan.rays[i] for i in cone], lines=fan.lineality)
+        facets = [local for _, local in hrep]
+        # every listed ray must be extreme: the smallest face of the cone
+        # containing it must be the ray alone
+        faces = polytope_closure_vertex(IncidenceMatrix(tuple(facets), len(cone)))
+        for j, i in enumerate(cone):
+            if faces.close_cell(faces.cell(1 << j)) != 1 << j:
                 raise ValueError(
                     f"ray {i} is not extreme in cone {cone}; "
                     "rays must be positively independent modulo lineality"
                 )
-        cones.append((cone_mask, rows))
-
-    def close(f: int) -> int:
-        if f == 0:
-            return 0
-        if f & inf_bit:
-            return full
-        result = None
-        for cone_mask, rows in cones:
-            if f & ~cone_mask:
-                continue
-            face = cone_mask
-            for r in rows:
-                if f & r == f:
-                    face &= r
-            result = face if result is None else result & face
-        return full if result is None else result
-
-    return ClosureSystem(ground, close)
+        # the cone, then its facets, remapped from local order to ray indices
+        for local in [(1 << len(cone)) - 1] + facets:
+            point_rays.append(sum(1 << i for j, i in enumerate(cone) if local >> j & 1))
+    return IncidenceClosure(ground, transpose(point_rays, nr + 1), len(point_rays))
 
 
 def normal_fan(config: PointConfig) -> Fan:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .closure import ClosureSystem, GroundSet
-from .exactgeom import PointConfig, hull, _rank
+from .exactgeom import PointConfig, hull, polytope_closure_vertex, _rank
 from .subdivision import Subdivision
 
 EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
@@ -42,6 +42,8 @@ class Matroid:
     bases: frozenset[int]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise MatroidError("a matroid needs a nonempty ground set")
         if not self.bases:
             raise MatroidError("a matroid needs at least one basis")
         for b in self.bases:
@@ -269,13 +271,12 @@ def _cell_edges(config: PointConfig, cell_mask: int):
     )
     hrep, inc, flags = hull(sub_config)
     k = hrep.dim
+    faces = polytope_closure_vertex(inc)
     verts = [j for j in range(len(idx)) if flags[j]]
     edges = []
     for a, b in combinations(verts, 2):
-        face = (1 << len(idx)) - 1
-        for f, row in zip(hrep.facets, inc.rows):
-            if row >> a & 1 and row >> b & 1:
-                face &= row
+        # vertex set of the smallest face containing vertices a and b
+        face = faces.close_cell(faces.cell(1 << a | 1 << b))
         on_face = [j for j in range(len(idx)) if face >> j & 1]
         diffs = [
             [x - y for x, y in zip(sub_config.points[j], sub_config.points[on_face[0]])]

@@ -40,6 +40,24 @@ def brute_closed_sets(system) -> tuple[set[int], set[tuple[int, int]]]:
     return closed, covers
 
 
+def brute_incidence_close(rows, n_points, forbidden, f) -> int:
+    """Closure of the generator set ``f`` in an incidence structure, read off
+    the definition with Python sets: the points common to all generators of
+    f, then every generator holding all of them; the full generator set if
+    those points all lie in one forbidden mask; nothing for f empty."""
+    points_of = [{p for p in range(n_points) if r >> p & 1} for r in rows]
+    chosen = [j for j in range(len(rows)) if f >> j & 1]
+    if not chosen:
+        return 0
+    common = set(range(n_points))
+    for j in chosen:
+        common = common & points_of[j]
+    for t in forbidden:
+        if common <= {p for p in range(n_points) if t >> p & 1}:
+            return (1 << len(rows)) - 1
+    return sum(1 << j for j, pts in enumerate(points_of) if common <= pts)
+
+
 # ---------------------------------------------------------------------------
 # convex hulls by hyperplane enumeration
 # ---------------------------------------------------------------------------

@@ -14,13 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import (
-    ClosureSystem,
-    GroundSet,
-    HasseDiagram,
-    ganter_hasse,
-    restrict_to_lower_set,
-)
+from .closure import GroundSet, HasseDiagram, IncidenceClosure, ganter_hasse
 from .exactgeom import (
     Facet,
     HRep,
@@ -185,10 +179,6 @@ def span_ground(sub: Subdivision) -> GroundSet:
     return GroundSet(len(labels), labels=labels)
 
 
-def _generator_masks(sub: Subdivision) -> list[int]:
-    return list(sub.maximal_cells) + list(sub.boundary_facets)
-
-
 def _normalize_gamma(sub: Subdivision, gamma) -> list[int]:
     """Turn gamma members (point-index collections or masks) into point masks
     and validate each lies in some facet of the hull."""
@@ -206,51 +196,25 @@ def _normalize_gamma(sub: Subdivision, gamma) -> list[int]:
     return masks
 
 
-def tight_span_closure(sub: Subdivision, gamma=()) -> ClosureSystem:
+def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
     """Closure system of the subdivision's dual, restricted by gamma.
 
-    Ground elements are the maximal cells and the maximal boundary facets.
-    For nonempty F the closure collects every generator containing the cell
-    cut out by F; closed sets whose cell lies inside a gamma member are
-    collapsed to the full ground set via the lower-set restriction.
+    Ground elements are the maximal cells and the maximal boundary facets,
+    each given by its point mask.  For nonempty F the closure collects every
+    generator containing the cell cut out by F; closed sets whose cell lies
+    inside a gamma member are collapsed to the full ground set.
     """
-    gens = _generator_masks(sub)
-    ground = span_ground(sub)
-    all_pts = sub.all_points_mask
-    gamma_masks = _normalize_gamma(sub, gamma)
-
-    def cell_of(f: int) -> int:
-        q = all_pts
-        for j in range(len(gens)):
-            if f >> j & 1:
-                q &= gens[j]
-        return q
-
-    def base_close(f: int) -> int:
-        if f == 0:
-            return 0
-        q = cell_of(f)
-        out = 0
-        for j, g in enumerate(gens):
-            if q & ~g == 0:
-                out |= 1 << j
-        return out
-
-    def keep(f: int) -> bool:
-        q = cell_of(f)
-        return all(q & ~t for t in gamma_masks)
-
-    return restrict_to_lower_set(ClosureSystem(ground, base_close), keep)
+    return IncidenceClosure(
+        span_ground(sub),
+        sub.maximal_cells + sub.boundary_facets,
+        sub.n_points,
+        forbidden=_normalize_gamma(sub, gamma),
+    )
 
 
 def span_cell_mask(sub: Subdivision, node: int) -> int:
     """Point mask of the subdivision cell dual to a closed generator set."""
-    gens = _generator_masks(sub)
-    q = sub.all_points_mask
-    for j in range(len(gens)):
-        if node >> j & 1:
-            q &= gens[j]
-    return q
+    return tight_span_closure(sub).cell(node)
 
 
 @dataclass(frozen=True)
@@ -334,7 +298,6 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
             "combinatorial subdivisions only expose the closure system"
         )
     system = tight_span_closure(sub, gamma)
-    gamma_masks = _normalize_gamma(sub, gamma)
     diagram = ganter_hasse(system, node_cap=node_cap)
 
     pts = sub.config.points
@@ -384,7 +347,7 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
 
     return ExtendedTightSpan(
         base=sub,
-        gamma=tuple(gamma_masks),
+        gamma=system.forbidden,
         hasse=diagram,
         dual_vertices=tuple(dual_vertices),
         dual_rays=tuple(dual_rays),

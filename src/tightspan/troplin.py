@@ -33,7 +33,7 @@ from .subdivision import (
     Subdivision,
     coordinatize,
     regular_subdivision,
-    span_cell_mask,
+    tight_span_closure,
 )
 
 
@@ -171,12 +171,13 @@ class TropicalLinearSpace:
             argmin_mask |= 1 << pos[b]
         full = self.span.hasse.ground.full_mask
         sub = self.span.base
+        system = tight_span_closure(sub)
         for node in self.span.hasse.nodes:
             if node == 0:
                 continue
             if node == full and sub.dim != 0:
                 continue
-            if span_cell_mask(sub, node) & ~argmin_mask == 0:
+            if system.cell(node) & ~argmin_mask == 0:
                 return True
         return False
 

@@ -195,4 +195,19 @@ def closure_corpus() -> list[tuple[str, ClosureSystem]]:
         )
     )
 
+    # gamma restrictions stated as forbidden masks: the boundary of a path,
+    # and the coordinate-zero faces (loops) of two matroid subdivisions
+    from tightspan.troplin import _loop_faces
+
+    path = three_path_subdivision()
+    corpus.append(
+        ("span-three-path-tight", tight_span_closure(path, list(path.boundary_facets)))
+    )
+    corpus.append(("span-two-pyramids-loops", tight_span_closure(pyr, _loop_faces(pyr.config))))
+    quartet = quartet_vm().subdivision
+    corpus.append(
+        ("span-quartet-loops", tight_span_closure(quartet, _loop_faces(quartet.config)))
+    )
+
     return corpus
+

@@ -250,3 +250,95 @@ def test_error_exit_codes(files, capsys):
         ["tightspan", files["fig1.json"], files["fig1h.json"], "--gamma", "loops"],
     )
     assert code == 1
+
+
+# -- malformed input: one "error:" line and exit code 1, never a traceback -----
+
+def _write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_zero_denominator_is_input_error(files, capsys, tmp_path):
+    bad = _write_text(tmp_path, "div0.json", '{"dim": 1, "points": [["1/0"], ["1"]]}')
+    code, _, err = run(capsys, ["face-lattice", bad])
+    assert code == 1 and err.startswith("error:") and "denominator" in err
+
+    bad = _write_text(tmp_path, "v0.json", json.dumps({"values": {"0,1": "1/0"}}))
+    code, _, err = run(capsys, ["tls", files["u24.json"], bad])
+    assert code == 1 and err.startswith("error:")
+
+
+def test_top_level_array_is_input_error(capsys, tmp_path):
+    bad = _write_text(tmp_path, "arr.json", "[[0, 0], [1, 1]]")
+    for argv in (["face-lattice", bad], ["flats", bad], ["fan-lattice", bad],
+                 ["subdivide", bad, bad]):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and err.startswith("error:"), argv
+        assert "JSON object" in err
+
+
+def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
+    bad = _write_text(tmp_path, "b5.json", '{"n": 3, "bases": 5}')
+    code, _, err = run(capsys, ["flats", bad])
+    assert code == 1 and err.startswith("error:") and "bad matroid" in err
+
+    empty = _write_text(tmp_path, "m0.json", '{"n": 0, "bases": [[]]}')
+    code, _, err = run(capsys, ["bergman", empty])
+    assert code == 1 and "nonempty ground set" in err
+
+
+def test_unwritable_output_is_input_error(files, capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, ["bergman", files["u23.json"], "-o", missing])
+    assert code == 1 and err.startswith("error: cannot write")
+    code, _, err = run(
+        capsys, ["fvector-scan", files["census31.txt"], "--n", "3", "--r", "1",
+                 "-o", missing]
+    )
+    assert code == 1 and err.startswith("error: cannot write")
+
+
+def test_fan_with_unknown_ray_is_input_error(capsys, tmp_path):
+    bad = _write_text(tmp_path, "fan.json", '{"rays": [[1, 0], [0, 1]], "cones": [[0, 5]]}')
+    code, _, err = run(capsys, ["fan-lattice", bad])
+    assert code == 1 and "bad fan" in err
+
+
+def test_fan_with_non_extreme_ray_is_input_error(capsys, tmp_path):
+    bad = _write_text(
+        tmp_path, "fan.json", '{"rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1, 2]]}'
+    )
+    code, _, err = run(capsys, ["fan-lattice", bad])
+    assert code == 1 and "bad fan" in err and "not extreme" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypatch, jobs):
+    # lines 0 and 3 are U(1,3); lines 1 and 2 have two bases and are made
+    # to raise an exception that no input error explains
+    from tightspan import cli
+
+    real = cli.bergman_fan
+
+    def flaky(m, node_cap):
+        if len(m.bases) == 2:
+            raise ZeroDivisionError("boom")
+        return real(m, node_cap=node_cap)
+
+    monkeypatch.setattr(cli, "bergman_fan", flaky)
+    census = files["dir"] + "/census.txt"
+    with open(census, "w") as fh:
+        fh.write("111\n011\n110\n111\n")
+    code, out, err = run(
+        capsys, ["fvector-scan", census, "--n", "3", "--r", "1", "--jobs", jobs]
+    )
+    assert code == 1 and err.splitlines()[-1].startswith("error:")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r.get("line") for r in records[:-1]] == [0, 1, 2, 3]
+    assert records[0]["ok"] and records[3]["ok"]
+    assert records[0]["f_vector"] == records[3]["f_vector"]
+    for crashed in records[1:3]:
+        assert crashed["ok"] is False and crashed["exception"] == "ZeroDivisionError"
+    assert records[-1] == {"summary": {"failed": 2, "ok": 2}}

@@ -15,8 +15,8 @@ from tightspan import (
     poset_statistics,
     restrict_to_lower_set,
 )
-from tightspan.closure import HasseDiagram
-from tightspan.oracle import brute_closed_sets
+from tightspan.closure import HasseDiagram, IncidenceClosure
+from tightspan.oracle import brute_closed_sets, brute_incidence_close
 
 
 def arcs_as_masks(diagram):
@@ -189,3 +189,87 @@ def test_random_cardinality_restriction(system, cutoff):
     nodes, covers = brute_closed_sets(restricted)
     assert set(diagram.nodes) == nodes
     assert arcs_as_masks(diagram) == covers
+
+
+# -- incidence closures --------------------------------------------------------
+
+INCIDENCE_CORPUS = [
+    (name, system)
+    for name, system in closure_corpus()
+    if isinstance(system, IncidenceClosure)
+]
+
+
+def test_incidence_corpus_covers_every_kind():
+    kinds = {name.split("-")[0] for name, _ in INCIDENCE_CORPUS}
+    assert kinds == {"vertex", "facet", "fan", "span"}
+    assert any(system.forbidden for _, system in INCIDENCE_CORPUS)
+
+
+@pytest.mark.parametrize("name,system", INCIDENCE_CORPUS)
+def test_incidence_closure_matches_oracle(name, system):
+    for f in range(1 << system.ground.size):
+        expected = brute_incidence_close(
+            system.rows, system.n_points, system.forbidden, f
+        )
+        assert system.close(f) == expected, (name, f)
+
+
+def _oracle_system(system):
+    """The same incidence structure, closed by the oracle."""
+    return ClosureSystem(
+        system.ground,
+        lambda f: brute_incidence_close(system.rows, system.n_points, system.forbidden, f),
+    )
+
+
+def _assert_same_enumeration(system):
+    fast = ganter_hasse(system)
+    slow = ganter_hasse(_oracle_system(system))
+    assert fast.nodes == slow.nodes
+    assert fast.arcs == slow.arcs
+    assert fast.closure_calls == slow.closure_calls
+    assert fast.enqueue_count == slow.enqueue_count
+
+
+@pytest.mark.parametrize("name,system", INCIDENCE_CORPUS)
+def test_incidence_enumeration_matches_oracle_operator(name, system):
+    _assert_same_enumeration(system)
+
+
+@st.composite
+def incidence_closure(draw):
+    """Random incidence structure: up to 7 generators over up to 6 points,
+    with up to 3 forbidden masks."""
+    n_gens = draw(st.integers(min_value=1, max_value=7))
+    n_points = draw(st.integers(min_value=0, max_value=6))
+    full = (1 << n_points) - 1
+    rows = draw(st.lists(st.integers(0, full), min_size=n_gens, max_size=n_gens))
+    forbidden = draw(st.lists(st.integers(0, full), max_size=3))
+    return IncidenceClosure(GroundSet(n_gens), rows, n_points, forbidden=forbidden)
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidence_closure())
+def test_random_incidence_closures_match_oracle(system):
+    for f in range(1 << system.ground.size):
+        assert system.close(f) == brute_incidence_close(
+            system.rows, system.n_points, system.forbidden, f
+        )
+    _assert_same_enumeration(system)
+    nodes, covers = brute_closed_sets(system)
+    diagram = ganter_hasse(system)
+    assert set(diagram.nodes) == nodes
+    assert arcs_as_masks(diagram) == covers
+
+
+def test_incidence_closure_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        IncidenceClosure(GroundSet(2), [0b1], 1)
+    with pytest.raises(ValueError):
+        IncidenceClosure(GroundSet(1), [0b100], 2)
+
+
+def test_incidence_closure_closes_through_the_base_class():
+    # every closure, whatever the system, is evaluated by one method
+    assert IncidenceClosure.close is ClosureSystem.close
