@@ -164,16 +164,13 @@ def cmd_flats(args) -> int:
 
 def _subdivision_payload(sub) -> dict:
     payload = json.loads(sub.to_json())
-    zero_one = all(x in (0, 1) for p in sub.config.points for x in p) and (
-        len({sum(p) for p in sub.config.points}) == 1
-    )
-    if zero_one:
+    try:
         witness = non_matroidal_witness(sub)
-        payload["matroidal"] = witness is None
-        payload["witness_edge"] = None if witness is None else [str(x) for x in witness[1]]
-    else:
-        payload["matroidal"] = None
-        payload["witness_edge"] = None
+    except ValueError:  # not 0/1 with a constant coordinate sum: no verdict
+        payload.update(matroidal=None, witness_edge=None)
+        return payload
+    payload["matroidal"] = witness is None
+    payload["witness_edge"] = None if witness is None else [str(x) for x in witness[1]]
     return payload
 
 
@@ -336,6 +333,12 @@ def cmd_fvector_scan(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tightspan",
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt_choices=("json", "dot", "pretty")):
         p.add_argument("--format", choices=fmt_choices, default="json")
-        p.add_argument("--node-cap", type=int, default=10_000_000)
+        p.add_argument("--node-cap", type=_positive_int, default=10_000_000)
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("face-lattice", help="face lattice of a polytope")
@@ -376,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("heights")
     p.add_argument("--gamma", choices=("all", "loops", "none"), default="none")
     p.add_argument("--quotient", choices=("on", "off"), default="on")
-    p.add_argument("--node-cap", type=int, default=10_000_000)
+    p.add_argument("--node-cap", type=_positive_int, default=10_000_000)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_tightspan)
 

@@ -4,8 +4,9 @@ Bases are stored as bit masks over the ground set [n].  The rank of a set A
 is the maximum intersection size with a basis; flats are the closed sets of
 the induced closure operator.  Matroid polytopes are the convex hulls of
 the characteristic vectors of the bases; by the exchange characterization,
-their edges are parallel to differences of two unit vectors, which is also
-the certificate used to test whether a subdivision is matroidal.
+their edges are parallel to differences of two unit vectors.  The
+matroidality gate decides on the valuation, not on per-cell hulls, whether
+a regular subdivision is matroidal; the per-cell test is in ``oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .closure import ClosureSystem, GroundSet
-from .exactgeom import PointConfig, hull, polytope_closure_vertex, _rank
+# hull is unused here; bench/test_bench.py reads it as tightspan.matroid.hull
+from .exactgeom import PointConfig, hull, polytope_closure_vertex  # noqa: F401
 from .subdivision import Subdivision
 
 EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
@@ -112,12 +114,6 @@ class Matroid:
                     ):
                         return False
         return True
-
-    def validate_polytope(self) -> bool:
-        """Edge-direction criterion on the matroid polytope: every edge must
-        be parallel to a difference of two unit vectors."""
-        sub = _trivial_subdivision(self.polytope())
-        return is_matroidal(sub)
 
     # -- rank and flats ----------------------------------------------------
 
@@ -256,47 +252,61 @@ def corank_valuation(m: Matroid) -> Valuation:
 # matroidality of subdivisions
 # ---------------------------------------------------------------------------
 
-def _trivial_subdivision(config: PointConfig) -> Subdivision:
-    from .subdivision import HeightFunction, regular_subdivision
-
-    zero = HeightFunction(values=tuple(Fraction(0) for _ in config.points))
-    return regular_subdivision(config, zero)
-
-
-def _cell_edges(config: PointConfig, cell_mask: int):
-    """Edges of conv(cell points) as pairs of point indices (into config)."""
-    idx = [i for i in range(len(config.points)) if cell_mask >> i & 1]
-    sub_config = PointConfig(
-        dim=config.dim, points=tuple(config.points[i] for i in idx)
-    )
-    hrep, inc, flags = hull(sub_config)
-    k = hrep.dim
-    faces = polytope_closure_vertex(inc)
-    verts = [j for j in range(len(idx)) if flags[j]]
-    edges = []
-    for a, b in combinations(verts, 2):
-        # vertex set of the smallest face containing vertices a and b
-        face = faces.close_cell(faces.cell(1 << a | 1 << b))
-        on_face = [j for j in range(len(idx)) if face >> j & 1]
-        diffs = [
-            [x - y for x, y in zip(sub_config.points[j], sub_config.points[on_face[0]])]
-            for j in on_face[1:]
-        ]
-        if k >= 1 and _rank(diffs) == 1:
-            edges.append((idx[a], idx[b]))
-    return edges
-
-
 def non_matroidal_witness(sub: Subdivision):
-    """Return (cell mask, edge direction) for an edge not parallel to any
-    e_i - e_j, or None when every cell passes the edge test."""
-    config = sub.config
-    for cell in sub.maximal_cells:
-        for a, b in _cell_edges(config, cell):
-            direction = [x - y for x, y in zip(config.points[b], config.points[a])]
-            nonzero = sorted(x for x in direction if x != 0)
-            if len(nonzero) != 2 or nonzero[0] != -nonzero[1]:
-                return cell, tuple(direction)
+    """Return (cell mask, pts[b] - pts[a]) for an edge a-b of a maximal cell
+    not parallel to any e_i - e_j, or None when every cell is a matroid
+    polytope.  Needs 0/1 points with constant coordinate sum, and heights.
+
+    No hull is built.  Support pass: 0/1 points are vertices, no three
+    collinear, so a-b is an edge of conv(points) iff its smallest face is
+    {a, b}; one not parallel to any e_i - e_j (the support is no matroid,
+    by Gelfand-Goresky-MacPherson-Serganova) is an edge of every maximal
+    cell holding a and b.  Exchange pass, deciding on a matroid support
+    (Dress-Wenzel; Murota, Thm 5.2.25; Speyer, Prop. 2.2): B = S+i+j and
+    B' = S+k+l need v(B) + v(B') >= min(v(S+i+k) + v(S+j+l), v(S+i+l) +
+    v(S+j+k)), a missing basis counting as +infinity; otherwise B-B' is the
+    lowest diagonal of its octahedron face, an edge of the subdivision.
+    """
+    pts = sub.config.points
+    if sub.heights is None:
+        raise ValueError("the matroidality gate needs a subdivision with heights")
+    zero_one = all(x == 0 or x == 1 for p in pts for x in p)
+    if not zero_one or len({sum(p) for p in pts}) > 1:
+        raise ValueError(
+            "the matroidality gate needs 0/1 points with a constant coordinate sum"
+        )
+    bases = [_mask(i for i, x in enumerate(p) if x == 1) for p in pts]
+    pairs = list(combinations(range(len(bases)), 2))
+
+    def witness(a: int, b: int):
+        pair = 1 << a | 1 << b
+        cell = next(c for c in sub.maximal_cells if c & pair == pair)
+        return cell, tuple(x - y for x, y in zip(pts[b], pts[a]))
+
+    faces = polytope_closure_vertex(sub.base_incidence)
+    for a, b in pairs:
+        pair = 1 << a | 1 << b
+        diagonal = (bases[a] ^ bases[b]).bit_count() > 2
+        if diagonal and faces.close_cell(faces.cell(pair)) == pair:
+            return witness(a, b)
+
+    value = dict(zip(bases, sub.heights.values))
+
+    def at_most(x: int, y: int, bound) -> bool:
+        return x in value and y in value and value[x] + value[y] <= bound
+
+    for a, b in pairs:
+        B, diff = bases[a], bases[a] ^ bases[b]
+        if diff.bit_count() != 4:
+            continue
+        out, inn = B & diff, diff & ~B
+        i, k = out & -out, inn & -inn
+        j, l = out ^ i, inn ^ k
+        total = value[B] + value[bases[b]]
+        if not at_most(B ^ j ^ k, B ^ i ^ l, total) and not at_most(
+            B ^ j ^ l, B ^ i ^ k, total
+        ):
+            return witness(a, b)
     return None
 
 

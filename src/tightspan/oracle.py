@@ -4,7 +4,10 @@ Nothing here shares logic with the production modules beyond the subset
 encoding (ints as bit vectors) and fractions.  The hull oracle enumerates
 candidate hyperplanes through point subsets instead of running the
 incremental construction, and the membership oracle evaluates the argmin
-definition directly.
+definition directly.  The matroidality oracle tests the edges of every
+maximal cell geometrically, where the gate reads the valuation; it takes
+each cell's facets from ``exactgeom.hull`` (itself checked against
+``brute_hull``) because cells are too large for the hyperplane enumeration.
 """
 
 from __future__ import annotations
@@ -192,6 +195,50 @@ def brute_lower_cells(config, heights):
         if nvec[-1] > 0:
             cells.add(onset)
     return cells
+
+
+# ---------------------------------------------------------------------------
+# matroidality of subdivisions, cell by cell
+# ---------------------------------------------------------------------------
+
+def brute_cell_edges(config, cell_mask):
+    """Edges of conv(cell points) as pairs (a, b), a < b, of point indices
+    into config: pairs of vertices whose smallest face (the points on
+    every facet through both) is collinear."""
+    from .exactgeom import PointConfig, hull  # facets only; faces and ranks are ours
+
+    idx = [i for i in range(len(config.points)) if cell_mask >> i & 1]
+    cell_pts = [config.points[i] for i in idx]
+    hrep, inc, flags = hull(PointConfig(dim=config.dim, points=tuple(cell_pts)))
+    if hrep.dim < 1:
+        return []
+    on_facet = [{j for j in range(len(idx)) if row >> j & 1} for row in inc.rows]
+    verts = [j for j in range(len(idx)) if flags[j]]
+    edges = []
+    for a, b in combinations(verts, 2):
+        face = set(range(len(idx)))
+        for on in on_facet:
+            if a in on and b in on:
+                face &= on
+        diffs = [[x - y for x, y in zip(cell_pts[j], cell_pts[a])] for j in face]
+        if _orank(diffs) == 1:
+            edges.append((idx[a], idx[b]))
+    return edges
+
+
+def brute_non_matroidal_edges(sub):
+    """Every (cell mask, direction pts[b] - pts[a]) over the edges (a, b) of
+    the maximal cells that are not parallel to any e_i - e_j; empty iff
+    every cell of a 0/1 subdivision is a matroid polytope."""
+    pts = sub.config.points
+    bad = []
+    for cell in sub.maximal_cells:
+        for a, b in brute_cell_edges(sub.config, cell):
+            direction = tuple(x - y for x, y in zip(pts[b], pts[a]))
+            nonzero = sorted(x for x in direction if x != 0)
+            if not (len(nonzero) == 2 and nonzero[0] == -nonzero[1]):
+                bad.append((cell, direction))
+    return bad
 
 
 # ---------------------------------------------------------------------------

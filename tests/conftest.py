@@ -4,7 +4,7 @@ corpus used by both the unit tests and the acceptance suite."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from tightspan import (
     ClosureSystem,
@@ -74,6 +74,28 @@ def quartet_vm():
     vals = {b: Fraction(0) for b in m.bases}
     vals[(1 << 2) | (1 << 3)] = Fraction(1)
     return ValuatedMatroid(matroid=m, valuation=Valuation(owner=m, values=vals))
+
+
+def tropical_minor_valuation(matrix) -> Valuation | None:
+    """Min-plus maximal minors of an r x n integer matrix (None entries are
+    +infinity): v(B) is the least sum over the matchings of the rows to
+    the columns B, and the bases are the B with a finite minor.  They
+    always form a valuated matroid, whose support is transversal (Speyer,
+    Tropical linear spaces; Fink-Rincon, Stiefel tropical linear spaces).
+    None when no r columns have a finite minor."""
+    r, n = len(matrix), len(matrix[0])
+    values = {}
+    for cols in combinations(range(n), r):
+        sums = [
+            sum(matrix[i][c] for i, c in enumerate(perm))
+            for perm in permutations(cols)
+            if all(matrix[i][c] is not None for i, c in enumerate(perm))
+        ]
+        if sums:
+            values[sum(1 << c for c in cols)] = Fraction(min(sums))
+    if not values:
+        return None
+    return Valuation(owner=Matroid.from_bases(n, list(values)), values=values)
 
 
 def interval_subdivision():

@@ -12,6 +12,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,7 +222,7 @@ def test_criterion_7_speyer_bounds(flagship):
     assert within(flagship[0])
     checked += 2
     for path in sorted(glob.glob("data/census/census_n5_r2.txt")):
-        for line in open(path):
+        for line in Path(path).read_text().splitlines():
             m = parse_census_line(line.strip(), 5, 2)
             if not m.is_loopfree():
                 continue
@@ -244,7 +245,7 @@ def test_criterion_8_bergman_census_invariants():
         n, r = map(int, re.search(r"census_n(\d+)_r(\d+)", path).groups())
         if n > 6:
             continue
-        for line in open(path):
+        for line in Path(path).read_text().splitlines():
             line = line.strip()
             if not line:
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +227,7 @@ def test_output_file(files, capsys, tmp_path):
     out_path = str(tmp_path / "out.json")
     code, out, _ = run(capsys, ["bergman", files["u23.json"], "-o", out_path])
     assert code == 0 and out == ""
-    assert json.loads(open(out_path).read())["f_vector"] == [1, 3]
+    assert json.loads(Path(out_path).read_text())["f_vector"] == [1, 3]
 
 
 def test_error_exit_codes(files, capsys):
@@ -342,3 +343,19 @@ def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypa
     for crashed in records[1:3]:
         assert crashed["ok"] is False and crashed["exception"] == "ZeroDivisionError"
     assert records[-1] == {"summary": {"failed": 2, "ok": 2}}
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_node_cap_below_one_is_rejected_before_any_line(files, capsys, cap):
+    for argv in (
+        ["fvector-scan", files["census31.txt"], "--n", "3", "--r", "1"],
+        ["face-lattice", files["square.json"]],
+        ["tightspan", files["fig1.json"], files["fig1h.json"]],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--node-cap", cap])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        errors = [line for line in out.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--node-cap" in errors[0] and cap in errors[0]
+        assert "Traceback" not in out.err

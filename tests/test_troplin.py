@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,7 +246,7 @@ def test_report_bounds_hold_on_census_sample():
         n, r = map(int, re.search(r"census_n(\d+)_r(\d+)", path).groups())
         from tightspan import parse_census_line
 
-        for line in open(path):
+        for line in Path(path).read_text().splitlines():
             m = parse_census_line(line.strip(), n, r)
             if not m.is_loopfree():
                 continue
