@@ -32,7 +32,6 @@ from .matroid import (
     MatroidError,
     Valuation,
     corank_valuation,
-    direct_sum,
     format_census_line,
     is_matroidal,
     non_matroidal_witness,
@@ -42,9 +41,7 @@ from .subdivision import (
     ExtendedTightSpan,
     HeightFunction,
     Subdivision,
-    bounded_f_vector,
     coordinatize,
-    f_vector,
     regular_subdivision,
     subdivision_from_cells,
     tight_span_closure,

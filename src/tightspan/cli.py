@@ -28,6 +28,7 @@ from .matroid import (
     MatroidError,
     Valuation,
     corank_valuation,
+    is_hypersimplex_subset,
     non_matroidal_witness,
     parse_census_line,
 )
@@ -164,11 +165,10 @@ def cmd_flats(args) -> int:
 
 def _subdivision_payload(sub) -> dict:
     payload = json.loads(sub.to_json())
-    try:
-        witness = non_matroidal_witness(sub)
-    except ValueError:  # not 0/1 with a constant coordinate sum: no verdict
+    if not is_hypersimplex_subset(sub.config.points):  # the gate gives no verdict
         payload.update(matroidal=None, witness_edge=None)
         return payload
+    witness = non_matroidal_witness(sub)
     payload["matroidal"] = witness is None
     payload["witness_edge"] = None if witness is None else [str(x) for x in witness[1]]
     return payload

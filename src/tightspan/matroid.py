@@ -4,9 +4,9 @@ Bases are stored as bit masks over the ground set [n].  The rank of a set A
 is the maximum intersection size with a basis; flats are the closed sets of
 the induced closure operator.  Matroid polytopes are the convex hulls of
 the characteristic vectors of the bases; by the exchange characterization,
-their edges are parallel to differences of two unit vectors.  The
-matroidality gate decides on the valuation, not on per-cell hulls, whether
-a regular subdivision is matroidal; the per-cell test is in ``oracle.py``.
+their edges are parallel to differences of two unit vectors.  Whether a
+regular subdivision is matroidal is decided on its heights, see
+``non_matroidal_witness``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .closure import ClosureSystem, GroundSet
-# hull is unused here; bench/test_bench.py reads it as tightspan.matroid.hull
-from .exactgeom import PointConfig, hull, polytope_closure_vertex  # noqa: F401
+from .exactgeom import PointConfig, polytope_closure_vertex
 from .subdivision import Subdivision
 
 EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
@@ -195,10 +194,6 @@ def sorted_bases(m: Matroid) -> list[int]:
     return sorted(m.bases, key=key)
 
 
-def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    return m1.direct_sum(m2)
-
-
 @dataclass(frozen=True)
 class Valuation:
     """Rational value per basis of an owner matroid."""
@@ -252,10 +247,20 @@ def corank_valuation(m: Matroid) -> Valuation:
 # matroidality of subdivisions
 # ---------------------------------------------------------------------------
 
+def is_hypersimplex_subset(points) -> bool:
+    """Whether the points are 0/1 vectors with one coordinate sum r, that is
+    vertices of the hypersimplex Delta(r, n): the configurations the
+    matroidality gate decides."""
+    return all(x == 0 or x == 1 for p in points for x in p) and (
+        len({sum(p) for p in points}) == 1
+    )
+
+
 def non_matroidal_witness(sub: Subdivision):
     """Return (cell mask, pts[b] - pts[a]) for an edge a-b of a maximal cell
     not parallel to any e_i - e_j, or None when every cell is a matroid
-    polytope.  Needs 0/1 points with constant coordinate sum, and heights.
+    polytope.  Raises ValueError without heights or unless the points pass
+    ``is_hypersimplex_subset``.
 
     No hull is built.  Support pass: 0/1 points are vertices, no three
     collinear, so a-b is an edge of conv(points) iff its smallest face is
@@ -270,8 +275,7 @@ def non_matroidal_witness(sub: Subdivision):
     pts = sub.config.points
     if sub.heights is None:
         raise ValueError("the matroidality gate needs a subdivision with heights")
-    zero_one = all(x == 0 or x == 1 for p in pts for x in p)
-    if not zero_one or len({sum(p) for p in pts}) > 1:
+    if not is_hypersimplex_subset(pts):
         raise ValueError(
             "the matroidality gate needs 0/1 points with a constant coordinate sum"
         )
@@ -311,9 +315,12 @@ def non_matroidal_witness(sub: Subdivision):
 
 
 def is_matroidal(sub: Subdivision) -> bool:
-    """True iff every edge of every maximal cell is parallel to some
-    e_i - e_j; for 0/1 configurations with constant coordinate sum this
-    certifies that every cell is a matroid polytope."""
+    """True iff every maximal cell is a matroid polytope (every cell edge
+    parallel to some e_i - e_j).  Raises ValueError, as
+    ``non_matroidal_witness`` does, unless the points pass
+    ``is_hypersimplex_subset`` and the subdivision has heights; for one
+    without heights (``subdivision_from_cells``) use
+    ``oracle.brute_non_matroidal_edges``."""
     return non_matroidal_witness(sub) is None
 
 

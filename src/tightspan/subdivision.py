@@ -245,23 +245,17 @@ class ExtendedTightSpan:
         return len(self.lineality)
 
     def f_vector(self, quotient: bool = True) -> tuple[int, ...]:
-        if not self.cells:
-            return ()
-        shift = 0 if quotient else self.lineality_dim
-        top = max(c.dim for c in self.cells) + shift
-        counts = [0] * (top + 1)
-        for c in self.cells:
-            counts[c.dim + shift] += 1
-        return tuple(counts)
+        return self._count_dims(self.cells, quotient)
 
     def bounded_f_vector(self, quotient: bool = True) -> tuple[int, ...]:
-        bounded = [c for c in self.cells if not c.rays]
-        if not bounded:
+        return self._count_dims([c for c in self.cells if not c.rays], quotient)
+
+    def _count_dims(self, cells, quotient: bool) -> tuple[int, ...]:
+        if not cells:
             return ()
         shift = 0 if quotient else self.lineality_dim
-        top = max(c.dim for c in bounded) + shift
-        counts = [0] * (top + 1)
-        for c in bounded:
+        counts = [0] * (max(c.dim for c in cells) + shift + 1)
+        for c in cells:
             counts[c.dim + shift] += 1
         return tuple(counts)
 
@@ -354,11 +348,3 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
         lineality=lineality,
         cells=tuple(cells),
     )
-
-
-def f_vector(span: ExtendedTightSpan, quotient: bool = True) -> tuple[int, ...]:
-    return span.f_vector(quotient=quotient)
-
-
-def bounded_f_vector(span: ExtendedTightSpan, quotient: bool = True) -> tuple[int, ...]:
-    return span.bounded_f_vector(quotient=quotient)

@@ -2,13 +2,11 @@
 
 A valuation on a matroid induces a regular subdivision of the matroid
 polytope; the pair is a valuated matroid when every cell of that
-subdivision is again a matroid polytope (Speyer, Prop. 2.2), decided on the
-valuation: support edges parallel to some e_i - e_j, then the local
-three-term exchange (Dress-Wenzel; Murota, Thm 5.2.25).  The tropical
-linear space is the dual complex restricted to the cells whose matroids are
-loop-free, modulo the all-ones direction; equivalently the extended tight
-span with respect to the boundary faces lying in the coordinate hyperplanes
-x_i = 0.
+subdivision is again a matroid polytope (decided on the valuation by
+``matroid.non_matroidal_witness``).  The tropical linear space is the dual
+complex restricted to the cells whose matroids are loop-free, modulo the
+all-ones direction; equivalently the extended tight span with respect to
+the boundary faces lying in the coordinate hyperplanes x_i = 0.
 """
 
 from __future__ import annotations

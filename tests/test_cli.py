@@ -36,6 +36,7 @@ def files(tmp_path):
     write("v34.json", json.dumps({"values": vals}))
     write("h_oct.json", json.dumps({"values": ["0", "0", "0", "0", "0", "1"]}))
     write("h_bad.json", json.dumps({"values": ["0", "1", "1", "0", "0", "0"]}))
+    write("h_sq.json", json.dumps({"values": ["0", "0", "0", "1"]}))
     write("fig1.json", json.dumps({"dim": 1, "points": [["-1"], ["0"], ["1"]]}))
     write("fig1h.json", json.dumps({"values": ["1", "0", "1"]}))
     fan = normal_fan(square_config())
@@ -111,6 +112,12 @@ def test_subdivide_matroidal_verdicts(files, capsys):
     data = json.loads(out)
     assert data["matroidal"] is False
     assert data["witness_edge"] is not None
+
+    # the square is 0/1 but not on one hypersimplex: no verdict
+    code, out, _ = run(capsys, ["subdivide", files["square.json"], files["h_sq.json"]])
+    assert code == 0
+    data = json.loads(out)
+    assert data["matroidal"] is None and data["witness_edge"] is None
 
 
 def test_tightspan_gammas(files, capsys):

@@ -20,10 +20,12 @@ from tightspan import (
     HeightFunction,
     Matroid,
     ValuatedMatroid,
+    is_matroidal,
     non_matroidal_witness,
     parse_census_line,
     regular_subdivision,
 )
+from tightspan.matroid import is_hypersimplex_subset
 from tightspan.oracle import brute_cell_edges, brute_non_matroidal_edges
 from tightspan.subdivision import subdivision_from_cells
 
@@ -169,14 +171,20 @@ def test_gate_builds_no_hull_and_computes_no_rank(monkeypatch):
 def test_gate_preconditions_are_value_errors():
     # not 0/1
     tri = regular_subdivision(triangle_config(), HeightFunction.from_rows([0, 0, 0]))
+    assert not is_hypersimplex_subset(tri.config.points)
     with pytest.raises(ValueError, match="0/1"):
         non_matroidal_witness(tri)
     # 0/1 but with coordinate sums 0, 1 and 2
     square = regular_subdivision(square_config(), HeightFunction.from_rows([0, 0, 0, 1]))
+    assert not is_hypersimplex_subset(square.config.points)
     with pytest.raises(ValueError, match="coordinate sum"):
         non_matroidal_witness(square)
     # combinatorial subdivision: no heights to read a valuation from
     cfg = hypersimplex(2, 4)
+    assert is_hypersimplex_subset(cfg.points)
     combinatorial = subdivision_from_cells(cfg, [range(6)])
     with pytest.raises(ValueError, match="heights"):
         non_matroidal_witness(combinatorial)
+    with pytest.raises(ValueError, match="heights"):
+        is_matroidal(combinatorial)
+    assert brute_non_matroidal_edges(combinatorial) == []
