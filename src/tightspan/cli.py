@@ -71,7 +71,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _load(what: str, path: str, parse):
     """Parse the JSON object in ``path``; a file that is not a JSON object,
-    lacks a key or holds a value of the wrong shape is an InputError."""
+    lacks a key, holds a value of the wrong shape or nests too deeply for
+    the decoder is an InputError."""
     text = _read(path)
     try:
         if not isinstance(json.loads(text), dict):
@@ -79,7 +80,7 @@ def _load(what: str, path: str, parse):
         return parse(text)
     except ZeroDivisionError as exc:
         raise InputError(f"bad {what} in {path}: a fraction has denominator 0") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 

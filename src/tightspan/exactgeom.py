@@ -1,15 +1,24 @@
-"""Exact rational linear algebra, convex hulls and polytope/fan closure operators.
+"""Exact linear algebra, convex hulls and polytope/fan closure operators.
 
 Everything here is exact: coordinates are ``fractions.Fraction``, facet
 normals and ray directions are primitive integer vectors.  There is no
 floating point anywhere, because all downstream decisions (incidences,
 lower-facet tests, subdivision cells) are equality tests.
 
+Elimination is fraction-free, over the integers: ``_rref`` scales each row
+to a primitive integer vector on entry, combines rows by integer multiples
+and divides every combined row by its content.  The rank, null spaces,
+linear solves and the double-description seed all run on it, and
+Gram-Schmidt projections stay in integer vectors too; the only
+``Fraction``s this linear algebra makes are the answers of ``solve_unique``.
+
 The hull algorithm is an incremental double description run on the
 homogenized point configuration: points are scaled to integers, projected
 to a full-dimensional coordinate subspace of their affine hull, homogenized
 to cone generators, and inserted one at a time while maintaining the
-extreme rays of the polar cone (= the facet normals).
+extreme rays of the polar cone (= the facet normals).  Vertex flags are
+read off the incidences: a point is a vertex iff the facets through it
+meet in that point alone.
 """
 
 from __future__ import annotations
@@ -26,111 +35,118 @@ IntVector = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra helpers
+# exact linear algebra: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    rows = [list(r) for r in rows]
+def _content_free(ints) -> IntVector:
+    """An integer vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _primitive(vec) -> IntVector:
+    """Scale a rational vector to a primitive integer vector (same direction)."""
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    mult = lcm(*(x.denominator for x in vals))
+    return _content_free([x.numerator * (mult // x.denominator) for x in vals])
+
+
+def _rref(rows) -> tuple[list[IntVector], list[int]]:
+    """Fraction-free reduced row echelon form; returns nonzero rows and
+    pivot columns.
+
+    Entries may be ints, ``Fraction``s or anything ``Fraction`` accepts.
+    Each returned row is a primitive integer vector with a positive entry
+    in its pivot column and zeros in the other pivot columns, so divided by
+    that entry it is the row of the rational reduced row echelon form.
+    """
+    rows = [_primitive(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    nrows = len(rows)
     pivots: list[int] = []
     rank = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pr = i
-                break
+    for col in range(len(rows[0])):
+        pr = next((i for i in range(rank, nrows) if rows[i][col]), None)
         if pr is None:
             continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        prow = rows[pr]
+        if prow[col] < 0:
+            prow = tuple(-x for x in prow)
+        rows[pr] = rows[rank]
+        rows[rank] = prow
+        pv = prow[col]
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != rank:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _content_free([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(col)
         rank += 1
-        if rank == len(rows):
+        if rank == nrows:
             break
     return rows[:rank], pivots
 
 
 def _rank(rows) -> int:
-    return len(_rref([[Fraction(x) for x in r] for r in rows])[0])
+    return len(_rref(rows)[0])
 
 
-def _primitive(vec) -> IntVector:
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def _nullspace(rows: list, ncols: int) -> list[IntVector]:
-    """Primitive integer basis of the right null space, in canonical form."""
-    rr, pivots = _rref([[Fraction(x) for x in r] for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
+def _nullspace(rr: list[IntVector], pivots: list[int], ncols: int) -> list[IntVector]:
+    """Primitive integer basis of the right null space of a matrix, given
+    as its ``_rref``, in canonical form: one vector per free column f,
+    positive at f and zero at the other free columns."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rr[i][f]
-        basis.append(_primitive(v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        used = [(r, p) for r, p in zip(rr, pivots) if r[f]]
+        mult = lcm(*(r[p] for r, p in used))
+        v = [0] * ncols
+        v[f] = mult
+        for r, p in used:
+            v[p] = -r[f] * (mult // r[p])
+        basis.append(_content_free(v))
     return basis
 
 
 def solve_unique(rows: list, rhs: list) -> Vector:
     """Solve a linear system with a unique solution, exactly."""
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    rr, pivots = _rref(aug)
-    for r in rr:
-        if all(x == 0 for x in r[:-1]) and r[-1] != 0:
-            raise ValueError("inconsistent linear system")
-    if [p for p in pivots if p < ncols] != list(range(ncols)):
+    rr, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        raise ValueError("inconsistent linear system")
+    if pivots != list(range(ncols)):
         raise ValueError("linear system is underdetermined")
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        if p < ncols:
-            x[p] = rr[i][-1]
-    return tuple(x)
+    return tuple(Fraction(r[-1], r[p]) for r, p in zip(rr, pivots))
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def orthogonalize(vecs) -> list[Vector]:
-    """Exact Gram-Schmidt; drops dependent vectors."""
-    out: list[Vector] = []
+def orthogonalize(vecs) -> list[IntVector]:
+    """Exact Gram-Schmidt; drops dependent vectors.  Each returned vector is
+    the primitive integer multiple of its Gram-Schmidt vector."""
+    out: list[IntVector] = []
     for v in vecs:
-        w = [Fraction(x) for x in v]
-        for u in out:
-            c = _dot(w, u) / _dot(u, u)
-            w = [a - c * b for a, b in zip(w, u)]
+        w = project_off(v, out)
         if any(w):
-            out.append(tuple(w))
+            out.append(w)
     return out
 
 
-def project_off(vec, ortho_basis) -> Vector:
-    """Component of ``vec`` orthogonal to the span of an orthogonal basis."""
-    w = [Fraction(x) for x in vec]
+def project_off(vec, ortho_basis) -> IntVector:
+    """Component of ``vec`` orthogonal to the span of an orthogonal basis of
+    integer vectors, as a primitive integer vector (zero inside the span)."""
+    w = _primitive(vec)
     for u in ortho_basis:
-        c = _dot(w, u) / _dot(u, u)
-        w = [a - c * b for a, b in zip(w, u)]
-    return tuple(w)
+        c = _dot(w, u)
+        if c:
+            uu = _dot(u, u)
+            w = _content_free([uu * a - c * b for a, b in zip(w, u)])
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +219,6 @@ class HRep:
     def dim(self) -> int:
         return self.ambient_dim - len(self.equations)
 
-    def verify(self, config: PointConfig) -> bool:
-        """Pointwise check: every point satisfies every facet and equation,
-        and every facet is supported by an affinely spanning point subset."""
-        for eq in self.equations:
-            if any(eq.value_at(p) != 0 for p in config.points):
-                return False
-        for fa in self.facets:
-            vals = [fa.value_at(p) for p in config.points]
-            if any(v < 0 for v in vals):
-                return False
-            onset = [p for p, v in zip(config.points, vals) if v == 0]
-            if not onset:
-                return False
-            diffs = [
-                [a - b for a, b in zip(p, onset[0])] for p in onset[1:]
-            ]
-            if _rank(diffs) != self.dim - 1:
-                return False
-        return True
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -285,33 +281,34 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     facet normals of cone(gens) with their generator incidences.
     """
     m = len(gens[0])
-    # greedy scan for m linearly independent generators to seed a simplicial cone
+    # greedy scan for m linearly independent generators to seed a simplicial
+    # cone: each candidate is eliminated once against the echelon basis so far
     seed: list[int] = []
-    basis_rows: list[list[Fraction]] = []
+    basis: list[IntVector] = []
     for idx, g in enumerate(gens):
-        trial = basis_rows + [[Fraction(x) for x in g]]
-        if len(_rref(trial)[0]) > len(basis_rows):
-            basis_rows = _rref(trial)[0]
+        trial = _rref(basis + [g])[0]
+        if len(trial) > len(basis):
+            basis = trial
             seed.append(idx)
             if len(seed) == m:
                 break
     if len(seed) < m:
         raise ValueError("generators do not span the space")
 
-    # invert the seed matrix: row j of the inverse pairs to delta_{ij} with g_i
+    # invert the seed matrix G: the reduced form of [G^T | I] is, row by
+    # row, a positive multiple of [I | (G^T)^-1], and row t of (G^T)^-1
+    # pairs to delta_{st} with generator seed[s]
     aug = [
-        [Fraction(gens[seed[i]][j]) for i in range(m)]
-        + [Fraction(1 if j == t else 0) for t in range(m)]
+        [gens[s][j] for s in seed] + [int(j == t) for t in range(m)]
         for j in range(m)
     ]
     rr, pivots = _rref(aug)
     if pivots != list(range(m)):
         raise ValueError("seed matrix is singular")
-    inv_rows = [[rr[t][m + j] for j in range(m)] for t in range(m)]
 
     rays: list[tuple[IntVector, int]] = []
     for t in range(m):
-        ray = _primitive(inv_rows[t])
+        ray = _content_free(rr[t][m:])
         z = 0
         for i in seed:
             if i != seed[t]:
@@ -348,7 +345,7 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
                 if not adjacent:
                     continue
                 a, b = valp, -valn  # both positive
-                w = _primitive([a * x + b * y for x, y in zip(rn, rp)])
+                w = _content_free([a * x + b * y for x, y in zip(rn, rp)])
                 new.setdefault(w, common | (1 << t))
         rays = [(r, z) for r, z, _ in pos] + zero + list(new.items())
     return rays
@@ -363,15 +360,15 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     d = config.dim
     npts = len(config.points)
     scale = lcm(*(x.denominator for p in config.points for x in p))
-    ipts = [tuple(int(x * scale) for x in p) for p in config.points]
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
 
     diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
-    rr, pivots = _rref([[Fraction(x) for x in r] for r in diffs])
+    rr, pivots = _rref(diffs)
     k = len(pivots)
-    equations = []
-    for nvec in _nullspace(diffs, d):
-        off = Fraction(-_dot(nvec, ipts[0]), scale)
-        equations.append(Facet(normal=nvec, offset=off))
+    equations = [
+        Facet(normal=nvec, offset=Fraction(-_dot(nvec, ipts[0]), scale))
+        for nvec in _nullspace(rr, pivots, d)
+    ]
 
     if k == 0:
         return (
@@ -385,7 +382,6 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     gens = [(1,) + proj[i] for i in order]
     polar = _dd_polar_rays(gens)
 
-    m = k + 1
     entries = []
     for ray, zset in polar:
         normal = [0] * d
@@ -395,21 +391,19 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
         for pos in range(npts):
             if zset >> pos & 1:
                 inc |= 1 << order[pos]
-        entries.append((tuple(normal), Fraction(ray[0], scale), inc, ray))
+        entries.append((tuple(normal), Fraction(ray[0], scale), inc))
     entries.sort(key=lambda e: (e[0], e[1]))
 
-    facets = tuple(Facet(normal=n, offset=o) for n, o, _, _ in entries)
-    inc_rows = tuple(e[2] for e in entries)
-
-    flags = []
-    for i in range(npts):
-        active = [e[3] for e in entries if e[2] >> i & 1]
-        flags.append(_rank(active) == k)
+    facets = tuple(Facet(normal=n, offset=o) for n, o, _ in entries)
+    incidence = IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts)
+    # a point is a vertex iff the facets through it meet in it alone
+    faces = polytope_closure_vertex(incidence)
+    flags = tuple(faces.close_cell(faces.cell(1 << i)) == 1 << i for i in range(npts))
 
     return (
         HRep(facets=facets, equations=tuple(equations), ambient_dim=d),
-        IncidenceMatrix(rows=inc_rows, n_points=npts),
-        tuple(flags),
+        incidence,
+        flags,
     )
 
 
@@ -568,7 +562,7 @@ def normal_fan(config: PointConfig) -> Fan:
     rays: list[IntVector] = []
     facet_ray: list[int] = []
     for f in hrep.facets:
-        outward = _primitive(project_off([-x for x in f.normal], ortho))
+        outward = project_off([-x for x in f.normal], ortho)
         if outward not in ray_index:
             ray_index[outward] = len(rays)
             rays.append(outward)
@@ -582,80 +576,3 @@ def normal_fan(config: PointConfig) -> Fan:
         )
         cones.append(cone)
     return Fan(rays=tuple(rays), maximal_cones=tuple(cones), lineality=lin)
-
-
-# ---------------------------------------------------------------------------
-# volumes via recursive triangulation
-# ---------------------------------------------------------------------------
-
-def triangulate(points: list[Vector]) -> list[tuple[int, ...]]:
-    """Placing triangulation of conv(points) into full-dimensional simplices,
-    returned as index tuples into ``points``."""
-    config = PointConfig(dim=len(points[0]), points=tuple(points))
-    hrep, inc, flags = hull(config)
-    k = hrep.dim
-    verts = [i for i in range(len(points)) if flags[i]]
-    if len(verts) == k + 1:
-        return [tuple(verts)]
-    apex = min(verts, key=lambda i: points[i])
-    simplices = []
-    for row in inc.rows:
-        if row >> apex & 1:
-            continue
-        fpts = [i for i in range(len(points)) if row >> i & 1]
-        sub = triangulate([points[i] for i in fpts])
-        for s in sub:
-            simplices.append(tuple(fpts[i] for i in s) + (apex,))
-    return simplices
-
-
-def relative_volume(points: list[Vector], pivots: list[int]) -> Fraction:
-    """Volume of conv(points) inside the coordinate subspace ``pivots``.
-
-    The projection to the pivot coordinates must be injective on the affine
-    hull; volumes computed with the same pivots are directly comparable.
-    """
-    proj = [tuple(p[c] for c in pivots) for p in points]
-    uniq: list[Vector] = []
-    seen = set()
-    for q in proj:
-        if q not in seen:
-            seen.add(q)
-            uniq.append(tuple(Fraction(x) for x in q))
-    k = len(pivots)
-    total = Fraction(0)
-    for simplex in triangulate(uniq):
-        rows = [
-            [uniq[i][c] - uniq[simplex[0]][c] for c in range(k)]
-            for i in simplex[1:]
-        ]
-        total += abs(_det(rows))
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return total / fact
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        rows[col] = [x / pv for x in rows[col]]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det

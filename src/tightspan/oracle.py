@@ -3,18 +3,23 @@
 Nothing here shares logic with the production modules beyond the subset
 encoding (ints as bit vectors) and fractions.  The hull oracle enumerates
 candidate hyperplanes through point subsets instead of running the
-incremental construction, and the membership oracle evaluates the argmin
-definition directly.  The matroidality oracle tests the edges of every
-maximal cell geometrically, where the gate reads the valuation; it takes
-each cell's facets from ``exactgeom.hull`` (itself checked against
-``brute_hull``) because cells are too large for the hyperplane enumeration.
+incremental construction, and decides vertex flags by hull membership
+instead of reading incidences; its elimination is a plain ``Fraction``
+Gauss-Jordan loop, the reference for the integer kernel of ``exactgeom``.
+The membership oracle evaluates the argmin definition directly.  The
+matroidality oracle tests the edges of every maximal cell geometrically,
+where the gate reads the valuation; it takes each cell's facets from
+``exactgeom.hull`` (itself checked against ``brute_hull``) because cells
+are too large for the hyperplane enumeration.  The placing triangulation
+behind ``relative_volume`` takes facets and vertex flags from
+``exactgeom.hull`` too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 MAX_GROUND = 15
 MAX_POINTS = 12
@@ -173,6 +178,26 @@ def brute_hull(config):
     return sorted(facets.values()), equations
 
 
+def brute_vertex_flags(config) -> tuple[bool, ...]:
+    """Point i is a vertex iff it lies outside the hull of the other points,
+    decided against the facets and equations ``brute_hull`` gives them."""
+    from .exactgeom import PointConfig  # type construction only, no logic reuse
+
+    pts = config.points
+    flags = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        if not others:
+            flags.append(True)
+            continue
+        facets, equations = brute_hull(PointConfig(dim=config.dim, points=others))
+        inside = all(
+            sum(a * b for a, b in zip(n, p)) + off >= 0 for n, off, _ in facets
+        ) and all(sum(a * b for a, b in zip(n, p)) + off == 0 for n, off in equations)
+        flags.append(not inside)
+    return tuple(flags)
+
+
 def brute_lower_cells(config, heights):
     """Maximal cells of the regular subdivision, via the hyperplane oracle on
     the lifted configuration.  Returns a set of point-index masks."""
@@ -239,6 +264,79 @@ def brute_non_matroidal_edges(sub):
             if not (len(nonzero) == 2 and nonzero[0] == -nonzero[1]):
                 bad.append((cell, direction))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# facet descriptions and volumes
+# ---------------------------------------------------------------------------
+
+def verify_hrep(hrep, config) -> bool:
+    """Pointwise check of a facet description: every point satisfies every
+    facet and equation, and every facet is supported by an affinely
+    spanning point subset."""
+    for eq in hrep.equations:
+        if any(eq.value_at(p) != 0 for p in config.points):
+            return False
+    for fa in hrep.facets:
+        vals = [fa.value_at(p) for p in config.points]
+        if any(v < 0 for v in vals):
+            return False
+        onset = [p for p, v in zip(config.points, vals) if v == 0]
+        if not onset:
+            return False
+        diffs = [[a - b for a, b in zip(p, onset[0])] for p in onset[1:]]
+        if _orank(diffs) != hrep.dim - 1:
+            return False
+    return True
+
+
+def triangulate(points) -> list[tuple[int, ...]]:
+    """Placing triangulation of conv(points) into full-dimensional simplices,
+    returned as index tuples into ``points``."""
+    from .exactgeom import PointConfig, hull  # facets and vertices only
+
+    hrep, inc, flags = hull(PointConfig(dim=len(points[0]), points=tuple(points)))
+    verts = [i for i in range(len(points)) if flags[i]]
+    if len(verts) == hrep.dim + 1:
+        return [tuple(verts)]
+    apex = min(verts, key=lambda i: points[i])
+    simplices = []
+    for row in inc.rows:
+        if row >> apex & 1:
+            continue
+        fpts = [i for i in range(len(points)) if row >> i & 1]
+        for s in triangulate([points[i] for i in fpts]):
+            simplices.append(tuple(fpts[i] for i in s) + (apex,))
+    return simplices
+
+
+def relative_volume(points, pivots) -> Fraction:
+    """Volume of conv(points) inside the coordinate subspace ``pivots``.
+
+    The projection to the pivot coordinates must be injective on the affine
+    hull; volumes computed with the same pivots are directly comparable.
+    """
+    uniq = []
+    for p in points:
+        q = tuple(Fraction(p[c]) for c in pivots)
+        if q not in uniq:
+            uniq.append(q)
+    total = Fraction(0)
+    for simplex in triangulate(uniq):
+        apex = uniq[simplex[0]]
+        total += abs(_odet([[a - b for a, b in zip(uniq[i], apex)] for i in simplex[1:]]))
+    return total / factorial(len(pivots))
+
+
+def _odet(rows) -> Fraction:
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * x * _odet([r[:j] + r[j + 1:] for r in rows[1:]])
+         for j, x in enumerate(rows[0]) if x),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------

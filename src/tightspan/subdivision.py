@@ -22,13 +22,11 @@ from .exactgeom import (
     IntVector,
     PointConfig,
     Vector,
-    _primitive,
     _rank,
     orthogonalize,
     project_off,
     solve_unique,
     hull,
-    _nullspace,
 )
 
 
@@ -297,8 +295,8 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     pts = sub.config.points
     hvals = sub.heights.values
     d = sub.config.dim
-    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-    lineality = tuple(_nullspace(diffs, d))
+    # the lineality space is spanned by the normals of the affine hull's equations
+    lineality = tuple(e.normal for e in sub.base_hrep.equations)
     lin_ortho = orthogonalize(lineality)
 
     dual_vertices = []
@@ -317,7 +315,7 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     for carrier in sub.carrier_facet:
         inward = sub.base_hrep.facets[carrier].normal
         outward = [-x for x in inward]
-        dual_rays.append(_primitive(project_off(outward, lin_ortho)))
+        dual_rays.append(project_off(outward, lin_ortho))
 
     n_max = len(sub.maximal_cells)
     n_total = n_max + len(sub.boundary_facets)

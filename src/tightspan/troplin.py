@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exactgeom import _primitive, _rank, orthogonalize, project_off
+from .exactgeom import _rank, orthogonalize, project_off
 from .matroid import (
     Matroid,
     MatroidError,
@@ -135,7 +135,7 @@ class TropicalLinearSpace:
         for vec in self.span.lineality:
             proj = project_off(vec, ortho)
             if any(proj):
-                out.append(_primitive(proj))
+                out.append(proj)
         # reduce to an independent subset
         basis: list[tuple[int, ...]] = []
         for v in out:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import square_config, u12_power
 from tightspan import Matroid, normal_fan
@@ -287,6 +290,14 @@ def test_top_level_array_is_input_error(capsys, tmp_path):
         assert "JSON object" in err
 
 
+def test_too_deeply_nested_json_is_input_error(files, capsys, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    bad = _write_text(tmp_path, "deep.json", '{"dim": 2, "points": ' + deep + "}")
+    for argv in (["face-lattice", bad], ["fan-lattice", bad], ["tls", files["u24.json"], bad]):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and err.startswith("error:") and "recursion" in err, argv
+
+
 def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     bad = _write_text(tmp_path, "b5.json", '{"n": 3, "bases": 5}')
     code, _, err = run(capsys, ["flats", bad])
@@ -366,3 +377,81 @@ def test_node_cap_below_one_is_rejected_before_any_line(files, capsys, cap):
         errors = [line for line in out.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--node-cap" in errors[0] and cap in errors[0]
         assert "Traceback" not in out.err
+
+
+# -- fuzzing the JSON loaders ---------------------------------------------------
+
+_number = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["1/2", "-7/3", "1/" + "9" * 40, "9" * 40 + "/7", "1/0", "0/0", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+_junk = st.recursive(
+    _number,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _maybe(data, value):
+    """The value, or with some chance junk in its place."""
+    return data.draw(_junk) if data.draw(st.integers(0, 15)) == 0 else value
+
+
+def _document(data, payload):
+    """JSON text of the payload, or of junk, or text that is no JSON object."""
+    choice = data.draw(st.integers(0, 15))
+    if choice == 0:
+        return data.draw(st.sampled_from(["", "{", "[1, 2]", "null", '{"dim": 2']))
+    return json.dumps(data.draw(_junk) if choice == 1 else payload)
+
+
+def _fuzz_inputs(data):
+    """Point configuration, heights, matroid and valuation documents: mostly
+    well-shaped, so that the geometry runs, with junk in random places."""
+    coord = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-7/3", "1/" + "9" * 40]))
+    dim = data.draw(st.integers(0, 3))
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    points = [_maybe(data, p) for p in data.draw(st.lists(row, max_size=6))]
+    config = {"dim": _maybe(data, dim), "points": _maybe(data, points)}
+    count = len(points) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+    heights = {"values": _maybe(data, [_maybe(data, data.draw(coord)) for _ in range(count)])}
+    n = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(0, n))
+    bases = data.draw(st.lists(st.sampled_from(list(combinations(range(n), r))), min_size=1, unique=True))
+    matroid = {"n": _maybe(data, n), "bases": _maybe(data, [_maybe(data, list(b)) for b in bases])}
+    values = {",".join(map(str, b)): _maybe(data, data.draw(coord)) for b in bases}
+    valuation = {"values": _maybe(data, values)}
+    return [_document(data, doc) for doc in (config, heights, matroid, valuation)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_malformed_json_never_shows_a_traceback(fuzz_dir, data):
+    paths = []
+    for name, text in zip("chmv", _fuzz_inputs(data)):
+        paths.append(str(fuzz_dir / f"{name}.json"))
+        Path(paths[-1]).write_text(text)
+    config, heights, matroid, valuation = paths
+    out = str(fuzz_dir / "out.json")
+    for argv in (
+        ["face-lattice", config],
+        ["face-lattice", config, "--encoding", "facet"],
+        ["subdivide", config, heights],
+        ["tls", matroid, valuation],
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv + ["-o", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()

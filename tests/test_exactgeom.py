@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,16 @@ from tightspan import (
     hull,
     normal_fan,
 )
-from tightspan.exactgeom import relative_volume
-from tightspan.oracle import brute_closed_sets, brute_hull
+from tightspan.exactgeom import _nullspace, _rank, _rref, solve_unique
+from tightspan.oracle import (
+    _orank,
+    _orrref,
+    brute_closed_sets,
+    brute_hull,
+    brute_vertex_flags,
+    relative_volume,
+    verify_hrep,
+)
 
 
 def test_unit_square():
@@ -32,7 +42,7 @@ def test_unit_square():
     assert len(hrep.facets) == 4
     assert len(hrep.equations) == 0
     assert flags == (True,) * 4
-    assert hrep.verify(square_config())
+    assert verify_hrep(hrep, square_config())
     assert all(r.bit_count() == 2 for r in inc.rows)
 
 
@@ -42,7 +52,7 @@ def test_hypersimplex_2_4():
     assert len(hrep.facets) == 8
     assert len(hrep.equations) == 1
     assert all(flags)
-    assert hrep.verify(cfg)
+    assert verify_hrep(hrep, cfg)
     # octahedron: every facet is a triangle
     assert all(r.bit_count() == 3 for r in inc.rows)
     # the affine hull is the coordinate-sum-two hyperplane
@@ -96,7 +106,7 @@ def test_rational_coordinates():
     )
     hrep, inc, flags = hull(cfg)
     assert len(hrep.facets) == 4
-    assert hrep.verify(cfg)
+    assert verify_hrep(hrep, cfg)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +128,7 @@ def test_hull_matches_brute_force(config):
     facets, equations = brute_hull(config)
     assert {r for r in inc.rows} == {onset for _, _, onset in facets}
     assert len(hrep.equations) == len(equations)
-    assert hrep.verify(config)
+    assert verify_hrep(hrep, config)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +145,7 @@ def test_random_planar_hulls_match_brute_force(rows):
     hrep, inc, flags = hull(config)
     facets, equations = brute_hull(config)
     assert {r for r in inc.rows} == {onset for _, _, onset in facets}
-    assert hrep.verify(config)
+    assert verify_hrep(hrep, config)
     # vertex flags: a point is a vertex iff dropping it changes the hull
     verts = {config.points[i] for i in range(len(rows)) if flags[i]}
     if len(rows) > 1:
@@ -165,7 +175,7 @@ def test_random_spatial_hulls_match_brute_force(rows):
     hrep, inc, flags = hull(config)
     facets, _ = brute_hull(config)
     assert {r for r in inc.rows} == {onset for _, _, onset in facets}
-    assert hrep.verify(config)
+    assert verify_hrep(hrep, config)
 
 
 # -- polytope closure operators ----------------------------------------------
@@ -295,3 +305,133 @@ def test_relative_volume_square():
     tri1 = [pts[0], pts[1], pts[3]]
     tri2 = [pts[0], pts[2], pts[3]]
     assert relative_volume(tri1, [0, 1]) + relative_volume(tri2, [0, 1]) == 1
+
+
+# -- the integer elimination kernel against the Fraction oracle ---------------
+
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=0):
+    """Tall and wide rational matrices with zero rows, repeated rows and
+    rows that combine others, so that every rank occurs."""
+    ncols = draw(st.integers(1, 7))
+    base = draw(st.lists(st.lists(_entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    kinds = st.sampled_from(["base", "zero", "repeat", "combination"])
+    rows = []
+    for kind in draw(st.lists(kinds, min_size=min_rows, max_size=8)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            s, t = draw(st.integers(-3, 3)), draw(_entry)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(list(draw(st.sampled_from(base))))
+    return rows, ncols
+
+
+def _is_primitive(vec) -> bool:
+    return all(isinstance(x, int) for x in vec) and gcd(*vec) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_kernel_matches_fraction_oracle(matrix):
+    rows, ncols = matrix
+    rr, pivots = _rref(rows)
+    orr, opivots = _orrref([[Fraction(x) for x in r] for r in rows])
+    assert pivots == opivots
+    for row, orow, p in zip(rr, orr, pivots):
+        assert _is_primitive(row) and row[p] > 0
+        assert [Fraction(x, row[p]) for x in row] == orow
+    assert _rank(rows) == _orank(rows) == len(opivots)
+    free = [c for c in range(ncols) if c not in opivots]
+    basis = _nullspace(rr, pivots, ncols)
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        # canonical: primitive, positive at its free column, zero at the others
+        assert _is_primitive(v) and v[f] > 0
+        assert all(v[g] == 0 for g in free if g != f)
+        assert all(sum(Fraction(a) * b for a, b in zip(r, v)) == 0 for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(min_rows=1), st.data())
+def test_solve_unique_matches_fraction_oracle(matrix, data):
+    rows, ncols = matrix
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(_entry, min_size=ncols, max_size=ncols))
+        rhs = [sum(Fraction(a) * b for a, b in zip(r, x)) for r in rows]
+    else:
+        rhs = data.draw(st.lists(_entry, min_size=len(rows), max_size=len(rows)))
+    orr, opivots = _orrref([[Fraction(a) for a in r] + [Fraction(b)] for r, b in zip(rows, rhs)])
+    if ncols in opivots:
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_unique(rows, rhs)
+    elif opivots != list(range(ncols)):
+        with pytest.raises(ValueError, match="underdetermined"):
+            solve_unique(rows, rhs)
+    else:
+        answer = solve_unique(rows, rhs)
+        assert all(isinstance(a, Fraction) for a in answer)
+        assert answer == tuple(orow[-1] for orow in orr)
+
+
+# -- vertex flags beyond the plane --------------------------------------------
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+_D24 = [tuple(int(i in c) for i in range(4)) for c in combinations(range(4), 2)]
+_D24_INNER = [
+    (_HALF,) * 4,  # the centre
+    (_HALF, _HALF, 1, 0),  # midpoint of an edge
+    (0, 2 * _THIRD, 2 * _THIRD, 2 * _THIRD),  # centre of a triangle
+    (_THIRD, _THIRD, 2 * _THIRD, 2 * _THIRD),  # inside
+]
+# the 4-dimensional cross-polytope: each of its edges lies on four facets,
+# so a point on an edge meets as many facets as a vertex does
+_CROSS4 = [tuple(s * int(i == j) for i in range(4)) for j in range(4) for s in (1, -1)]
+_CROSS4_INNER = [
+    (_HALF, _HALF, 0, 0),  # midpoint of an edge
+    (_HALF, 0, -_HALF, 0),  # midpoint of an edge
+    (_THIRD, _THIRD, _THIRD, 0),  # centre of a triangle
+    (0, 0, 0, 0),  # the centre
+]
+
+
+@st.composite
+def embedded_configs(draw):
+    """Points of a small grid in R^k (k <= 4), either as they are or mapped
+    injectively onto an affine subspace of R^(k+1), with rational
+    coordinates; or vertices of Delta(2,4) or of the 4-dimensional
+    cross-polytope together with points on their faces and inside."""
+    special = draw(st.sampled_from(["d24", "cross4", None, None]))
+    if special == "d24":
+        pts = draw(st.lists(st.sampled_from(_D24), min_size=1, unique=True))
+        pts += draw(st.lists(st.sampled_from(_D24_INNER), unique=True))
+        return PointConfig.from_rows(pts)
+    if special == "cross4":
+        inner = draw(st.lists(st.sampled_from(_CROSS4_INNER), min_size=1, max_size=2, unique=True))
+        return PointConfig.from_rows(_CROSS4 + inner)
+    k = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2) if k < 4 else st.integers(-1, 1)
+    pts = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=9, unique=True))
+    if draw(st.booleans()):
+        a = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        c = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        pts = [p + (c + Fraction(sum(x * y for x, y in zip(a, p)), 2),) for p in pts]
+    return PointConfig.from_rows(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_configs())
+def test_vertex_flags_match_hull_membership(config):
+    _, _, flags = hull(config)
+    assert flags == brute_vertex_flags(config)

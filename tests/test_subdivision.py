@@ -22,9 +22,9 @@ from tightspan import (
     regular_subdivision,
     tight_span_closure,
 )
-from tightspan.exactgeom import _rank, relative_volume
+from tightspan.exactgeom import _rank
 from tightspan.subdivision import span_cell_mask, span_ground
-from tightspan.oracle import brute_lower_cells
+from tightspan.oracle import brute_lower_cells, relative_volume
 
 
 def node_label_sets(sub, diagram):

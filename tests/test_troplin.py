@@ -7,9 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import fano_matroid, quartet_vm, u12_power
+from conftest import fano_matroid, quartet_vm, tropical_minor_valuation, u12_power
 from tightspan import (
     Matroid,
     MatroidError,
@@ -266,3 +266,53 @@ def test_to_json_has_interface_fields():
                 "lineality_dim", "vertices", "rays", "cells"):
         assert key in data
     assert data["f_vector"] == [2, 5]
+
+
+# -- metamorphic checks on generated valuated matroids -------------------------
+
+def minor_tls(matrix):
+    valuation = tropical_minor_valuation(matrix)
+    return tropical_linear_space(ValuatedMatroid(matroid=valuation.owner, valuation=valuation))
+
+
+def minor_matrices(r, n, data, infinite=False):
+    entry = st.integers(0, 9)
+    if infinite:
+        entry = st.one_of(entry, st.none())
+    row = st.lists(entry, min_size=n, max_size=n)
+    return data.draw(st.lists(row, min_size=r, max_size=r))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_permuting_the_ground_set_keeps_both_f_vectors(rn, data):
+    r, n = rn
+    matrix = minor_matrices(r, n, data, infinite=True)
+    valuation = tropical_minor_valuation(matrix)
+    assume(valuation is not None and not valuation.owner.loops())
+    perm = data.draw(st.permutations(range(n)))
+    tls = minor_tls(matrix)
+    permuted = minor_tls([[row[j] for j in perm] for row in matrix])
+    assert permuted.f_vector == tls.f_vector
+    assert permuted.bounded_f_vector == tls.bounded_f_vector
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_adding_a_linear_function_translates_the_space(rn, data):
+    # v'(B) = v(B) + sum of a_i over B: the minors of the matrix with a_i
+    # added to column i.  The subdivision is the same, and every dual vertex
+    # x (sum zero, the lineality being the all-ones line) moves to
+    # x + a - mean(a) * (1, ..., 1).
+    r, n = rn
+    matrix = minor_matrices(r, n, data)
+    a = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    tls = minor_tls(matrix)
+    moved = minor_tls([[x + y for x, y in zip(row, a)] for row in matrix])
+    assert tls.span.lineality == moved.span.lineality == ((1,) * n,)
+    assert moved.f_vector == tls.f_vector
+    assert moved.bounded_f_vector == tls.bounded_f_vector
+    shift = [Fraction(x) - Fraction(sum(a), n) for x in a]
+    assert moved.span.dual_vertices == tuple(
+        tuple(x + s for x, s in zip(v, shift)) for v in tls.span.dual_vertices
+    )
