@@ -53,7 +53,6 @@ from .troplin import (
     ValuatedMatroid,
     bergman_fan,
     cell_at,
-    fvector_report,
     speyer_bound,
     speyer_bounds,
     tropical_linear_space,

@@ -2,7 +2,8 @@
 
 All reports are JSON (line-delimited for scans) so they can be piped into
 statistics; ``--format pretty`` renders small human-readable tables.
-Exit codes: 0 success, 1 input or validation error, 2 resource cap hit.
+Exit codes: 0 success, 1 input or validation error, 2 bad command-line
+arguments (from argparse), 3 node cap reached.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .matroid import (
     parse_census_line,
 )
 from .subdivision import HeightFunction, coordinatize, regular_subdivision
-from .troplin import (
-    ValuatedMatroid,
-    bergman_fan,
-    fvector_report,
-    tropical_linear_space,
-)
+from .troplin import ValuatedMatroid, bergman_fan, tropical_linear_space
 
 
 class InputError(ValueError):
@@ -156,9 +152,7 @@ def cmd_fan_lattice(args) -> int:
 
 def cmd_flats(args) -> int:
     m = _load_matroid(args.input)
-    diagram = ganter_hasse(
-        m.closure_system(), skip_minimality=True, node_cap=args.node_cap
-    )
+    diagram = ganter_hasse(m.closure_system(), node_cap=args.node_cap)
     f_vec = poset_statistics(diagram, m.rank)
     _emit(_diagram_output(diagram, args.format, f_vec), args.output)
     return 0
@@ -177,10 +171,7 @@ def _subdivision_payload(sub) -> dict:
 
 def cmd_subdivide(args) -> int:
     config = _load_config(args.points)
-    heights = _load_heights(args.heights)
-    if len(heights.values) != len(config.points):
-        raise InputError("heights length must match point count")
-    sub = regular_subdivision(config, heights)
+    sub = regular_subdivision(config, _load_heights(args.heights))
     _emit(json.dumps(_subdivision_payload(sub), sort_keys=True) + "\n", args.output)
     return 0
 
@@ -202,10 +193,7 @@ def _gamma_for(sub, mode: str):
 
 def cmd_tightspan(args) -> int:
     config = _load_config(args.points)
-    heights = _load_heights(args.heights)
-    if len(heights.values) != len(config.points):
-        raise InputError("heights length must match point count")
-    sub = regular_subdivision(config, heights)
+    sub = regular_subdivision(config, _load_heights(args.heights))
     span = coordinatize(sub, _gamma_for(sub, args.gamma), node_cap=args.node_cap)
     _emit(span.to_json(quotient=args.quotient == "on") + "\n", args.output)
     return 0
@@ -213,7 +201,7 @@ def cmd_tightspan(args) -> int:
 
 def _tls_output(tls, fmt: str) -> str:
     if fmt == "pretty":
-        rep = fvector_report(tls)
+        rep = tls.report()
         lines = [
             f"(n, r) = ({rep['n']}, {rep['r']})",
             f"dim: {rep['dim']}   lineality dim: {rep['lineality_dim']}",
@@ -224,7 +212,7 @@ def _tls_output(tls, fmt: str) -> str:
         ]
         return "\n".join(lines) + "\n"
     data = json.loads(tls.to_json())
-    data.update(fvector_report(tls))
+    data.update(tls.report())
     return json.dumps(data, sort_keys=True) + "\n"
 
 
@@ -264,7 +252,7 @@ def _scan_line(task) -> dict:
             tls = tropical_linear_space(vm, node_cap=node_cap)
         else:
             tls = bergman_fan(m, node_cap=node_cap)
-        record.update(fvector_report(tls))
+        record.update(tls.report())
         record["ok"] = True
     except NodeCapExceeded as exc:
         record.update(ok=False, error=str(exc), node_cap=True)
@@ -420,7 +408,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except NodeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
     except (InputError, MatroidError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -163,22 +163,18 @@ class HasseDiagram:
 
     ``nodes`` holds each closed set exactly once, in discovery (BFS) order;
     ``index`` maps the canonical bit-vector encoding back to the node index.
-    ``enqueue_count`` and ``closure_calls`` are instrumentation counters for
-    the output-sensitivity checks.
+    ``closure_calls`` counts the closures taken, for the output-sensitivity
+    checks.
     """
 
     ground: GroundSet
     nodes: list[int] = field(default_factory=list)
     arcs: list[tuple[int, int]] = field(default_factory=list)
     index: dict[int, int] = field(default_factory=dict)
-    enqueue_count: int = 0
     closure_calls: int = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def node_index(self, mask: int) -> int | None:
-        return self.index.get(mask)
 
     def heights(self) -> list[int]:
         """Longest-path height of every node above the root.
@@ -213,20 +209,17 @@ class HasseDiagram:
         return "\n".join(lines) + "\n"
 
 
-def ganter_hasse(
-    system: ClosureSystem,
-    skip_minimality: bool = False,
-    node_cap: int = 10_000_000,
-) -> HasseDiagram:
+def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiagram:
     """Enumerate all closed sets and their covering arcs.
 
     Breadth-first over a FIFO queue seeded with close(empty set).  For a
     dequeued closed set N, the candidate closures cl(N + {i}) are formed for
-    i outside N in increasing index order; duplicates are merged by their
-    encoding.  The inclusion-minimal candidates are exactly the covers of N.
-    ``skip_minimality`` drops the minimality filter; that is only sound for
-    operators with the exchange property (matroids), where every candidate
-    is automatically a cover.
+    i outside N in increasing index order and counted per distinct result.
+    A candidate H covers N iff exactly |H - N| of the i give H (Kaibel and
+    Pfetsch, Comput. Geom. 2002): only i in H - N can give H; all of them do
+    when H covers N, and none from a closed set strictly between N and H
+    does otherwise.  The test holds for every closure operator.  Covers are
+    kept in the order their candidates first appear.
 
     Raises NodeCapExceeded once more than ``node_cap`` closed sets appear.
     """
@@ -240,30 +233,20 @@ def ganter_hasse(
     index = {root: 0}
     arcs: list[tuple[int, int]] = []
     queue: deque[int] = deque([0])
-    enqueued = 1
 
     while queue:
         ni = queue.popleft()
         nmask = nodes[ni]
-        candidates: list[int] = []
-        seen: set[int] = set()
+        hits: dict[int, int] = {}
         for i in range(n):
             if nmask >> i & 1:
                 continue
             c = system.close(nmask | (1 << i))
             closure_calls += 1
-            if c not in seen:
-                seen.add(c)
-                candidates.append(c)
-        if skip_minimality:
-            minimal = candidates
-        else:
-            minimal = [
-                c
-                for c in candidates
-                if not any(d != c and d & c == d for d in candidates)
-            ]
-        for c in minimal:
+            hits[c] = hits.get(c, 0) + 1
+        for c, k in hits.items():
+            if k != (c & ~nmask).bit_count():
+                continue
             ci = index.get(c)
             if ci is None:
                 if len(nodes) >= node_cap:
@@ -272,16 +255,10 @@ def ganter_hasse(
                 nodes.append(c)
                 index[c] = ci
                 queue.append(ci)
-                enqueued += 1
             arcs.append((ni, ci))
 
     return HasseDiagram(
-        ground=ground,
-        nodes=nodes,
-        arcs=arcs,
-        index=index,
-        enqueue_count=enqueued,
-        closure_calls=closure_calls,
+        ground=ground, nodes=nodes, arcs=arcs, index=index, closure_calls=closure_calls
     )
 
 

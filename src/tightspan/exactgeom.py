@@ -24,6 +24,7 @@ meet in that point alone.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,6 +33,26 @@ from .closure import GroundSet, IncidenceClosure, transpose
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
+
+# Fraction expands a decimal exponent into an exact integer, at a cost that
+# grows with the exponent, so a few bytes of input could stall a loader.
+# 4300 is the default of sys.get_int_max_str_digits: past it Python 3.11
+# cannot print the expanded number anyway.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_rational(x) -> Fraction:
+    """Exact value of a JSON entry: an int, a float (read from its ``str``,
+    such as ``1e-07``), or a string holding an int, a decimal or ``p/q``.
+    Raises ValueError for a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+    text = str(x)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
+        )
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +198,7 @@ class PointConfig:
     @staticmethod
     def from_json(text: str) -> "PointConfig":
         data = json.loads(text)
-        pts = tuple(
-            tuple(Fraction(str(x)) for x in row) for row in data["points"]
-        )
+        pts = tuple(tuple(parse_rational(x) for x in row) for row in data["points"])
         return PointConfig(dim=int(data["dim"]), points=pts)
 
     def to_json(self) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .closure import ClosureSystem, GroundSet
-from .exactgeom import PointConfig, polytope_closure_vertex
+from .exactgeom import PointConfig, parse_rational, polytope_closure_vertex
 from .subdivision import Subdivision
 
 EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
@@ -222,7 +222,7 @@ class Valuation:
         values = {}
         for key, val in data["values"].items():
             idx = [int(t) for t in key.split(",")]
-            values[_mask(idx)] = Fraction(str(val))
+            values[_mask(idx)] = parse_rational(val)
         return Valuation(owner=owner, values=values)
 
     def to_json(self) -> str:

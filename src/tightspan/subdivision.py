@@ -24,6 +24,7 @@ from .exactgeom import (
     Vector,
     _rank,
     orthogonalize,
+    parse_rational,
     project_off,
     solve_unique,
     hull,
@@ -41,7 +42,7 @@ class HeightFunction:
     @staticmethod
     def from_json(text: str) -> "HeightFunction":
         data = json.loads(text)
-        return HeightFunction(values=tuple(Fraction(str(x)) for x in data["values"]))
+        return HeightFunction(values=tuple(parse_rational(x) for x in data["values"]))
 
     def to_json(self) -> str:
         return json.dumps({"values": [str(v) for v in self.values]}, sort_keys=True)

@@ -296,7 +296,3 @@ def _check_speyer(tls: TropicalLinearSpace) -> None:
             SpeyerBoundWarning,
             stacklevel=2,
         )
-
-
-def fvector_report(tls: TropicalLinearSpace) -> dict:
-    return tls.report()

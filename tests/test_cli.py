@@ -253,7 +253,7 @@ def test_error_exit_codes(files, capsys):
     code, _, err = run(
         capsys, ["face-lattice", files["square.json"], "--node-cap", "3"]
     )
-    assert code == 2
+    assert code == 3
 
     # gamma loops on a non-0/1 configuration
     code, _, err = run(
@@ -279,6 +279,31 @@ def test_zero_denominator_is_input_error(files, capsys, tmp_path):
     bad = _write_text(tmp_path, "v0.json", json.dumps({"values": {"0,1": "1/0"}}))
     code, _, err = run(capsys, ["tls", files["u24.json"], bad])
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", ["point", "height", "valuation"])
+def test_huge_decimal_exponent_is_input_error(files, capsys, tmp_path, entry):
+    # expanding 10**10000000 exactly would take minutes
+    huge = "1e10000000"
+    if entry == "point":
+        bad = _write_text(tmp_path, "p.json", json.dumps({"dim": 1, "points": [[huge], ["0"]]}))
+        argv = ["face-lattice", bad]
+    elif entry == "height":
+        bad = _write_text(tmp_path, "h.json", json.dumps({"values": [huge, "0", "1"]}))
+        argv = ["subdivide", files["fig1.json"], bad]
+    else:
+        bad = _write_text(tmp_path, "v.json", json.dumps({"values": {"0,1": huge}}))
+        argv = ["tls", files["u24.json"], bad]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "exponent" in err
+
+
+@pytest.mark.parametrize("command", ["subdivide", "tightspan"])
+def test_heights_of_wrong_length_is_input_error(files, capsys, command):
+    code, out, err = run(capsys, [command, files["fig1.json"], files["h_sq.json"]])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "length" in err
 
 
 def test_top_level_array_is_input_error(capsys, tmp_path):

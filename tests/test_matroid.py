@@ -81,14 +81,14 @@ def test_maclane_steinitz_exchange_exhaustive():
 
 def test_flats_match_brute_force():
     for m in [Matroid.uniform(2, 4), Matroid.uniform(3, 5), fano_matroid(), u12_power(2)]:
-        d = ganter_hasse(m.closure_system(), skip_minimality=True)
+        d = ganter_hasse(m.closure_system())
         nodes, covers = brute_closed_sets(m.closure_system())
         assert set(d.nodes) == nodes
         assert {(d.nodes[a], d.nodes[b]) for a, b in d.arcs} == covers
 
 
 def test_fano_flat_counts():
-    d = ganter_hasse(fano_matroid().closure_system(), skip_minimality=True)
+    d = ganter_hasse(fano_matroid().closure_system())
     from tightspan import poset_statistics
 
     assert poset_statistics(d, fano_matroid().rank) == [1, 7, 7, 1]

@@ -19,7 +19,6 @@ from tightspan import (
     bergman_fan,
     cell_at,
     corank_valuation,
-    fvector_report,
     speyer_bound,
     speyer_bounds,
     tropical_linear_space,
@@ -226,9 +225,9 @@ def test_speyer_bound_values():
         speyer_bound(3, 4, 1)
 
 
-def test_fvector_report_fields():
+def test_tls_report_fields():
     tls = tropical_linear_space(quartet_vm())
-    rep = fvector_report(tls)
+    rep = tls.report()
     assert rep["n"] == 4 and rep["r"] == 2
     assert rep["bounded_f_vector"] == [2, 1]
     assert rep["speyer_bounds"] == [2, 1]
@@ -250,7 +249,7 @@ def test_report_bounds_hold_on_census_sample():
             m = parse_census_line(line.strip(), n, r)
             if not m.is_loopfree():
                 continue
-            rep = fvector_report(bergman_fan(m))
+            rep = bergman_fan(m).report()
             if rep["lineality_dim"] == 0:
                 assert all(rep["within_bound"]), (path, line)
             checked += 1
