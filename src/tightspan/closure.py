@@ -84,6 +84,17 @@ class ClosureSystem:
     def close(self, subset: int) -> int:
         return self._close_fn(subset)
 
+    def cover_counts(self, nmask: int) -> dict[int, int]:
+        """Map each candidate closure cl(N + i), i outside N, to the number
+        of i that give it; keys in the order of their first i, i increasing."""
+        close = self.close
+        hits: dict[int, int] = {}
+        for i in range(self.ground.size):
+            if not nmask >> i & 1:
+                c = close(nmask | 1 << i)
+                hits[c] = hits.get(c, 0) + 1
+        return hits
+
 
 def transpose(rows, width: int) -> tuple[int, ...]:
     """Transpose of a 0/1 matrix given as row masks over ``width`` columns:
@@ -110,8 +121,11 @@ class IncidenceClosure(ClosureSystem):
     :func:`restrict_to_lower_set` with keep(F) = "cell(F) lies in no
     forbidden mask", stated as a mask test.
 
-    Closing runs through :meth:`ClosureSystem.close`, as for every other
-    system, so :func:`ganter_hasse` needs no special case for it.
+    Single closures run through :meth:`ClosureSystem.close`.  The
+    candidates of a node N are formed from its cell instead (Kaibel and
+    Pfetsch, Comput. Geom. 2002): cl(N + i) = close_cell(cell(N) & rows[i]),
+    so :meth:`cover_counts` intersects cell(N) once with each row and closes
+    each distinct cell once.
     """
 
     def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
@@ -155,6 +169,21 @@ class IncidenceClosure(ClosureSystem):
 
     def _close(self, subset: int) -> int:
         return self.close_cell(self.cell(subset)) if subset else 0
+
+    def cover_counts(self, nmask: int) -> dict[int, int]:
+        base = self.cell(nmask)
+        rows = self.rows
+        cells: dict[int, int] = {}
+        for i in range(self.ground.size):
+            if not nmask >> i & 1:
+                q = base & rows[i]
+                cells[q] = cells.get(q, 0) + 1
+        close_cell = self.close_cell
+        hits: dict[int, int] = {}
+        for q, k in cells.items():
+            c = close_cell(q)
+            hits[c] = hits.get(c, 0) + k
+        return hits
 
 
 @dataclass
@@ -213,13 +242,14 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
     """Enumerate all closed sets and their covering arcs.
 
     Breadth-first over a FIFO queue seeded with close(empty set).  For a
-    dequeued closed set N, the candidate closures cl(N + {i}) are formed for
-    i outside N in increasing index order and counted per distinct result.
-    A candidate H covers N iff exactly |H - N| of the i give H (Kaibel and
-    Pfetsch, Comput. Geom. 2002): only i in H - N can give H; all of them do
-    when H covers N, and none from a closed set strictly between N and H
-    does otherwise.  The test holds for every closure operator.  Covers are
-    kept in the order their candidates first appear.
+    dequeued closed set N, ``system.cover_counts`` counts the candidate
+    closures cl(N + {i}), i outside N, per distinct result; an incidence
+    closure forms them from the cell of N.  ``closure_calls`` counts the
+    candidates.  A candidate H covers N iff exactly |H - N| of the i give H
+    (Kaibel and Pfetsch, Comput. Geom. 2002): only i in H - N can give H;
+    all of them do when H covers N, and none from a closed set strictly
+    between N and H does otherwise.  The test holds for every closure
+    operator.  Covers are kept in the order their candidates first appear.
 
     Raises NodeCapExceeded once more than ``node_cap`` closed sets appear.
     """
@@ -237,14 +267,8 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
     while queue:
         ni = queue.popleft()
         nmask = nodes[ni]
-        hits: dict[int, int] = {}
-        for i in range(n):
-            if nmask >> i & 1:
-                continue
-            c = system.close(nmask | (1 << i))
-            closure_calls += 1
-            hits[c] = hits.get(c, 0) + 1
-        for c, k in hits.items():
+        closure_calls += n - nmask.bit_count()
+        for c, k in system.cover_counts(nmask).items():
             if k != (c & ~nmask).bit_count():
                 continue
             ci = index.get(c)

@@ -18,7 +18,12 @@ to a full-dimensional coordinate subspace of their affine hull, homogenized
 to cone generators, and inserted one at a time while maintaining the
 extreme rays of the polar cone (= the facet normals).  Vertex flags are
 read off the incidences: a point is a vertex iff the facets through it
-meet in that point alone.
+meet in that point alone.  One routine does this for ``hull`` and for
+regular subdivisions; for the latter each generator carries its height and
+the upward ray (0, ..., 0, 1) is inserted first, so that a single run gives
+the facets of the base (the facets through the ray) and the lower facets
+(the maximal cells) and never forms an upper facet (Fukuda and Prodon,
+Double description method revisited, 1996, on insertion order).
 """
 
 from __future__ import annotations
@@ -370,60 +375,95 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     return rays
 
 
+def _hull_and_lower_cells(
+    config: PointConfig, heights=None
+) -> tuple[HRep, IncidenceMatrix, list[int]]:
+    """One double description of the homogenized cone over a configuration.
+
+    Points (and heights) are scaled to integers, projected to the pivot
+    coordinates of their affine hull and homogenized to cone generators,
+    sorted by their projections.  Returns the facet description of
+    conv(config), facets sorted by (normal, offset), its incidences, and a
+    list of lower cells.
+
+    With ``heights`` (one rational per point) each generator carries its
+    height as one more coordinate and the upward ray (0, ..., 0, 1) goes
+    first, so it seeds the DD: the cone is over the lifted points plus the
+    ray, which has no upper facets.  A facet through the ray is vertical,
+    the lift of a facet of conv(config); every other facet is lower, and
+    its point mask is a maximal cell of the regular subdivision.  Affine
+    heights give one lower facet holding every point, and so does a single
+    point, without a DD.  Without ``heights`` the list of cells is empty.
+    """
+    d = config.dim
+    npts = len(config.points)
+    lifted = heights is not None
+    scale = lcm(*(x.denominator for p in config.points for x in p),
+                *(h.denominator for h in heights or ()))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
+
+    diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
+    rr, pivots = _rref(diffs)
+    equations = tuple(
+        Facet(normal=nvec, offset=Fraction(-_dot(nvec, ipts[0]), scale))
+        for nvec in _nullspace(rr, pivots, d)
+    )
+
+    if not pivots:
+        return (
+            HRep(facets=(), equations=equations, ambient_dim=d),
+            IncidenceMatrix(rows=(), n_points=npts),
+            [1] if lifted else [],
+        )
+
+    proj = [tuple(p[c] for c in pivots) for p in ipts]
+    order = sorted(range(npts), key=lambda i: proj[i])
+    gens = [(1,) + proj[i] for i in order]
+    if lifted:
+        iheights = [h.numerator * (scale // h.denominator) for h in heights]
+        up = (0,) * len(gens[0]) + (1,)
+        gens = [up] + [g + (iheights[i],) for g, i in zip(gens, order)]
+    first = len(gens) - npts  # generator index of the first point
+
+    entries = []
+    cells = []
+    for ray, zset in _dd_polar_rays(gens):
+        inc = 0
+        for pos in range(npts):
+            if zset >> (first + pos) & 1:
+                inc |= 1 << order[pos]
+        if lifted and ray[-1]:
+            cells.append(inc)
+            continue
+        normal = [0] * d
+        for val, c in zip(ray[1:], pivots):
+            normal[c] = val
+        entries.append((tuple(normal), Fraction(ray[0], scale), inc))
+    entries.sort(key=lambda e: (e[0], e[1]))
+
+    return (
+        HRep(
+            facets=tuple(Facet(normal=n, offset=o) for n, o, _ in entries),
+            equations=equations,
+            ambient_dim=d,
+        ),
+        IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts),
+        sorted(cells),
+    )
+
+
 def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     """Exact facet description of conv(config), with incidences and vertex flags.
 
     Returns equations cutting out the affine hull when the configuration is
     not full-dimensional; a single point yields equations only.
     """
-    d = config.dim
-    npts = len(config.points)
-    scale = lcm(*(x.denominator for p in config.points for x in p))
-    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
-
-    diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
-    rr, pivots = _rref(diffs)
-    k = len(pivots)
-    equations = [
-        Facet(normal=nvec, offset=Fraction(-_dot(nvec, ipts[0]), scale))
-        for nvec in _nullspace(rr, pivots, d)
-    ]
-
-    if k == 0:
-        return (
-            HRep(facets=(), equations=tuple(equations), ambient_dim=d),
-            IncidenceMatrix(rows=(), n_points=npts),
-            (True,) * npts,
-        )
-
-    proj = [tuple(p[c] for c in pivots) for p in ipts]
-    order = sorted(range(npts), key=lambda i: proj[i])
-    gens = [(1,) + proj[i] for i in order]
-    polar = _dd_polar_rays(gens)
-
-    entries = []
-    for ray, zset in polar:
-        normal = [0] * d
-        for val, c in zip(ray[1:], pivots):
-            normal[c] = val
-        inc = 0
-        for pos in range(npts):
-            if zset >> pos & 1:
-                inc |= 1 << order[pos]
-        entries.append((tuple(normal), Fraction(ray[0], scale), inc))
-    entries.sort(key=lambda e: (e[0], e[1]))
-
-    facets = tuple(Facet(normal=n, offset=o) for n, o, _ in entries)
-    incidence = IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts)
+    hrep, incidence, _ = _hull_and_lower_cells(config)
     # a point is a vertex iff the facets through it meet in it alone
     faces = polytope_closure_vertex(incidence)
+    npts = incidence.n_points
     flags = tuple(faces.close_cell(faces.cell(1 << i)) == 1 << i for i in range(npts))
-
-    return (
-        HRep(facets=facets, equations=tuple(equations), ambient_dim=d),
-        incidence,
-        flags,
-    )
+    return hrep, incidence, flags
 
 
 def cone_hrep(generators, lines=()) -> list[tuple[IntVector, int]]:

@@ -27,6 +27,16 @@ class MatroidError(ValueError):
     pass
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a dict of the pairs, refusing a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MatroidError(f"key {key!r} appears twice")
+        out[key] = value
+    return out
+
+
 def _mask(elements) -> int:
     m = 0
     for e in elements:
@@ -218,11 +228,33 @@ class Valuation:
 
     @staticmethod
     def from_json(owner: Matroid, text: str) -> "Valuation":
-        data = json.loads(text)
+        """Read ``{"values": {"i,j,...": value}}``.  Each key lists a basis
+        of ``owner`` by its indices in increasing order, and no basis twice;
+        any other key raises MatroidError naming it."""
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         values = {}
         for key, val in data["values"].items():
-            idx = [int(t) for t in key.split(",")]
-            values[_mask(idx)] = parse_rational(val)
+            try:
+                idx = [int(t) for t in key.split(",")] if key else []
+            except ValueError:
+                raise MatroidError(
+                    f"valuation key {key!r} is not a comma-joined list of indices"
+                ) from None
+            if any(not 0 <= i < owner.n for i in idx):
+                raise MatroidError(
+                    f"valuation key {key!r} has an index outside 0..{owner.n - 1}"
+                )
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise MatroidError(
+                    f"valuation key {key!r} does not list distinct indices "
+                    "in increasing order"
+                )
+            basis = _mask(idx)
+            if basis not in owner.bases:
+                raise MatroidError(f"valuation key {key!r} is not a basis of the matroid")
+            if basis in values:
+                raise MatroidError(f"valuation key {key!r} names a basis given before")
+            values[basis] = parse_rational(val)
         return Valuation(owner=owner, values=values)
 
     def to_json(self) -> str:

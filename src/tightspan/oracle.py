@@ -7,6 +7,13 @@ incremental construction, and decides vertex flags by hull membership
 instead of reading incidences; its elimination is a plain ``Fraction``
 Gauss-Jordan loop, the reference for the integer kernel of ``exactgeom``.
 The membership oracle evaluates the argmin definition directly.  The
+reference regular subdivision hulls the base and the lifted configuration
+separately and keeps the lifted facets that face down, where
+``regular_subdivision`` reads both off one double description with the
+upward ray; both hulls come from ``exactgeom.hull`` and the boundary
+assembly is the production one, so it checks the split of that one
+description.  Span cell dimensions are recomputed as ranks of the dual
+generators, where ``coordinatize`` reads them off the lattice grading.  The
 matroidality oracle tests the edges of every maximal cell geometrically,
 where the gate reads the valuation; it takes each cell's facets from
 ``exactgeom.hull`` (itself checked against ``brute_hull``) because cells
@@ -220,6 +227,47 @@ def brute_lower_cells(config, heights):
         if nvec[-1] > 0:
             cells.add(onset)
     return cells
+
+
+def two_hull_subdivision(config, heights):
+    """Regular subdivision by two hulls: conv(config), then the lifted
+    configuration, whose facets with positive last normal coordinate are
+    the maximal cells (one cell of every point when the lift is no higher
+    dimensional than the base).  Boundary facets and carriers come from
+    ``subdivision._assemble``."""
+    from .exactgeom import PointConfig, hull
+    from .subdivision import _assemble
+
+    base_hrep, base_inc, _ = hull(config)
+    lifted = PointConfig(
+        dim=config.dim + 1,
+        points=tuple(p + (h,) for p, h in zip(config.points, heights.values)),
+    )
+    lifted_hrep, lifted_inc, _ = hull(lifted)
+    if lifted_hrep.dim == base_hrep.dim:
+        cells = [(1 << len(config.points)) - 1]
+    else:
+        cells = sorted(
+            row
+            for facet, row in zip(lifted_hrep.facets, lifted_inc.rows)
+            if facet.normal[-1] > 0
+        )
+    return _assemble(config, heights, cells, base_hrep, base_inc)
+
+
+def span_cell_rank_dims(span) -> list[int]:
+    """Dimension of every cell of an extended tight span, as the rank of
+    its dual vertices' differences together with its dual rays."""
+    dims = []
+    for cell in span.cells:
+        v0 = span.dual_vertices[cell.vertices[0]]
+        gens = [
+            [a - b for a, b in zip(span.dual_vertices[i], v0)]
+            for i in cell.vertices[1:]
+        ]
+        gens += [list(span.dual_rays[i]) for i in cell.rays]
+        dims.append(_orank(gens))
+    return dims
 
 
 # ---------------------------------------------------------------------------

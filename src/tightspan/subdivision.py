@@ -22,7 +22,7 @@ from .exactgeom import (
     IntVector,
     PointConfig,
     Vector,
-    _rank,
+    _hull_and_lower_cells,
     orthogonalize,
     parse_rational,
     project_off,
@@ -122,31 +122,14 @@ def _assemble(config, heights, cells, base_hrep, base_inc) -> Subdivision:
 def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivision:
     """Subdivision induced by lifting each point to its height.
 
-    Maximal cells are the point sets of the lifted hull facets whose inward
-    normal has positive last coordinate (the minimizer sets of
-    height(p) - p.x).  When the lifted configuration is not full-dimensional
-    over the base (heights affine), the subdivision is trivial.
+    Maximal cells are the point sets of the lower facets of the lifted
+    configuration (the minimizer sets of height(p) - p.x).  One double
+    description of the lifted points plus the upward ray gives them and the
+    hull of the base together; affine heights give the trivial subdivision.
     """
     if len(heights.values) != len(config.points):
         raise ValueError("height function length must match point count")
-    base_hrep, base_inc, _ = hull(config)
-    lifted = PointConfig(
-        dim=config.dim + 1,
-        points=tuple(
-            p + (h,) for p, h in zip(config.points, heights.values)
-        ),
-    )
-    lifted_hrep, lifted_inc, _ = hull(lifted)
-
-    if lifted_hrep.dim == base_hrep.dim:
-        cells = [(1 << len(config.points)) - 1]
-    else:
-        cells = [
-            row
-            for facet, row in zip(lifted_hrep.facets, lifted_inc.rows)
-            if facet.normal[-1] > 0
-        ]
-        cells.sort()
+    base_hrep, base_inc, cells = _hull_and_lower_cells(config, heights.values)
     return _assemble(config, heights, cells, base_hrep, base_inc)
 
 
@@ -319,24 +302,21 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
         dual_rays.append(project_off(outward, lin_ortho))
 
     n_max = len(sub.maximal_cells)
-    n_total = n_max + len(sub.boundary_facets)
     full = system.ground.full_mask
 
+    # the kept closed sets form a polyhedral complex, whose face posets are
+    # graded: a cell's dimension is its height above the empty set, minus one
+    levels = diagram.heights()
     cells = []
     trivial_point = sub.dim == 0
-    for node in diagram.nodes:
+    for node, level in zip(diagram.nodes, levels):
         if node == 0:
             continue
         if node == full and not trivial_point:
             continue
         vs = tuple(i for i in range(n_max) if node >> i & 1)
         rs = tuple(i for i in range(len(sub.boundary_facets)) if node >> (n_max + i) & 1)
-        gens = [
-            [a - b for a, b in zip(dual_vertices[i], dual_vertices[vs[0]])]
-            for i in vs[1:]
-        ]
-        gens += [list(dual_rays[i]) for i in rs]
-        cells.append(SpanCell(node=node, vertices=vs, rays=rs, dim=_rank(gens)))
+        cells.append(SpanCell(node=node, vertices=vs, rays=rs, dim=level - 1))
 
     return ExtendedTightSpan(
         base=sub,

@@ -7,6 +7,7 @@ lines and timings.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import random
 import re
@@ -203,6 +204,33 @@ def test_criterion_6_corank_flagship(flagship):
         True,
         f"bounded={bounded} <= {bounds}, equality in last two, {elapsed:.1f}s",
     )
+
+
+# sha256 of the default-format `tls` output for the corank lift of U(1,2)^5
+# on Delta(5,10), as produced before the one-DD subdivision and the per-node
+# candidate cells; both must leave it byte-identical
+DELTA_5_10_TLS_SHA256 = "cab3b0bf3931d93a4c8f933983837d8f96080c7279ad97f285eaa59d08f6c3ba"
+
+
+def test_corank_lift_ladder(tmp_path):
+    # bounded f-vector of the corank lift of U(1,2)^k: C(k,i) * (2^(k-i) - 2)
+    # for i <= k-2, then one top cell (an observed pattern, not a theorem)
+    from tightspan.cli import main
+
+    expected = {2: [2, 1], 3: [6, 6, 1], 4: [14, 24, 12, 1], 5: [30, 70, 60, 20, 1]}
+    t0 = time.perf_counter()
+    for k, bounded in expected.items():
+        matroid = tmp_path / f"u{k}.json"
+        matroid.write_text(Matroid.uniform(k, 2 * k).to_json())
+        valuation = tmp_path / f"v{k}.json"
+        valuation.write_text(corank_valuation(u12_power(k)).to_json())
+        out = tmp_path / f"tls{k}.json"
+        assert main(["tls", str(matroid), str(valuation), "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["bounded_f_vector"] == bounded, k
+    assert data["f_vector"] == [30, 220, 675, 1040, 681]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DELTA_5_10_TLS_SHA256
+    report(6, "corank lift ladder", True, f"k = 2..5 in {time.perf_counter() - t0:.1f}s")
 
 
 def test_criterion_7_speyer_bounds(flagship):

@@ -315,6 +315,34 @@ def test_top_level_array_is_input_error(capsys, tmp_path):
         assert "JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "key,text,reason",
+    [
+        ("3,2", '"3,2": "0"', "increasing"),
+        ("1,1", '"1,1": "0"', "increasing"),
+        ("0,9", '"0,9": "0"', "outside 0..3"),
+        ("0,1,2", '"0,1,2": "0"', "not a basis"),
+        ("0,a", '"0,a": "0"', "comma-joined"),
+        ("0,1", '"0,1": "5"', "appears twice"),
+        ("0, 1", '"0, 1": "5"', "given before"),
+    ],
+    ids=["unsorted", "repeated-index", "out-of-range", "non-basis", "not-an-index",
+         "duplicate", "same-basis"],
+)
+def test_bad_valuation_key_is_input_error(files, capsys, tmp_path, key, text, reason):
+    # a U(2,4) valuation with every basis valued, plus one bad key; before
+    # keys were checked, "3,2" silently overwrote "2,3" and the f-vector
+    # came out (1,4) instead of (2,5)
+    good = ", ".join(
+        f'"{a},{b}": "{1 if (a, b) == (2, 3) else 0}"' for a, b in combinations(range(4), 2)
+    )
+    bad = _write_text(tmp_path, "vbad.json", '{"values": {' + good + ", " + text + "}}")
+    code, out, err = run(capsys, ["tls", files["u24.json"], bad])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert repr(key) in err and reason in err
+
+
 def test_too_deeply_nested_json_is_input_error(files, capsys, tmp_path):
     deep = "[" * 100_000 + "]" * 100_000
     bad = _write_text(tmp_path, "deep.json", '{"dim": 2, "points": ' + deep + "}")

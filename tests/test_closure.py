@@ -261,5 +261,33 @@ def test_incidence_closure_rejects_bad_rows():
 
 
 def test_incidence_closure_closes_through_the_base_class():
-    # every closure, whatever the system, is evaluated by one method
+    # a single closure, whatever the system, is evaluated by one method;
+    # only the candidates of a node go through the cover_counts hook
     assert IncidenceClosure.close is ClosureSystem.close
+
+
+def _assert_cover_counts_match_base_loop(system):
+    n = system.ground.size
+    masks = range(1 << n) if n <= 10 else ganter_hasse(system).nodes
+    for nmask in masks:
+        fast = system.cover_counts(nmask)
+        slow = ClosureSystem.cover_counts(system, nmask)
+        assert list(fast.items()) == list(slow.items()), nmask
+
+
+@pytest.mark.parametrize("name,system", closure_corpus())
+def test_cover_counts_match_the_base_class_loop(name, system):
+    _assert_cover_counts_match_base_loop(system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidence_closure())
+def test_random_incidence_cover_counts_match_the_base_class_loop(system):
+    _assert_cover_counts_match_base_loop(system)
+
+
+def test_cover_counts_give_closure_calls_per_candidate():
+    system = vertex_system(square_config())
+    diagram = ganter_hasse(system)
+    n = system.ground.size
+    assert diagram.closure_calls == 1 + sum(n - m.bit_count() for m in diagram.nodes)

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     hypersimplex,
@@ -24,7 +25,13 @@ from tightspan import (
 )
 from tightspan.exactgeom import _rank
 from tightspan.subdivision import span_cell_mask, span_ground
-from tightspan.oracle import brute_lower_cells, relative_volume
+from tightspan import exactgeom
+from tightspan.oracle import (
+    brute_lower_cells,
+    relative_volume,
+    span_cell_rank_dims,
+    two_hull_subdivision,
+)
 
 
 def node_label_sets(sub, diagram):
@@ -326,3 +333,93 @@ def test_combinatorial_subdivision_poset_path():
         coordinatize(explicit, [])
     with pytest.raises(ValueError):
         subdivision_from_cells(cfg, [(0, 1), (0, 1, 2)])
+
+
+# -- one double description per regular subdivision ---------------------------
+
+small_rational = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def lifted_configuration(draw):
+    """Distinct rational points in R^1..R^4, possibly on a proper affine
+    subspace (an integer image of a lower-dimensional configuration), with
+    random, affine or mixed heights; one-point configurations included."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    inner = draw(st.integers(min_value=1, max_value=dim))
+    n = draw(st.integers(min_value=1, max_value=8))
+    raw = draw(st.lists(st.tuples(*[small_rational] * inner), min_size=n, max_size=n))
+    if inner < dim:
+        matrix = draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * inner), min_size=dim, max_size=dim
+        ))
+        shift = draw(st.tuples(*[small_rational] * dim))
+        raw = [
+            tuple(sum((a * x for a, x in zip(row, p)), Fraction(0)) + c
+                  for row, c in zip(matrix, shift))
+            for p in raw
+        ]
+    points = list(dict.fromkeys(raw))
+    kind = draw(st.sampled_from(["random", "affine", "affine plus one"]))
+    if kind == "random":
+        heights = draw(st.lists(small_rational, min_size=len(points), max_size=len(points)))
+    else:
+        slope = draw(st.tuples(*[small_rational] * dim))
+        c = draw(small_rational)
+        heights = [sum((a * x for a, x in zip(slope, p)), c) for p in points]
+        if kind == "affine plus one":
+            heights[draw(st.integers(0, len(points) - 1))] += draw(small_rational)
+    return PointConfig(dim=dim, points=tuple(points)), HeightFunction(tuple(heights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration())
+def test_one_double_description_matches_two_hulls(case):
+    config, heights = case
+    sub = regular_subdivision(config, heights)
+    ref = two_hull_subdivision(config, heights)
+    assert sub.maximal_cells == ref.maximal_cells
+    assert sub.boundary_facets == ref.boundary_facets
+    assert sub.carrier_facet == ref.carrier_facet
+    assert sub.base_hrep == ref.base_hrep
+    assert sub.base_incidence == ref.base_incidence
+    if len(config.points) <= 8 and config.dim <= 4:
+        assert set(sub.maximal_cells) == brute_lower_cells(config, heights.values)
+
+
+def test_regular_subdivision_runs_one_double_description(monkeypatch):
+    calls = []
+    dd = exactgeom._dd_polar_rays
+
+    def counted(gens):
+        calls.append(gens[0])
+        return dd(gens)
+
+    monkeypatch.setattr(exactgeom, "_dd_polar_rays", counted)
+    cfg = hypersimplex(2, 4)
+    sub = regular_subdivision(cfg, HeightFunction.from_rows([1, 0, 0, 0, 0, 1]))
+    assert len(sub.maximal_cells) == 2
+    # the upward ray is the first generator, so it seeds the DD
+    assert calls == [(0, 0, 0, 0, 1)]
+    calls.clear()
+    regular_subdivision(PointConfig.from_rows([[1, 2]]), HeightFunction.from_rows([5]))
+    assert calls == []
+
+
+# -- cell dimensions from the lattice grading -----------------------------------
+
+def test_cell_dimensions_match_ranks_on_small_spans():
+    point = PointConfig.from_rows([[Fraction(1, 2), 3]])
+    for sub, gamma in [
+        (interval_subdivision(), []),
+        (interval_subdivision(), list(interval_subdivision().boundary_facets)),
+        (three_path_subdivision(), [0b0001]),
+        (two_pyramid_subdivision(), []),
+        (two_pyramid_subdivision(), list(two_pyramid_subdivision().boundary_facets)),
+        (regular_subdivision(point, HeightFunction.from_rows([7])), []),
+        (regular_subdivision(square_config(), HeightFunction.from_rows([0, 1, 1, 0])), []),
+    ]:
+        span = coordinatize(sub, gamma)
+        assert [c.dim for c in span.cells] == span_cell_rank_dims(span)

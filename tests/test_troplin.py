@@ -23,7 +23,7 @@ from tightspan import (
     speyer_bounds,
     tropical_linear_space,
 )
-from tightspan.oracle import brute_tls_membership
+from tightspan.oracle import brute_tls_membership, span_cell_rank_dims
 from tightspan.subdivision import span_cell_mask
 
 
@@ -269,9 +269,12 @@ def test_to_json_has_interface_fields():
 
 # -- metamorphic checks on generated valuated matroids -------------------------
 
-def minor_tls(matrix):
-    valuation = tropical_minor_valuation(matrix)
+def minor_tls_of(valuation):
     return tropical_linear_space(ValuatedMatroid(matroid=valuation.owner, valuation=valuation))
+
+
+def minor_tls(matrix):
+    return minor_tls_of(tropical_minor_valuation(matrix))
 
 
 def minor_matrices(r, n, data, infinite=False):
@@ -315,3 +318,32 @@ def test_adding_a_linear_function_translates_the_space(rn, data):
     assert moved.span.dual_vertices == tuple(
         tuple(x + s for x, s in zip(v, shift)) for v in tls.span.dual_vertices
     )
+
+
+def test_cell_dimensions_are_the_lattice_grading():
+    # coordinatize reads each cell's dimension off its height in the Hasse
+    # diagram; the oracle recomputes it as a rank of the dual generators
+    from tightspan import parse_census_line
+
+    rng = random.Random(5)
+    spaces = [
+        tropical_linear_space(ValuatedMatroid(
+            matroid=Matroid.uniform(4, 8), valuation=corank_valuation(u12_power(4))
+        )),
+        bergman_fan(u12_power(3)),
+    ]
+    while len(spaces) < 8:
+        valuation = tropical_minor_valuation(
+            [[rng.randint(0, 10**6) for _ in range(7)] for _ in range(3)]
+        )
+        spaces.append(minor_tls_of(valuation))
+    for name, n, r in [("n4_r2", 4, 2), ("n5_r2", 5, 2), ("n5_r3", 5, 3)]:
+        for line in Path(f"data/census/census_{name}.txt").read_text().split():
+            m = parse_census_line(line, n, r)
+            v = corank_valuation(m)
+            spaces.append(tropical_linear_space(ValuatedMatroid(matroid=v.owner, valuation=v)))
+            if m.is_loopfree():
+                spaces.append(bergman_fan(m))
+    assert any(tls.span.lineality_dim > 1 for tls in spaces)
+    for tls in spaces:
+        assert [c.dim for c in tls.span.cells] == span_cell_rank_dims(tls.span)
