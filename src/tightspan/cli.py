@@ -391,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fvector-scan", help="f-vector report per census line")
     p.add_argument("census")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--order", choices=("lex", "revlex"), default="lex")
     p.add_argument("--lift", choices=("trivial", "corank"), default="trivial")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p, fmt_choices=("json", "pretty"))
     p.set_defaults(func=cmd_fvector_scan)
 
@@ -403,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fvector-scan" and args.r > args.n:
+        parser.error(f"argument --r: must be at most --n {args.n}, got {args.r}")
     try:
         return args.func(args)
     except NodeCapExceeded as exc:

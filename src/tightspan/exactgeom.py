@@ -7,10 +7,13 @@ lower-facet tests, subdivision cells) are equality tests.
 
 Elimination is fraction-free, over the integers: ``_rref`` scales each row
 to a primitive integer vector on entry, combines rows by integer multiples
-and divides every combined row by its content.  The rank, null spaces,
-linear solves and the double-description seed all run on it, and
-Gram-Schmidt projections stay in integer vectors too; the only
-``Fraction``s this linear algebra makes are the answers of ``solve_unique``.
+and divides every combined row by its content.  The rank, null spaces and
+the inverse of the double-description seed run on it; the seed scan
+reduces each candidate against the echelon rows found so far, and
+Gram-Schmidt projections stay in integer vectors too.  This linear algebra
+makes no ``Fraction``s: the rational answers downstream (offsets, dual
+vertices) are integer numerators over one integer denominator until the
+end.
 
 The hull algorithm is an incremental double description run on the
 homogenized point configuration: points are scaled to integers, projected
@@ -135,17 +138,6 @@ def _nullspace(rr: list[IntVector], pivots: list[int], ncols: int) -> list[IntVe
             v[p] = -r[f] * (mult // r[p])
         basis.append(_content_free(v))
     return basis
-
-
-def solve_unique(rows: list, rhs: list) -> Vector:
-    """Solve a linear system with a unique solution, exactly."""
-    ncols = len(rows[0])
-    rr, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if pivots != list(range(ncols)):
-        raise ValueError("linear system is underdetermined")
-    return tuple(Fraction(r[-1], r[p]) for r, p in zip(rr, pivots))
 
 
 def _dot(a, b):
@@ -295,6 +287,36 @@ class IncidenceMatrix:
 # double description core
 # ---------------------------------------------------------------------------
 
+def _greedy_independent(gens: list[IntVector]) -> list[int]:
+    """Indices of the integer vectors a greedy scan keeps: each one that is
+    linearly independent of those kept before it.
+
+    Each candidate is eliminated once against the echelon rows kept so far
+    (each zero at the pivots of the rows before it) and is kept if a
+    nonzero entry is left, which becomes its pivot.  The scan stops once
+    the kept vectors span the space.
+    """
+    m = len(gens[0])
+    kept: list[int] = []
+    echelon: list[tuple[IntVector, int]] = []
+    for idx, g in enumerate(gens):
+        w = g
+        for row, p in echelon:
+            f = w[p]
+            if f:
+                pv = row[p]
+                c = gcd(pv, f)
+                a, b = pv // c, f // c
+                w = _content_free([a * x - b * y for x, y in zip(w, row)])
+        pivot = next((col for col, x in enumerate(w) if x), None)
+        if pivot is not None:
+            echelon.append((w, pivot))
+            kept.append(idx)
+            if len(kept) == m:
+                break
+    return kept
+
+
 def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     """Extreme rays of the polar of a full-dimensional pointed cone.
 
@@ -305,17 +327,7 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     facet normals of cone(gens) with their generator incidences.
     """
     m = len(gens[0])
-    # greedy scan for m linearly independent generators to seed a simplicial
-    # cone: each candidate is eliminated once against the echelon basis so far
-    seed: list[int] = []
-    basis: list[IntVector] = []
-    for idx, g in enumerate(gens):
-        trial = _rref(basis + [g])[0]
-        if len(trial) > len(basis):
-            basis = trial
-            seed.append(idx)
-            if len(seed) == m:
-                break
+    seed = _greedy_independent(gens)
     if len(seed) < m:
         raise ValueError("generators do not span the space")
 
@@ -377,14 +389,14 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
 
 def _hull_and_lower_cells(
     config: PointConfig, heights=None
-) -> tuple[HRep, IncidenceMatrix, list[int]]:
+) -> tuple[HRep, IncidenceMatrix, list[tuple[int, tuple[IntVector, int]]]]:
     """One double description of the homogenized cone over a configuration.
 
     Points (and heights) are scaled to integers, projected to the pivot
     coordinates of their affine hull and homogenized to cone generators,
     sorted by their projections.  Returns the facet description of
     conv(config), facets sorted by (normal, offset), its incidences, and a
-    list of lower cells.
+    list of lower cells sorted by point mask.
 
     With ``heights`` (one rational per point) each generator carries its
     height as one more coordinate and the upward ray (0, ..., 0, 1) goes
@@ -394,6 +406,12 @@ def _hull_and_lower_cells(
     its point mask is a maximal cell of the regular subdivision.  Affine
     heights give one lower facet holding every point, and so does a single
     point, without a DD.  Without ``heights`` the list of cells is empty.
+
+    Each cell comes as (point mask, (numerators, denominator)), the second
+    a slope y with height(p) - p.y constant on the cell: a lower facet
+    c0 + c.p + c_h height(p) >= 0, c_h > 0, over the pivot coordinates
+    gives y = -c / c_h there and 0 elsewhere.  Scaling the points and
+    heights by one integer leaves y unchanged.
     """
     d = config.dim
     npts = len(config.points)
@@ -413,7 +431,7 @@ def _hull_and_lower_cells(
         return (
             HRep(facets=(), equations=equations, ambient_dim=d),
             IncidenceMatrix(rows=(), n_points=npts),
-            [1] if lifted else [],
+            [(1, ((0,) * d, 1))] if lifted else [],
         )
 
     proj = [tuple(p[c] for c in pivots) for p in ipts]
@@ -433,7 +451,10 @@ def _hull_and_lower_cells(
             if zset >> (first + pos) & 1:
                 inc |= 1 << order[pos]
         if lifted and ray[-1]:
-            cells.append(inc)
+            slope = [0] * d
+            for val, c in zip(ray[1:-1], pivots):
+                slope[c] = -val
+            cells.append((inc, (tuple(slope), ray[-1])))
             continue
         normal = [0] * d
         for val, c in zip(ray[1:], pivots):

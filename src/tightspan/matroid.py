@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .closure import ClosureSystem, GroundSet
 from .exactgeom import PointConfig, parse_rational, polytope_closure_vertex
@@ -156,10 +157,12 @@ class Matroid:
     def polytope(self) -> PointConfig:
         """Convex hull of the characteristic vectors of the bases, with the
         points listed in lexicographic basis order."""
-        rows = []
-        for b in sorted_bases(self):
-            rows.append(tuple(Fraction(1) if b >> i & 1 else Fraction(0) for i in range(self.n)))
-        return PointConfig(dim=self.n, points=tuple(rows))
+        zero, one = Fraction(0), Fraction(1)
+        rows = tuple(
+            tuple(one if b >> i & 1 else zero for i in range(self.n))
+            for b in sorted_bases(self)
+        )
+        return PointConfig(dim=self.n, points=rows)
 
     # -- sums and connectivity ---------------------------------------------
 
@@ -284,7 +287,7 @@ def is_hypersimplex_subset(points) -> bool:
     vertices of the hypersimplex Delta(r, n): the configurations the
     matroidality gate decides."""
     return all(x == 0 or x == 1 for p in points for x in p) and (
-        len({sum(p) for p in points}) == 1
+        len({p.count(1) for p in points}) == 1
     )
 
 
@@ -326,7 +329,13 @@ def non_matroidal_witness(sub: Subdivision):
         if diagonal and faces.close_cell(faces.cell(pair)) == pair:
             return witness(a, b)
 
-    value = dict(zip(bases, sub.heights.values))
+    # the exchange inequalities are invariant under positive scaling, so
+    # they are decided on the heights times the lcm of their denominators
+    heights = sub.heights.values
+    scale = lcm(*(h.denominator for h in heights))
+    value = {
+        b: h.numerator * (scale // h.denominator) for b, h in zip(bases, heights)
+    }
 
     def at_most(x: int, y: int, bound) -> bool:
         return x in value and y in value and value[x] + value[y] <= bound

@@ -13,7 +13,10 @@ separately and keeps the lifted facets that face down, where
 upward ray; both hulls come from ``exactgeom.hull`` and the boundary
 assembly is the production one, so it checks the split of that one
 description.  Span cell dimensions are recomputed as ranks of the dual
-generators, where ``coordinatize`` reads them off the lattice grading.  The
+generators, where ``coordinatize`` reads them off the lattice grading, and
+dual vertices are solved cell by cell from their defining linear systems,
+where ``coordinatize`` projects the lower-facet slopes of the double
+description off the lineality.  The
 matroidality oracle tests the edges of every maximal cell geometrically,
 where the gate reads the valuation; it takes each cell's facets from
 ``exactgeom.hull`` (itself checked against ``brute_hull``) because cells
@@ -104,6 +107,22 @@ def _orank(rows):
     return len(_orrref([[Fraction(x) for x in r] for r in rows])[0])
 
 
+def _onullspace(rows, ncols):
+    """Basis of the right null space of a rational matrix, one vector per
+    free column of its reduced row echelon form."""
+    rr, pivots = _orrref([[Fraction(x) for x in r] for r in rows])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rr[i][f]
+        basis.append(v)
+    return basis
+
+
 def _oprimitive(vec):
     fr = [Fraction(x) for x in vec]
     mult = lcm(*(f.denominator for f in fr)) if fr else 1
@@ -133,14 +152,8 @@ def brute_hull(config):
     k = _orank(diffs)
 
     # affine hull equations: nullspace of the difference matrix
-    rr, pivots = _orrref([[Fraction(x) for x in r] for r in diffs])
-    free = [c for c in range(d) if c not in pivots]
     equations = []
-    for f in free:
-        v = [Fraction(0)] * d
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rr[i][f]
+    for v in _onullspace(diffs, d):
         nvec = _oprimitive(v)
         off = -sum(a * b for a, b in zip(nvec, pts[0]))
         equations.append((nvec, off))
@@ -156,16 +169,10 @@ def brute_hull(config):
             continue
         # normal: orthogonal to the subset differences, inside the affine hull
         # solve for n with n . (p_i - p_0) = 0 for subset and n . eq-normal = 0
-        system = rows + [[Fraction(x) for x in n] for n, _ in equations]
-        sol_rr, sol_piv = _orrref([[Fraction(x) for x in r] for r in system])
-        free_cols = [c for c in range(d) if c not in sol_piv]
-        if len(free_cols) != 1:
+        normals = _onullspace(rows + [list(n) for n, _ in equations], d)
+        if len(normals) != 1:
             continue
-        v = [Fraction(0)] * d
-        v[free_cols[0]] = Fraction(1)
-        for i, p in enumerate(sol_piv):
-            v[p] = -sol_rr[i][free_cols[0]]
-        nvec = _oprimitive(v)
+        nvec = _oprimitive(normals[0])
         off = -sum(a * b for a, b in zip(nvec, base))
         vals = [sum(a * b for a, b in zip(nvec, p)) + off for p in pts]
         if all(x >= 0 for x in vals):
@@ -253,6 +260,30 @@ def two_hull_subdivision(config, heights):
             if facet.normal[-1] > 0
         )
     return _assemble(config, heights, cells, base_hrep, base_inc)
+
+
+def solved_dual_vertices(sub):
+    """Dual vertex of every maximal cell of a regular subdivision, solved
+    from its defining system: height(p) - p.x = height(q) - q.x over the
+    cell's points, and x orthogonal to the null space of all the points'
+    differences (the lineality).  Raises ValueError unless the solution is
+    unique."""
+    pts, heights, d = sub.config.points, sub.heights.values, sub.config.dim
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    lineality = [v + [Fraction(0)] for v in _onullspace(diffs, d)]
+    out = []
+    for cell in sub.maximal_cells:
+        idx = [i for i in range(len(pts)) if cell >> i & 1]
+        b = idx[0]
+        rows = [
+            [Fraction(x - y) for x, y in zip(pts[i], pts[b])] + [heights[i] - heights[b]]
+            for i in idx[1:]
+        ]
+        rr, pivots = _orrref(rows + lineality)
+        if pivots != list(range(d)):
+            raise ValueError("the cell's system has no unique solution")
+        out.append(tuple(row[-1] for row in rr))
+    return tuple(out)
 
 
 def span_cell_rank_dims(span) -> list[int]:

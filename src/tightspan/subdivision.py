@@ -22,11 +22,11 @@ from .exactgeom import (
     IntVector,
     PointConfig,
     Vector,
+    _dot,
     _hull_and_lower_cells,
     orthogonalize,
     parse_rational,
     project_off,
-    solve_unique,
     hull,
 )
 
@@ -56,7 +56,10 @@ class Subdivision:
     ``carrier_facet[i]`` is the index (into ``base_hrep.facets``) of the
     facet of the hull containing boundary facet i.  ``heights`` is None for
     subdivisions given combinatorially; those support the closure-system
-    path but cannot be coordinatized.
+    path but cannot be coordinatized.  ``cell_slopes[i]`` is a slope y of
+    maximal cell i, with height(p) - p.y constant on the cell, as integer
+    numerators over a positive integer denominator; it is None unless the
+    cells were read off a double description with the heights.
     """
 
     config: PointConfig
@@ -66,6 +69,7 @@ class Subdivision:
     carrier_facet: tuple[int, ...]
     base_hrep: HRep
     base_incidence: IncidenceMatrix
+    cell_slopes: tuple[tuple[IntVector, int], ...] | None
 
     @property
     def n_points(self) -> int:
@@ -95,7 +99,7 @@ class Subdivision:
         )
 
 
-def _assemble(config, heights, cells, base_hrep, base_inc) -> Subdivision:
+def _assemble(config, heights, cells, base_hrep, base_inc, slopes=None) -> Subdivision:
     """Attach the boundary data: restrict the cells to every hull facet and
     keep the inclusion-maximal pieces, remembering their carrier facets."""
     boundary: list[int] = []
@@ -116,6 +120,7 @@ def _assemble(config, heights, cells, base_hrep, base_inc) -> Subdivision:
         carrier_facet=tuple(carriers),
         base_hrep=base_hrep,
         base_incidence=base_inc,
+        cell_slopes=slopes,
     )
 
 
@@ -125,12 +130,16 @@ def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivi
     Maximal cells are the point sets of the lower facets of the lifted
     configuration (the minimizer sets of height(p) - p.x).  One double
     description of the lifted points plus the upward ray gives them and the
-    hull of the base together; affine heights give the trivial subdivision.
+    hull of the base together, and a slope of every lower facet; affine
+    heights give the trivial subdivision.
     """
     if len(heights.values) != len(config.points):
         raise ValueError("height function length must match point count")
     base_hrep, base_inc, cells = _hull_and_lower_cells(config, heights.values)
-    return _assemble(config, heights, cells, base_hrep, base_inc)
+    return _assemble(
+        config, heights, [c for c, _ in cells], base_hrep, base_inc,
+        tuple(y for _, y in cells),
+    )
 
 
 def subdivision_from_cells(config: PointConfig, maximal_cells) -> Subdivision:
@@ -262,13 +271,14 @@ class ExtendedTightSpan:
 def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> ExtendedTightSpan:
     """Enumerate the kept closed sets and attach dual coordinates.
 
-    The dual vertex of a maximal cell is the unique solution of
-    height(p) - p.x = height(q) - q.x over the cell, normalized to the
-    representative orthogonal to the lineality space.  The dual ray of a
-    boundary facet is the outward normal of its carrier facet, projected
-    orthogonally to the lineality and scaled to a primitive integer vector.
+    The dual vertex of a maximal cell is the slope of its lower facet
+    (``Subdivision.cell_slopes``: height(p) - p.x is constant on the cell)
+    projected orthogonally off the lineality space, the one such x
+    orthogonal to it.  The dual ray of a boundary facet is the outward
+    normal of its carrier facet, projected orthogonally to the lineality
+    and scaled to a primitive integer vector.  Nothing is eliminated here.
     """
-    if sub.heights is None:
+    if sub.cell_slopes is None:
         raise ValueError(
             "coordinatization needs a regular subdivision with heights; "
             "combinatorial subdivisions only expose the closure system"
@@ -276,30 +286,27 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     system = tight_span_closure(sub, gamma)
     diagram = ganter_hasse(system, node_cap=node_cap)
 
-    pts = sub.config.points
-    hvals = sub.heights.values
-    d = sub.config.dim
     # the lineality space is spanned by the normals of the affine hull's equations
     lineality = tuple(e.normal for e in sub.base_hrep.equations)
     lin_ortho = orthogonalize(lineality)
 
+    # x = y - sum over the orthogonal basis of (y.u / u.u) u, kept as integer
+    # numerators over one denominator until the end
     dual_vertices = []
-    for cmask in sub.maximal_cells:
-        idx = sub.cell_points(cmask)
-        base = idx[0]
-        rows = [
-            [pts[i][c] - pts[base][c] for c in range(d)] for i in idx[1:]
-        ]
-        rhs = [hvals[i] - hvals[base] for i in idx[1:]]
-        rows += [list(map(Fraction, l)) for l in lineality]
-        rhs += [Fraction(0)] * len(lineality)
-        dual_vertices.append(solve_unique(rows, rhs))
+    for num, den in sub.cell_slopes:
+        for u in lin_ortho:
+            c = _dot(num, u)
+            if c:
+                uu = _dot(u, u)
+                num = [uu * a - c * b for a, b in zip(num, u)]
+                den *= uu
+        dual_vertices.append(tuple(Fraction(a, den) for a in num))
 
-    dual_rays = []
-    for carrier in sub.carrier_facet:
-        inward = sub.base_hrep.facets[carrier].normal
-        outward = [-x for x in inward]
-        dual_rays.append(project_off(outward, lin_ortho))
+    outward = {
+        carrier: project_off([-x for x in sub.base_hrep.facets[carrier].normal], lin_ortho)
+        for carrier in set(sub.carrier_facet)
+    }
+    dual_rays = [outward[carrier] for carrier in sub.carrier_facet]
 
     n_max = len(sub.maximal_cells)
     full = system.ground.full_mask

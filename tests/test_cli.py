@@ -432,6 +432,29 @@ def test_node_cap_below_one_is_rejected_before_any_line(files, capsys, cap):
         assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize(
+    "bad, option, value",
+    [
+        (["--n", "4", "--r", "7"], "--r", "7"),
+        (["--n", "4", "--r", "0"], "--r", "0"),
+        (["--n", "0", "--r", "2"], "--n", "0"),
+        (["--n", "4", "--r", "2", "--jobs", "0"], "--jobs", "0"),
+        (["--n", "4", "--r", "2", "--jobs", "-2"], "--jobs", "-2"),
+    ],
+)
+def test_fvector_scan_bad_shape_or_jobs_is_rejected_before_any_line(
+    files, capsys, tmp_path, bad, option, value
+):
+    out_path = tmp_path / "scan.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["fvector-scan", files["census42.txt"], "-o", str(out_path)] + bad)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not out_path.exists()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and option in errors[0] and value in errors[0]
+    assert "Traceback" not in out.err
+
+
 # -- fuzzing the JSON loaders ---------------------------------------------------
 
 _number = st.one_of(

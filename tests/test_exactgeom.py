@@ -25,8 +25,9 @@ from tightspan import (
     hull,
     normal_fan,
 )
-from tightspan.exactgeom import _nullspace, _rank, _rref, solve_unique
+from tightspan.exactgeom import _greedy_independent, _nullspace, _rank, _rref
 from tightspan.oracle import (
+    _oprimitive,
     _orank,
     _orrref,
     brute_closed_sets,
@@ -364,25 +365,16 @@ def test_kernel_matches_fraction_oracle(matrix):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rational_matrices(min_rows=1), st.data())
-def test_solve_unique_matches_fraction_oracle(matrix, data):
+@given(rational_matrices(min_rows=1))
+def test_seed_scan_keeps_the_greedy_rank_indices(matrix):
+    # the DD seed: each generator independent of those kept before it
     rows, ncols = matrix
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(_entry, min_size=ncols, max_size=ncols))
-        rhs = [sum(Fraction(a) * b for a, b in zip(r, x)) for r in rows]
-    else:
-        rhs = data.draw(st.lists(_entry, min_size=len(rows), max_size=len(rows)))
-    orr, opivots = _orrref([[Fraction(a) for a in r] + [Fraction(b)] for r, b in zip(rows, rhs)])
-    if ncols in opivots:
-        with pytest.raises(ValueError, match="inconsistent"):
-            solve_unique(rows, rhs)
-    elif opivots != list(range(ncols)):
-        with pytest.raises(ValueError, match="underdetermined"):
-            solve_unique(rows, rhs)
-    else:
-        answer = solve_unique(rows, rhs)
-        assert all(isinstance(a, Fraction) for a in answer)
-        assert answer == tuple(orow[-1] for orow in orr)
+    gens = [_oprimitive(r) for r in rows]
+    kept = []
+    for i, g in enumerate(gens):
+        if _orank([gens[j] for j in kept] + [g]) > len(kept):
+            kept.append(i)
+    assert _greedy_independent(gens) == kept
 
 
 # -- vertex flags beyond the plane --------------------------------------------

@@ -29,6 +29,7 @@ from tightspan import exactgeom
 from tightspan.oracle import (
     brute_lower_cells,
     relative_volume,
+    solved_dual_vertices,
     span_cell_rank_dims,
     two_hull_subdivision,
 )
@@ -387,6 +388,34 @@ def test_one_double_description_matches_two_hulls(case):
     assert sub.base_incidence == ref.base_incidence
     if len(config.points) <= 8 and config.dim <= 4:
         assert set(sub.maximal_cells) == brute_lower_cells(config, heights.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration())
+def test_dual_vertices_match_solved_systems(case):
+    config, heights = case
+    sub = regular_subdivision(config, heights)
+    assert coordinatize(sub).dual_vertices == solved_dual_vertices(sub)
+
+
+def test_coordinatize_eliminates_nothing(monkeypatch):
+    # dual vertices are projected lower-facet slopes of the one DD that
+    # built the subdivision: coordinatize neither solves nor hulls
+    subs = [
+        two_pyramid_subdivision(),
+        regular_subdivision(
+            PointConfig.from_rows([[Fraction(1, 2), 0, 1], [1, 1, 0], [Fraction(3, 2), 2, -1], [2, 0, 0]]),
+            HeightFunction.from_rows([0, Fraction(1, 3), 0, 2]),
+        ),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coordinatize must not call this")
+
+    for name in ("_rref", "_dd_polar_rays", "hull"):
+        monkeypatch.setattr(exactgeom, name, forbidden)
+    for sub in subs:
+        assert coordinatize(sub).dual_vertices == solved_dual_vertices(sub)
 
 
 def test_regular_subdivision_runs_one_double_description(monkeypatch):

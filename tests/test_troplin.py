@@ -23,7 +23,11 @@ from tightspan import (
     speyer_bounds,
     tropical_linear_space,
 )
-from tightspan.oracle import brute_tls_membership, span_cell_rank_dims
+from tightspan.oracle import (
+    brute_tls_membership,
+    solved_dual_vertices,
+    span_cell_rank_dims,
+)
 from tightspan.subdivision import span_cell_mask
 
 
@@ -320,9 +324,10 @@ def test_adding_a_linear_function_translates_the_space(rn, data):
     )
 
 
-def test_cell_dimensions_are_the_lattice_grading():
-    # coordinatize reads each cell's dimension off its height in the Hasse
-    # diagram; the oracle recomputes it as a rank of the dual generators
+@pytest.fixture(scope="module")
+def generated_spaces():
+    """Flagship, U(1,2)^3's Bergman fan, six 3x7 tropical-minor valuations,
+    and the corank lifts and Bergman fans of census n4_r2, n5_r2, n5_r3."""
     from tightspan import parse_census_line
 
     rng = random.Random(5)
@@ -345,5 +350,65 @@ def test_cell_dimensions_are_the_lattice_grading():
             if m.is_loopfree():
                 spaces.append(bergman_fan(m))
     assert any(tls.span.lineality_dim > 1 for tls in spaces)
-    for tls in spaces:
+    return spaces
+
+
+def test_cell_dimensions_are_the_lattice_grading(generated_spaces):
+    # coordinatize reads each cell's dimension off its height in the Hasse
+    # diagram; the oracle recomputes it as a rank of the dual generators
+    for tls in generated_spaces:
         assert [c.dim for c in tls.span.cells] == span_cell_rank_dims(tls.span)
+
+
+def test_dual_vertices_are_the_solved_cell_systems(generated_spaces):
+    # coordinatize projects the DD's lower-facet slopes off the lineality;
+    # the oracle solves each maximal cell's linear system
+    for tls in generated_spaces:
+        assert tls.span.dual_vertices == solved_dual_vertices(tls.span.base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_scaling_the_valuation_scales_the_dual_vertices(rn, data):
+    # v' = lam * v for a positive rational lam: the same subdivision, so
+    # the same cells, rays and f-vectors, and every dual vertex times lam
+    r, n = rn
+    matrix = minor_matrices(r, n, data, infinite=True)
+    valuation = tropical_minor_valuation(matrix)
+    assume(valuation is not None and not valuation.owner.loops())
+    lam = data.draw(st.sampled_from([Fraction(3, 7), Fraction(5, 2), Fraction(1, 9)]))
+    scaled = Valuation(
+        owner=valuation.owner, values={b: lam * x for b, x in valuation.values.items()}
+    )
+    tls, moved = minor_tls_of(valuation), minor_tls_of(scaled)
+    assert moved.span.base.maximal_cells == tls.span.base.maximal_cells
+    assert moved.span.cells == tls.span.cells
+    assert moved.span.dual_rays == tls.span.dual_rays
+    assert moved.f_vector == tls.f_vector
+    assert moved.bounded_f_vector == tls.bounded_f_vector
+    assert moved.span.dual_vertices == tuple(
+        tuple(lam * x for x in v) for v in tls.span.dual_vertices
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_membership_oracle_agrees_on_generated_valuations(rn, data):
+    # random rational points, and one point inside every cell of the space
+    r, n = rn
+    matrix = minor_matrices(r, n, data, infinite=True)
+    valuation = tropical_minor_valuation(matrix)
+    assume(valuation is not None and not valuation.owner.loops())
+    tls = minor_tls_of(valuation)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    points = [random_rational_point(rng, n) for _ in range(20)]
+    for cell in tls.span.cells:
+        verts = [tls.span.dual_vertices[i] for i in cell.vertices]
+        x = [sum(v[c] for v in verts) / len(verts) for c in range(n)]
+        for ray in cell.rays:
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            x = [a + t * b for a, b in zip(x, tls.span.dual_rays[ray])]
+        points.append(x)
+    for x in points:
+        assert tls.covers_point(x) == brute_tls_membership(tls.source, x)
+    assert all(tls.covers_point(x) for x in points[20:])
