@@ -401,12 +401,11 @@ def test_dual_vertices_match_solved_systems(case):
 def test_coordinatize_eliminates_nothing(monkeypatch):
     # dual vertices are projected lower-facet slopes of the one DD that
     # built the subdivision: coordinatize neither solves nor hulls
+    half = Fraction(1, 2)
+    plane = PointConfig.from_rows([[half, 0, 1], [1, 1, 0], [3 * half, 2, -1], [2, 0, 0]])
     subs = [
         two_pyramid_subdivision(),
-        regular_subdivision(
-            PointConfig.from_rows([[Fraction(1, 2), 0, 1], [1, 1, 0], [Fraction(3, 2), 2, -1], [2, 0, 0]]),
-            HeightFunction.from_rows([0, Fraction(1, 3), 0, 2]),
-        ),
+        regular_subdivision(plane, HeightFunction.from_rows([0, Fraction(1, 3), 0, 2])),
     ]
 
     def forbidden(*args, **kwargs):
