@@ -7,13 +7,12 @@ lower-facet tests, subdivision cells) are equality tests.
 
 Elimination is fraction-free, over the integers: ``_rref`` scales each row
 to a primitive integer vector on entry, combines rows by integer multiples
-and divides every combined row by its content.  The rank, null spaces and
-the inverse of the double-description seed run on it; the seed scan
-reduces each candidate against the echelon rows found so far, and
-Gram-Schmidt projections stay in integer vectors too.  This linear algebra
-makes no ``Fraction``s: the rational answers downstream (offsets, dual
-vertices) are integer numerators over one integer denominator until the
-end.
+and divides every combined row by its content.  It is the only
+elimination: ranks, null spaces, independent subsets (its pivot columns)
+and the double-description seed with its inverse all read it.  ``project``
+is the only Gram-Schmidt step.  This linear algebra makes no
+``Fraction``s: the rational answers downstream (offsets, dual vertices)
+are integer numerators over one integer denominator until the end.
 
 The hull algorithm is an incremental double description run on the
 homogenized point configuration: points are scaled to integers, projected
@@ -118,10 +117,6 @@ def _rref(rows) -> tuple[list[IntVector], list[int]]:
     return rows[:rank], pivots
 
 
-def _rank(rows) -> int:
-    return len(_rref(rows)[0])
-
-
 def _nullspace(rr: list[IntVector], pivots: list[int], ncols: int) -> list[IntVector]:
     """Primitive integer basis of the right null space of a matrix, given
     as its ``_rref``, in canonical form: one vector per free column f,
@@ -155,16 +150,22 @@ def orthogonalize(vecs) -> list[IntVector]:
     return out
 
 
+def project(num, den: int, ortho) -> tuple[list[int], int]:
+    """x - sum over an orthogonal basis of integer vectors of (x.u / u.u) u,
+    for x = num / den, as integer numerators over a positive denominator."""
+    for u in ortho:
+        c = _dot(num, u)
+        if c:
+            uu = _dot(u, u)
+            num = [uu * a - c * b for a, b in zip(num, u)]
+            den *= uu
+    return num, den
+
+
 def project_off(vec, ortho_basis) -> IntVector:
     """Component of ``vec`` orthogonal to the span of an orthogonal basis of
     integer vectors, as a primitive integer vector (zero inside the span)."""
-    w = _primitive(vec)
-    for u in ortho_basis:
-        c = _dot(w, u)
-        if c:
-            uu = _dot(u, u)
-            w = _content_free([uu * a - c * b for a, b in zip(w, u)])
-    return w
+    return _content_free(project(_primitive(vec), 1, ortho_basis)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +288,6 @@ class IncidenceMatrix:
 # double description core
 # ---------------------------------------------------------------------------
 
-def _greedy_independent(gens: list[IntVector]) -> list[int]:
-    """Indices of the integer vectors a greedy scan keeps: each one that is
-    linearly independent of those kept before it.
-
-    Each candidate is eliminated once against the echelon rows kept so far
-    (each zero at the pivots of the rows before it) and is kept if a
-    nonzero entry is left, which becomes its pivot.  The scan stops once
-    the kept vectors span the space.
-    """
-    m = len(gens[0])
-    kept: list[int] = []
-    echelon: list[tuple[IntVector, int]] = []
-    for idx, g in enumerate(gens):
-        w = g
-        for row, p in echelon:
-            f = w[p]
-            if f:
-                pv = row[p]
-                c = gcd(pv, f)
-                a, b = pv // c, f // c
-                w = _content_free([a * x - b * y for x, y in zip(w, row)])
-        pivot = next((col for col, x in enumerate(w) if x), None)
-        if pivot is not None:
-            echelon.append((w, pivot))
-            kept.append(idx)
-            if len(kept) == m:
-                break
-    return kept
-
-
 def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     """Extreme rays of the polar of a full-dimensional pointed cone.
 
@@ -327,31 +298,27 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     facet normals of cone(gens) with their generator incidences.
     """
     m = len(gens[0])
-    seed = _greedy_independent(gens)
-    if len(seed) < m:
+    ngens = len(gens)
+    # one reduction of [G^T | I]: its pivot columns in the left block are
+    # the seed, each generator independent of those before it, and row t
+    # of the right block pairs positively with seed[t] and to zero with the
+    # other seed generators, so it is the seed cone's facet opposite seed[t]
+    rr, seed = _rref([
+        [g[j] for g in gens] + [int(j == t) for t in range(m)] for j in range(m)
+    ])
+    if seed[-1] >= ngens:
         raise ValueError("generators do not span the space")
-
-    # invert the seed matrix G: the reduced form of [G^T | I] is, row by
-    # row, a positive multiple of [I | (G^T)^-1], and row t of (G^T)^-1
-    # pairs to delta_{st} with generator seed[s]
-    aug = [
-        [gens[s][j] for s in seed] + [int(j == t) for t in range(m)]
-        for j in range(m)
-    ]
-    rr, pivots = _rref(aug)
-    if pivots != list(range(m)):
-        raise ValueError("seed matrix is singular")
 
     rays: list[tuple[IntVector, int]] = []
     for t in range(m):
-        ray = _content_free(rr[t][m:])
+        ray = _content_free(rr[t][ngens:])
         z = 0
         for i in seed:
             if i != seed[t]:
                 z |= 1 << i
         rays.append((ray, z))
 
-    pending = [i for i in range(len(gens)) if i not in seed]
+    pending = [i for i in range(ngens) if i not in seed]
     for t in pending:
         v = gens[t]
         vals = [_dot(r, v) for r, _ in rays]

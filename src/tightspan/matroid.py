@@ -15,10 +15,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .closure import ClosureSystem, GroundSet
-from .exactgeom import PointConfig, parse_rational, polytope_closure_vertex
+from .exactgeom import PointConfig, _primitive, parse_rational, polytope_closure_vertex
 from .subdivision import Subdivision
 
 EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
@@ -157,10 +156,8 @@ class Matroid:
     def polytope(self) -> PointConfig:
         """Convex hull of the characteristic vectors of the bases, with the
         points listed in lexicographic basis order."""
-        zero, one = Fraction(0), Fraction(1)
         rows = tuple(
-            tuple(one if b >> i & 1 else zero for i in range(self.n))
-            for b in sorted_bases(self)
+            tuple(b >> i & 1 for i in range(self.n)) for b in sorted_bases(self)
         )
         return PointConfig(dim=self.n, points=rows)
 
@@ -330,12 +327,8 @@ def non_matroidal_witness(sub: Subdivision):
             return witness(a, b)
 
     # the exchange inequalities are invariant under positive scaling, so
-    # they are decided on the heights times the lcm of their denominators
-    heights = sub.heights.values
-    scale = lcm(*(h.denominator for h in heights))
-    value = {
-        b: h.numerator * (scale // h.denominator) for b, h in zip(bases, heights)
-    }
+    # they are decided on the heights scaled to a primitive integer vector
+    value = dict(zip(bases, _primitive(sub.heights.values)))
 
     def at_most(x: int, y: int, bound) -> bool:
         return x in value and y in value and value[x] + value[y] <= bound

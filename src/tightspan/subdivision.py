@@ -16,16 +16,15 @@ from fractions import Fraction
 
 from .closure import GroundSet, HasseDiagram, IncidenceClosure, ganter_hasse
 from .exactgeom import (
-    Facet,
     HRep,
     IncidenceMatrix,
     IntVector,
     PointConfig,
     Vector,
-    _dot,
     _hull_and_lower_cells,
     orthogonalize,
     parse_rational,
+    project,
     project_off,
     hull,
 )
@@ -290,16 +289,9 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     lineality = tuple(e.normal for e in sub.base_hrep.equations)
     lin_ortho = orthogonalize(lineality)
 
-    # x = y - sum over the orthogonal basis of (y.u / u.u) u, kept as integer
-    # numerators over one denominator until the end
     dual_vertices = []
     for num, den in sub.cell_slopes:
-        for u in lin_ortho:
-            c = _dot(num, u)
-            if c:
-                uu = _dot(u, u)
-                num = [uu * a - c * b for a, b in zip(num, u)]
-                den *= uu
+        num, den = project(num, den, lin_ortho)
         dual_vertices.append(tuple(Fraction(a, den) for a in num))
 
     outward = {

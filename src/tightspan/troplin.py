@@ -18,12 +18,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exactgeom import _rank, orthogonalize, project_off
+from .exactgeom import _rref, orthogonalize, project_off
 from .matroid import (
     Matroid,
     MatroidError,
     Valuation,
-    matroid_from_points,
     non_matroidal_witness,
     sorted_bases,
 )
@@ -128,20 +127,12 @@ class TropicalLinearSpace:
 
     @cached_property
     def lineality_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Sum-zero primitive representatives of the extra lineality."""
-        ones = [tuple([1] * self.n)]
-        ortho = orthogonalize(ones)
-        out = []
-        for vec in self.span.lineality:
-            proj = project_off(vec, ortho)
-            if any(proj):
-                out.append(proj)
-        # reduce to an independent subset
-        basis: list[tuple[int, ...]] = []
-        for v in out:
-            if _rank(basis + [list(v)]) > len(basis):
-                basis.append(v)
-        return tuple(basis)
+        """Sum-zero primitive representatives of the extra lineality: the
+        projections off the all-ones direction independent of those before."""
+        ortho = orthogonalize([(1,) * self.n])
+        out = [project_off(vec, ortho) for vec in self.span.lineality]
+        _, pivots = _rref(list(zip(*out)))
+        return tuple(out[p] for p in pivots)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -169,17 +160,8 @@ class TropicalLinearSpace:
         pos = {b: i for i, b in enumerate(order)}
         for b in cell.bases:
             argmin_mask |= 1 << pos[b]
-        full = self.span.hasse.ground.full_mask
-        sub = self.span.base
-        system = tight_span_closure(sub)
-        for node in self.span.hasse.nodes:
-            if node == 0:
-                continue
-            if node == full and sub.dim != 0:
-                continue
-            if system.cell(node) & ~argmin_mask == 0:
-                return True
-        return False
+        system = tight_span_closure(self.span.base)
+        return any(system.cell(c.node) & ~argmin_mask == 0 for c in self.span.cells)
 
     def report(self) -> dict:
         bounds = speyer_bounds(self.n, self.r)

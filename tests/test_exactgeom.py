@@ -25,7 +25,7 @@ from tightspan import (
     hull,
     normal_fan,
 )
-from tightspan.exactgeom import _greedy_independent, _nullspace, _rank, _rref
+from tightspan.exactgeom import _nullspace, _rref
 from tightspan.oracle import (
     _oprimitive,
     _orank,
@@ -353,7 +353,7 @@ def test_kernel_matches_fraction_oracle(matrix):
     for row, orow, p in zip(rr, orr, pivots):
         assert _is_primitive(row) and row[p] > 0
         assert [Fraction(x, row[p]) for x in row] == orow
-    assert _rank(rows) == _orank(rows) == len(opivots)
+    assert len(rr) == _orank(rows) == len(opivots)
     free = [c for c in range(ncols) if c not in opivots]
     basis = _nullspace(rr, pivots, ncols)
     assert len(basis) == len(free)
@@ -367,14 +367,15 @@ def test_kernel_matches_fraction_oracle(matrix):
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices(min_rows=1))
 def test_seed_scan_keeps_the_greedy_rank_indices(matrix):
-    # the DD seed: each generator independent of those kept before it
+    # the DD seed: each generator independent of those kept before it is a
+    # pivot column of the transposed generators
     rows, ncols = matrix
     gens = [_oprimitive(r) for r in rows]
     kept = []
     for i, g in enumerate(gens):
         if _orank([gens[j] for j in kept] + [g]) > len(kept):
             kept.append(i)
-    assert _greedy_independent(gens) == kept
+    assert _rref(list(zip(*gens)))[1] == kept
 
 
 # -- vertex flags beyond the plane --------------------------------------------

@@ -23,10 +23,10 @@ from tightspan import (
     regular_subdivision,
     tight_span_closure,
 )
-from tightspan.exactgeom import _rank
 from tightspan.subdivision import span_cell_mask, span_ground
 from tightspan import exactgeom
 from tightspan.oracle import (
+    _orank,
     brute_lower_cells,
     relative_volume,
     solved_dual_vertices,
@@ -257,7 +257,7 @@ def test_duality_dimension_bijection():
             diffs = [
                 [a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]
             ]
-            assert cell.dim + _rank(diffs) == k
+            assert cell.dim + _orank(diffs) == k
         assert len(seen_cells) == len(span.cells)  # distinct cells
 
 

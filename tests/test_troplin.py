@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from tightspan import (
     tropical_linear_space,
 )
 from tightspan.oracle import (
+    _orank,
     brute_tls_membership,
     solved_dual_vertices,
     span_cell_rank_dims,
@@ -61,6 +63,8 @@ def test_non_matroidal_valuation_rejected_with_witness():
     edge = exc.value.edge
     nonzero = sorted(x for x in edge if x != 0)
     assert not (len(nonzero) == 2 and nonzero[0] == -nonzero[1])
+    assert f"edge direction {edge}" in str(exc.value)
+    assert "edge direction (-1, -1, 1, 1)" in str(exc.value)
 
 
 def test_cell_at_examples():
@@ -159,6 +163,30 @@ def test_bergman_disconnected_lineality():
     tls = bergman_fan(free)
     assert tls.dim + 1 == 3
     assert tls.lineality_dim == 2
+
+
+def test_lineality_basis_spans_the_lineality_off_the_ones():
+    u23 = Matroid.uniform(2, 3)
+    matroids = [u12_power(d) for d in (2, 3, 4)] + [
+        u23.direct_sum(Matroid.uniform(1, 1)),
+        u23.direct_sum(Matroid.uniform(1, 2)).direct_sum(Matroid.uniform(2, 4)),
+    ]
+    for m in matroids:
+        tls = bergman_fan(m)
+        basis = list(tls.lineality_basis)
+        assert basis, m
+        for v in basis:
+            assert all(isinstance(x, int) for x in v) and gcd(*v) == 1, (m, v)
+            assert sum(v) == 0, (m, v)
+        assert _orank(basis) == len(basis) == tls.lineality_dim, m
+        with_ones = basis + [(1,) * m.n]
+        lineality = list(tls.span.lineality)
+        assert _orank(with_ones) == _orank(lineality) == _orank(with_ones + lineality), m
+    assert bergman_fan(u12_power(4)).lineality_basis == (
+        (3, 3, -1, -1, -1, -1, -1, -1),
+        (-1, -1, 3, 3, -1, -1, -1, -1),
+        (-1, -1, -1, -1, 3, 3, -1, -1),
+    )
 
 
 def test_bergman_fan_is_normal_fan_restriction():
