@@ -46,7 +46,7 @@ def main(argv) -> int:
                     continue
                 try:
                     m = parse_census_line(line, n, r)
-                    if not m.is_loopfree():
+                    if m.loops():
                         continue
                     v = corank_valuation(m)
                     tls = tropical_linear_space(

@@ -33,7 +33,6 @@ from .matroid import (
     Valuation,
     corank_valuation,
     format_census_line,
-    is_matroidal,
     non_matroidal_witness,
     parse_census_line,
 )

@@ -65,6 +65,11 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
+def _dumps(doc: dict) -> str:
+    """The one JSON rendering of every report: sorted keys, one line."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _load(what: str, path: str, parse):
     """Parse the JSON object in ``path``; a file that is not a JSON object,
     lacks a key, holds a value of the wrong shape or nests too deeply for
@@ -92,16 +97,9 @@ def _load_matroid(path: str) -> Matroid:
     return _load("matroid", path, Matroid.from_json)
 
 
-def _load_valuation(owner: Matroid, path: str) -> Valuation:
-    return _load("valuation", path, lambda text: Valuation.from_json(owner, text))
-
-
 def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
     if fmt == "dot":
         return diagram.to_dot()
-    payload = json.loads(diagram.to_json())
-    if f_vec is not None:
-        payload["f_vector"] = list(f_vec)
     if fmt == "pretty":
         lines = [
             f"nodes: {len(diagram.nodes)}",
@@ -110,7 +108,10 @@ def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
         if f_vec is not None:
             lines.append(f"f-vector: {tuple(f_vec)}")
         return "\n".join(lines) + "\n"
-    return json.dumps(payload, sort_keys=True) + "\n"
+    doc = diagram.as_dict()
+    if f_vec is not None:
+        doc["f_vector"] = list(f_vec)
+    return _dumps(doc)
 
 
 def _face_lattice_f_vector(diagram: HasseDiagram, inverted: bool) -> list[int]:
@@ -159,7 +160,7 @@ def cmd_flats(args) -> int:
 
 
 def _subdivision_payload(sub) -> dict:
-    payload = json.loads(sub.to_json())
+    payload = sub.as_dict()
     if not is_hypersimplex_subset(sub.config.points):  # the gate gives no verdict
         payload.update(matroidal=None, witness_edge=None)
         return payload
@@ -172,7 +173,7 @@ def _subdivision_payload(sub) -> dict:
 def cmd_subdivide(args) -> int:
     config = _load_config(args.points)
     sub = regular_subdivision(config, _load_heights(args.heights))
-    _emit(json.dumps(_subdivision_payload(sub), sort_keys=True) + "\n", args.output)
+    _emit(_dumps(_subdivision_payload(sub)), args.output)
     return 0
 
 
@@ -195,7 +196,7 @@ def cmd_tightspan(args) -> int:
     config = _load_config(args.points)
     sub = regular_subdivision(config, _load_heights(args.heights))
     span = coordinatize(sub, _gamma_for(sub, args.gamma), node_cap=args.node_cap)
-    _emit(span.to_json(quotient=args.quotient == "on") + "\n", args.output)
+    _emit(_dumps(span.as_dict(quotient=args.quotient == "on")), args.output)
     return 0
 
 
@@ -211,14 +212,12 @@ def _tls_output(tls, fmt: str) -> str:
             f"within bound:     {all(rep['within_bound'])}",
         ]
         return "\n".join(lines) + "\n"
-    data = json.loads(tls.to_json())
-    data.update(tls.report())
-    return json.dumps(data, sort_keys=True) + "\n"
+    return _dumps(tls.as_dict())
 
 
 def cmd_tls(args) -> int:
     m = _load_matroid(args.matroid)
-    v = _load_valuation(m, args.valuation)
+    v = _load("valuation", args.valuation, lambda text: Valuation.from_json(m, text))
     vm = ValuatedMatroid(matroid=m, valuation=v)
     tls = tropical_linear_space(vm, node_cap=args.node_cap)
     _emit(_tls_output(tls, args.format), args.output)
@@ -266,7 +265,7 @@ def _scan_line(task) -> dict:
 
 def _scan_record_text(rec: dict, fmt: str) -> str:
     if fmt != "pretty":
-        return json.dumps(rec, sort_keys=True) + "\n"
+        return _dumps(rec)
     if rec.get("ok"):
         return (
             f"line {rec['line']:4d}  bounded {tuple(rec['bounded_f_vector'])}"
@@ -308,10 +307,7 @@ def cmd_fvector_scan(args) -> int:
         if args.format == "pretty":
             out.write(f"summary: {ok} ok, {failed} failed\n")
         else:
-            out.write(
-                json.dumps({"summary": {"ok": ok, "failed": failed}}, sort_keys=True)
-                + "\n"
-            )
+            out.write(_dumps({"summary": {"ok": ok, "failed": failed}}))
     if crashed:
         print(
             f"error: {crashed} census line(s) raised an unexpected exception; "

@@ -13,7 +13,6 @@ exactly once, so the total work is linear in the number of covering pairs
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,14 +49,6 @@ class GroundSet:
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
-
-    def mask(self, elements) -> int:
-        m = 0
-        for e in elements:
-            if not 0 <= e < self.size:
-                raise ValueError(f"element {e} outside ground set of size {self.size}")
-            m |= 1 << e
-        return m
 
     def indices(self, mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if mask >> i & 1)
@@ -193,7 +184,8 @@ class HasseDiagram:
     ``nodes`` holds each closed set exactly once, in discovery (BFS) order;
     ``index`` maps the canonical bit-vector encoding back to the node index.
     ``closure_calls`` counts the closures taken, for the output-sensitivity
-    checks.
+    checks.  ``as_dict`` is the diagram as a JSON-ready document: each
+    node as its sorted element list, each arc as an index pair.
     """
 
     ground: GroundSet
@@ -221,12 +213,11 @@ class HasseDiagram:
                     h[j] = h[i] + 1
         return h
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "nodes": [list(self.ground.indices(m)) for m in self.nodes],
             "arcs": [list(a) for a in self.arcs],
         }
-        return json.dumps(payload, sort_keys=True)
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;"]

@@ -220,9 +220,6 @@ class Facet:
     normal: IntVector
     offset: Fraction
 
-    def value_at(self, point) -> Fraction:
-        return _dot(self.normal, point) + self.offset
-
 
 @dataclass(frozen=True)
 class HRep:
@@ -236,21 +233,6 @@ class HRep:
     def dim(self) -> int:
         return self.ambient_dim - len(self.equations)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "facets": [
-                    {"normal": list(f.normal), "offset": str(f.offset)}
-                    for f in self.facets
-                ],
-                "equations": [
-                    {"normal": list(f.normal), "offset": str(f.offset)}
-                    for f in self.equations
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
@@ -259,17 +241,6 @@ class IncidenceMatrix:
 
     rows: tuple[int, ...]
     n_points: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows": [
-                    [c for c in range(self.n_points) if r >> c & 1]
-                    for r in self.rows
-                ]
-            },
-            sort_keys=True,
-        )
 
     def restricted_to(self, keep_flags) -> "IncidenceMatrix":
         """Drop columns whose flag is false (e.g. restrict to hull vertices)."""

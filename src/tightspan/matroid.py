@@ -20,8 +20,6 @@ from .closure import ClosureSystem, GroundSet
 from .exactgeom import PointConfig, _primitive, parse_rational, polytope_closure_vertex
 from .subdivision import Subdivision
 
-EXCHANGE_CHECK_LIMIT = 10  # constructor verifies exchange up to this ground size
-
 
 class MatroidError(ValueError):
     pass
@@ -66,14 +64,12 @@ class Matroid:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_bases(n: int, bases, validate: bool | None = None) -> "Matroid":
+    def from_bases(n: int, bases, validate: bool = True) -> "Matroid":
         masks = frozenset(b if isinstance(b, int) else _mask(b) for b in bases)
         if not masks:
             raise MatroidError("a matroid needs at least one basis")
         r = next(iter(masks)).bit_count()
         m = Matroid(n=n, r=r, bases=masks)
-        if validate is None:
-            validate = n <= EXCHANGE_CHECK_LIMIT
         if validate and not m.satisfies_exchange():
             raise MatroidError("basis family violates the exchange axiom")
         return m
@@ -148,9 +144,6 @@ class Matroid:
             used |= b
         return ((1 << self.n) - 1) & ~used
 
-    def is_loopfree(self) -> bool:
-        return self.loops() == 0
-
     # -- geometry ------------------------------------------------------------
 
     def polytope(self) -> PointConfig:
@@ -161,39 +154,13 @@ class Matroid:
         )
         return PointConfig(dim=self.n, points=rows)
 
-    # -- sums and connectivity ---------------------------------------------
+    # -- sums ----------------------------------------------------------------
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         bases = frozenset(
             b1 | (b2 << self.n) for b1 in self.bases for b2 in other.bases
         )
         return Matroid(n=self.n + other.n, r=self.r + other.r, bases=bases)
-
-    def connected_components(self) -> list[int]:
-        """Finest partition of the ground set into separators, as masks.
-
-        A set A is a union of components iff rank(A) + rank(complement)
-        equals the rank; the component of an element is the intersection of
-        all separators containing it.
-        """
-        full = (1 << self.n) - 1
-        separators = [
-            a
-            for a in range(1, full)
-            if self.rank(a) + self.rank(full & ~a) == self.r
-        ]
-        components = []
-        assigned = 0
-        for i in range(self.n):
-            if assigned >> i & 1:
-                continue
-            comp = full
-            for s in separators:
-                if s >> i & 1:
-                    comp &= s
-            components.append(comp)
-            assigned |= comp
-        return components
 
 
 def sorted_bases(m: Matroid) -> list[int]:
@@ -346,25 +313,6 @@ def non_matroidal_witness(sub: Subdivision):
         ):
             return witness(a, b)
     return None
-
-
-def is_matroidal(sub: Subdivision) -> bool:
-    """True iff every maximal cell is a matroid polytope (every cell edge
-    parallel to some e_i - e_j).  Raises ValueError, as
-    ``non_matroidal_witness`` does, unless the points pass
-    ``is_hypersimplex_subset`` and the subdivision has heights; for one
-    without heights (``subdivision_from_cells``) use
-    ``oracle.brute_non_matroidal_edges``."""
-    return non_matroidal_witness(sub) is None
-
-
-def matroid_from_points(n: int, cell_mask: int, points) -> Matroid:
-    """Matroid whose bases are the supports of the 0/1 points in a cell."""
-    bases = []
-    for i, p in enumerate(points):
-        if cell_mask >> i & 1:
-            bases.append(_mask(j for j in range(n) if p[j] == 1))
-    return Matroid.from_bases(n, bases, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ where the gate reads the valuation; it takes each cell's facets from
 ``exactgeom.hull`` (itself checked against ``brute_hull``) because cells
 are too large for the hyperplane enumeration.  The placing triangulation
 behind ``relative_volume`` takes facets and vertex flags from
-``exactgeom.hull`` too.
+``exactgeom.hull`` too.  Matroid components, the reference for the
+lineality of tropical linear spaces, are read off the separators.
 """
 
 from __future__ import annotations
@@ -353,11 +354,14 @@ def verify_hrep(hrep, config) -> bool:
     """Pointwise check of a facet description: every point satisfies every
     facet and equation, and every facet is supported by an affinely
     spanning point subset."""
+    def value_at(facet, p):
+        return sum(a * x for a, x in zip(facet.normal, p)) + facet.offset
+
     for eq in hrep.equations:
-        if any(eq.value_at(p) != 0 for p in config.points):
+        if any(value_at(eq, p) != 0 for p in config.points):
             return False
     for fa in hrep.facets:
-        vals = [fa.value_at(p) for p in config.points]
+        vals = [value_at(fa, p) for p in config.points]
         if any(v < 0 for v in vals):
             return False
         onset = [p for p, v in zip(config.points, vals) if v == 0]
@@ -419,8 +423,39 @@ def _odet(rows) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# tropical membership
+# matroids and tropical membership
 # ---------------------------------------------------------------------------
+
+def connected_components(m) -> list[int]:
+    """Finest partition of the ground set of ``m`` into separators, as masks.
+
+    A set A is a union of components iff rank(A) + rank(complement)
+    equals the rank, the rank of a set being its largest intersection with
+    a basis; the component of an element is the intersection of all
+    separators containing it.
+    """
+    def rank(a: int) -> int:
+        return max((a & b).bit_count() for b in m.bases)
+
+    full = (1 << m.n) - 1
+    separators = [
+        a
+        for a in range(1, full)
+        if rank(a) + rank(full & ~a) == m.r
+    ]
+    components = []
+    assigned = 0
+    for i in range(m.n):
+        if assigned >> i & 1:
+            continue
+        comp = full
+        for s in separators:
+            if s >> i & 1:
+                comp &= s
+        components.append(comp)
+        assigned |= comp
+    return components
+
 
 def brute_tls_membership(vm, x) -> bool:
     """Evaluate the defining condition directly: the bases minimizing

@@ -6,6 +6,8 @@ faithful: intersection of cells is intersection of masks, and containment
 of cells is containment of masks.  Cells of the regular subdivision are the
 point sets of the lower facets of the lifted configuration, i.e. the sets
 of lifted points minimizing height(p) - p.x for some direction x.
+``Subdivision.as_dict`` and ``ExtendedTightSpan.as_dict`` give the results
+as JSON-ready dicts; the command line serializes them.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class HeightFunction:
         data = json.loads(text)
         return HeightFunction(values=tuple(parse_rational(x) for x in data["values"]))
 
-    def to_json(self) -> str:
-        return json.dumps({"values": [str(v) for v in self.values]}, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class Subdivision:
@@ -75,27 +74,20 @@ class Subdivision:
         return len(self.config.points)
 
     @property
-    def all_points_mask(self) -> int:
-        return (1 << self.n_points) - 1
-
-    @property
     def dim(self) -> int:
         return self.base_hrep.dim
 
     def cell_points(self, mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.n_points) if mask >> i & 1)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "maximal_cells": [list(self.cell_points(c)) for c in self.maximal_cells],
-                "boundary_facets": [
-                    list(self.cell_points(c)) for c in self.boundary_facets
-                ],
-                "carrier_facets": list(self.carrier_facet),
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {
+            "maximal_cells": [list(self.cell_points(c)) for c in self.maximal_cells],
+            "boundary_facets": [
+                list(self.cell_points(c)) for c in self.boundary_facets
+            ],
+            "carrier_facets": list(self.carrier_facet),
+        }
 
 
 def _assemble(config, heights, cells, base_hrep, base_inc, slopes=None) -> Subdivision:
@@ -202,11 +194,6 @@ def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
     )
 
 
-def span_cell_mask(sub: Subdivision, node: int) -> int:
-    """Point mask of the subdivision cell dual to a closed generator set."""
-    return tight_span_closure(sub).cell(node)
-
-
 @dataclass(frozen=True)
 class SpanCell:
     """Dual cell of a closed set: convex hull of the listed dual vertices
@@ -249,22 +236,19 @@ class ExtendedTightSpan:
             counts[c.dim + shift] += 1
         return tuple(counts)
 
-    def to_json(self, quotient: bool = True) -> str:
-        return json.dumps(
-            {
-                "vertices": [[str(x) for x in v] for v in self.dual_vertices],
-                "rays": [list(r) for r in self.dual_rays],
-                "lineality": [list(l) for l in self.lineality],
-                "cells": [
-                    {"vertices": list(c.vertices), "rays": list(c.rays)}
-                    for c in self.cells
-                ],
-                "f_vector": list(self.f_vector(quotient)),
-                "bounded_f_vector": list(self.bounded_f_vector(quotient)),
-                "lineality_dim": self.lineality_dim,
-            },
-            sort_keys=True,
-        )
+    def as_dict(self, quotient: bool = True) -> dict:
+        return {
+            "vertices": [[str(x) for x in v] for v in self.dual_vertices],
+            "rays": [list(r) for r in self.dual_rays],
+            "lineality": [list(l) for l in self.lineality],
+            "cells": [
+                {"vertices": list(c.vertices), "rays": list(c.rays)}
+                for c in self.cells
+            ],
+            "f_vector": list(self.f_vector(quotient)),
+            "bounded_f_vector": list(self.bounded_f_vector(quotient)),
+            "lineality_dim": self.lineality_dim,
+        }
 
 
 def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> ExtendedTightSpan:

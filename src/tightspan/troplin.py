@@ -7,11 +7,12 @@ subdivision is again a matroid polytope (decided on the valuation by
 complex restricted to the cells whose matroids are loop-free, modulo the
 all-ones direction; equivalently the extended tight span with respect to
 the boundary faces lying in the coordinate hyperplanes x_i = 0.
+``TropicalLinearSpace.as_dict`` is the document the ``tls`` and ``bergman``
+commands print: the span's dual complex, the report and the lineality basis.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,6 +165,9 @@ class TropicalLinearSpace:
         return any(system.cell(c.node) & ~argmin_mask == 0 for c in self.span.cells)
 
     def report(self) -> dict:
+        """(n, r), both f-vectors, ``lineality_dim`` and ``dim``, and the
+        conjectured bound per bounded dimension; ``within_bound`` compares
+        the bounded f-vector, padded with zeros, entry by entry with it."""
         bounds = speyer_bounds(self.n, self.r)
         bounded = list(self.bounded_f_vector)
         padded = bounded + [0] * (len(bounds) - len(bounded))
@@ -178,18 +182,12 @@ class TropicalLinearSpace:
             "dim": self.dim,
         }
 
-    def to_json(self) -> str:
-        data = json.loads(self.span.to_json())
-        data.update(
-            {
-                "n": self.n,
-                "r": self.r,
-                "lineality": [list(v) for v in self.lineality_basis],
-                "lineality_dim": self.lineality_dim,
-                "speyer_bounds": list(speyer_bounds(self.n, self.r)),
-            }
-        )
-        return json.dumps(data, sort_keys=True)
+    def as_dict(self) -> dict:
+        """The span's document with the report's keys and the lineality
+        basis in place of the span's own lineality and its dimension."""
+        doc = self.span.as_dict()
+        doc.update(self.report(), lineality=[list(v) for v in self.lineality_basis])
+        return doc
 
 
 def _loop_faces(config) -> list[int]:
@@ -267,14 +265,12 @@ def _check_speyer(tls: TropicalLinearSpace) -> None:
     """
     if tls.lineality_dim > 0 or tls.n < 2:
         return
-    bounds = speyer_bounds(tls.n, tls.r)
-    bounded = list(tls.bounded_f_vector)
-    if len(bounded) > len(bounds) or any(
-        a > b for a, b in zip(bounded, bounds)
-    ):
+    rep = tls.report()
+    bounded, bounds = rep["bounded_f_vector"], rep["speyer_bounds"]
+    if len(bounded) > len(bounds) or not all(rep["within_bound"]):
         warnings.warn(
             f"bounded f-vector {tuple(bounded)} exceeds the conjectured "
-            f"bound {bounds} for (n, r) = ({tls.n}, {tls.r})",
+            f"bound {tuple(bounds)} for (n, r) = ({tls.n}, {tls.r})",
             SpeyerBoundWarning,
             stacklevel=2,
         )

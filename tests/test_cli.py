@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import square_config, u12_power
-from tightspan import Matroid, normal_fan
+from tightspan import Matroid, bergman_fan, normal_fan
 from tightspan.cli import main
 
 
@@ -167,6 +167,21 @@ def test_bergman(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["f_vector"] == [1, 3]
+
+
+def test_bergman_prints_the_library_document(files, capsys):
+    # U(1,2) + U(1,2): the sum-zero lineality basis and its dimension replace
+    # the span's lineality, of dimension 2
+    code, out, _ = run(capsys, ["bergman", files["u1212.json"]])
+    assert code == 0
+    assert out == (
+        '{"bounded_f_vector": [1], "cells": [{"rays": [], "vertices": [0]}], "dim": 1, '
+        '"f_vector": [1], "lineality": [[1, 1, -1, -1]], "lineality_dim": 1, "n": 4, '
+        '"r": 2, "rays": [[1, -1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1], [-1, 1, 0, 0]], '
+        '"speyer_bounds": [2, 1], "vertices": [["0", "0", "0", "0"]], '
+        '"within_bound": [true, true]}\n'
+    )
+    assert out == json.dumps(bergman_fan(u12_power(2)).as_dict(), sort_keys=True) + "\n"
 
 
 def test_corank_lift_and_pipe_to_tls(files, capsys, tmp_path):
@@ -359,6 +374,13 @@ def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     empty = _write_text(tmp_path, "m0.json", '{"n": 0, "bases": [[]]}')
     code, _, err = run(capsys, ["bergman", empty])
     assert code == 1 and "nonempty ground set" in err
+
+
+def test_large_ground_set_is_checked_for_basis_exchange(capsys, tmp_path):
+    bad = _write_text(tmp_path, "m11.json", '{"n": 11, "r": 3, "bases": [[0,1,2],[3,4,5]]}')
+    code, out, err = run(capsys, ["flats", bad])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "exchange" in err
 
 
 def test_unwritable_output_is_input_error(files, capsys, tmp_path):

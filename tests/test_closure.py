@@ -128,7 +128,7 @@ def test_single_node_diagram():
 def test_exports_are_deterministic():
     h1 = ganter_hasse(vertex_system(square_config()))
     h2 = ganter_hasse(vertex_system(square_config()))
-    assert h1.to_json() == h2.to_json()
+    assert h1.as_dict() == h2.as_dict()
     assert h1.to_dot() == h2.to_dot()
     assert h1.to_dot().count("->") == len(h1.arcs)
     assert '"{v0}"' in h1.to_dot()

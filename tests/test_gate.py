@@ -20,7 +20,6 @@ from tightspan import (
     HeightFunction,
     Matroid,
     ValuatedMatroid,
-    is_matroidal,
     non_matroidal_witness,
     parse_census_line,
     regular_subdivision,
@@ -185,6 +184,4 @@ def test_gate_preconditions_are_value_errors():
     combinatorial = subdivision_from_cells(cfg, [range(6)])
     with pytest.raises(ValueError, match="heights"):
         non_matroidal_witness(combinatorial)
-    with pytest.raises(ValueError, match="heights"):
-        is_matroidal(combinatorial)
     assert brute_non_matroidal_edges(combinatorial) == []

@@ -16,13 +16,12 @@ from tightspan import (
     corank_valuation,
     ganter_hasse,
     hull,
-    is_matroidal,
     non_matroidal_witness,
     parse_census_line,
     regular_subdivision,
 )
-from tightspan.matroid import format_census_line, matroid_from_points, sorted_bases
-from tightspan.oracle import brute_closed_sets
+from tightspan.matroid import format_census_line, sorted_bases
+from tightspan.oracle import brute_closed_sets, connected_components
 
 
 def mask(elements):
@@ -61,8 +60,8 @@ def test_closure_examples():
     with_loop = Matroid.from_bases(3, [[0, 1]])
     assert with_loop.closure_system().close(0) == 0b100
     assert with_loop.loops() == 0b100
-    assert not with_loop.is_loopfree()
-    assert Matroid.uniform(2, 5).is_loopfree()
+    assert with_loop.loops()
+    assert not Matroid.uniform(2, 5).loops()
 
 
 def test_maclane_steinitz_exchange_exhaustive():
@@ -111,7 +110,7 @@ def test_matroid_polytopes():
 
 def _polytope_is_matroidal(m):
     zero = HeightFunction.from_rows([0] * len(m.bases))
-    return is_matroidal(regular_subdivision(m.polytope(), zero))
+    return non_matroidal_witness(regular_subdivision(m.polytope(), zero)) is None
 
 
 def test_polytope_vertices_biject_with_bases_and_pass_edge_test():
@@ -126,11 +125,11 @@ def test_polytope_vertices_biject_with_bases_and_pass_edge_test():
 def test_is_matroidal_examples():
     cfg = hypersimplex(2, 4)
     trivial = regular_subdivision(cfg, HeightFunction.from_rows([0] * 6))
-    assert is_matroidal(trivial)
+    assert non_matroidal_witness(trivial) is None
 
     # lift one vertex: the octahedron splits into two matroid pyramids
     single = regular_subdivision(cfg, HeightFunction.from_rows([0, 0, 0, 0, 0, 1]))
-    assert is_matroidal(single)
+    assert non_matroidal_witness(single) is None
 
     # lifting two vertices sharing element 0 creates a diagonal edge
     bad = regular_subdivision(cfg, HeightFunction.from_rows([0, 1, 1, 0, 0, 0]))
@@ -139,7 +138,7 @@ def test_is_matroidal_examples():
     cell, edge = witness
     nonzero = sorted(x for x in edge if x != 0)
     assert not (len(nonzero) == 2 and nonzero[0] == -nonzero[1])
-    assert not is_matroidal(bad)
+    assert non_matroidal_witness(bad) is not None
 
 
 def test_cell_matroid_on_coordinate_face_has_loop():
@@ -148,7 +147,14 @@ def test_cell_matroid_on_coordinate_face_has_loop():
     face0 = sum(
         1 << i for i, p in enumerate(cfg.points) if p[0] == 0
     )
-    cell = matroid_from_points(4, face0, cfg.points)
+    cell = Matroid.from_bases(
+        4,
+        [
+            [j for j in range(4) if p[j] == 1]
+            for i, p in enumerate(cfg.points)
+            if face0 >> i & 1
+        ],
+    )
     assert cell.loops() == 0b0001
 
 
@@ -171,13 +177,13 @@ def test_corank_valuations():
 
 
 def test_corank_subdivision_is_matroidal_and_contains_polytope():
-    from tightspan.subdivision import span_cell_mask, span_ground
+    from tightspan.subdivision import tight_span_closure
 
     for m in [u12_power(2), Matroid.from_bases(4, [[0, 1], [0, 2], [0, 3]])]:
         v = corank_valuation(m)
         cfg = v.owner.polytope()
         sub = regular_subdivision(cfg, HeightFunction(values=v.heights()))
-        assert is_matroidal(sub)
+        assert non_matroidal_witness(sub) is None
         base_mask = sum(
             1 << i for i, b in enumerate(sorted_bases(v.owner)) if b in m.bases
         )
@@ -186,21 +192,21 @@ def test_corank_subdivision_is_matroidal_and_contains_polytope():
         gens = list(sub.maximal_cells) + list(sub.boundary_facets)
         dual = sum(1 << j for j, g in enumerate(gens) if base_mask & ~g == 0)
         assert dual != 0
-        assert span_cell_mask(sub, dual) == base_mask
+        assert tight_span_closure(sub).cell(dual) == base_mask
 
 
 def test_direct_sum_and_components():
     m = u12_power(2)
     assert m.n == 4 and m.r == 2
     assert m.bases == {mask([0, 2]), mask([0, 3]), mask([1, 2]), mask([1, 3])}
-    assert len(Matroid.uniform(2, 4).connected_components()) == 1
-    assert len(u12_power(4).connected_components()) == 4
+    assert len(connected_components(Matroid.uniform(2, 4))) == 1
+    assert len(connected_components(u12_power(4))) == 4
     # two coloops and a loop: three singleton components
     with_loop = Matroid.from_bases(3, [[0, 1]])
-    assert sorted(with_loop.connected_components()) == [0b001, 0b010, 0b100]
+    assert sorted(connected_components(with_loop)) == [0b001, 0b010, 0b100]
     # a genuinely 2-component case: U(2,3) plus a loop element
     u23_loop = Matroid.from_bases(4, [[0, 1], [0, 2], [1, 2]])
-    assert sorted(u23_loop.connected_components()) == [0b0111, 0b1000]
+    assert sorted(connected_components(u23_loop)) == [0b0111, 0b1000]
 
 
 def test_exchange_validation():
@@ -212,9 +218,9 @@ def test_exchange_validation():
 
 
 def test_large_ground_sets_defer_to_polytope_criterion():
-    # beyond the constructor limit the exchange check is skipped; the
-    # matroidality gate on the zero-height subdivision decides it on demand
-    bad = Matroid.from_bases(11, [[0, 1], [2, 3]])
+    # with the exchange check opted out, the matroidality gate on the
+    # zero-height subdivision decides an n = 11 support on demand
+    bad = Matroid.from_bases(11, [[0, 1], [2, 3]], validate=False)
     assert _polytope_is_matroidal(bad) is False
     good = Matroid.from_bases(11, [[i] for i in range(11)])
     assert _polytope_is_matroidal(good) is True

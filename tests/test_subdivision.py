@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from tightspan import (
     regular_subdivision,
     tight_span_closure,
 )
-from tightspan.subdivision import span_cell_mask, span_ground
+from tightspan.subdivision import span_ground
 from tightspan import exactgeom
 from tightspan.oracle import (
     _orank,
@@ -251,7 +250,7 @@ def test_duality_dimension_bijection():
         pts = sub.config.points
         seen_cells = set()
         for cell in span.cells:
-            q = span_cell_mask(sub, cell.node)
+            q = tight_span_closure(sub).cell(cell.node)
             seen_cells.add(q)
             idx = [i for i in range(len(pts)) if q >> i & 1]
             diffs = [
@@ -266,13 +265,13 @@ def test_tight_span_equals_maximal_cell_system():
     # closure system generated by the maximal cells alone
     for sub in [interval_subdivision(), three_path_subdivision(), two_pyramid_subdivision()]:
         span = coordinatize(sub, list(sub.boundary_facets))
-        span_keys = {span_cell_mask(sub, c.node) for c in span.cells}
+        span_keys = {tight_span_closure(sub).cell(c.node) for c in span.cells}
 
         # independent path: closure system on maximal cells only
         from tightspan.closure import ClosureSystem, GroundSet
 
         gens = list(sub.maximal_cells)
-        all_pts = sub.all_points_mask
+        all_pts = (1 << sub.n_points) - 1
 
         def close(f, gens=gens, all_pts=all_pts):
             if f == 0:
@@ -303,7 +302,7 @@ def test_tight_span_equals_maximal_cell_system():
 
 def test_span_json_round_trip_fields():
     span = coordinatize(interval_subdivision(), [])
-    data = json.loads(span.to_json())
+    data = span.as_dict()
     assert data["f_vector"] == [2, 3]
     assert data["bounded_f_vector"] == [2, 1]
     assert data["vertices"] == [["-1"], ["1"]]

@@ -15,6 +15,7 @@ from tightspan import (
     Matroid,
     MatroidError,
     NonMatroidalValuation,
+    SpeyerBoundWarning,
     Valuation,
     ValuatedMatroid,
     bergman_fan,
@@ -24,13 +25,15 @@ from tightspan import (
     speyer_bounds,
     tropical_linear_space,
 )
+from tightspan import troplin
 from tightspan.oracle import (
     _orank,
     brute_tls_membership,
+    connected_components,
     solved_dual_vertices,
     span_cell_rank_dims,
 )
-from tightspan.subdivision import span_cell_mask
+from tightspan.subdivision import tight_span_closure
 
 
 def mask(elements):
@@ -210,7 +213,7 @@ def test_rank_and_connectivity_identities():
     for m in cases:
         tls = bergman_fan(m)
         assert tls.dim + 1 == m.r, m
-        assert tls.lineality_dim + 1 == len(m.connected_components()), m
+        assert tls.lineality_dim + 1 == len(connected_components(m)), m
 
 
 @pytest.mark.parametrize(
@@ -240,7 +243,7 @@ def test_relative_interior_samples_hit_their_cell():
                 x = [a + 3 * t * r for a, r in zip(x, ray)]
             argmin = cell_at(tls.source, x)
             got = sum(1 << order.index(b) for b in argmin.bases)
-            assert got == span_cell_mask(sub, cell.node)
+            assert got == tight_span_closure(sub).cell(cell.node)
 
 
 # -- Speyer bounds ----------------------------------------------------------------
@@ -255,6 +258,17 @@ def test_speyer_bound_values():
     assert speyer_bound(4, 2, 2) == 1
     with pytest.raises(ValueError):
         speyer_bound(3, 4, 1)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(1, 1), (2,)], ids=["entry-above", "longer-than-bounds"]
+)
+def test_speyer_warning_fires_above_the_bound(monkeypatch, bounds):
+    # the quartet's bounded f-vector (2, 1) against lowered bounds: one entry
+    # above its bound, or more dimensions than the bounds cover
+    monkeypatch.setattr(troplin, "speyer_bounds", lambda n, r: bounds)
+    with pytest.warns(SpeyerBoundWarning, match=r"\(2, 1\) exceeds the conjectured"):
+        tropical_linear_space(quartet_vm())
 
 
 def test_tls_report_fields():
@@ -279,7 +293,7 @@ def test_report_bounds_hold_on_census_sample():
 
         for line in Path(path).read_text().splitlines():
             m = parse_census_line(line.strip(), n, r)
-            if not m.is_loopfree():
+            if m.loops():
                 continue
             rep = bergman_fan(m).report()
             if rep["lineality_dim"] == 0:
@@ -289,10 +303,8 @@ def test_report_bounds_hold_on_census_sample():
 
 
 def test_to_json_has_interface_fields():
-    import json
-
     tls = tropical_linear_space(quartet_vm())
-    data = json.loads(tls.to_json())
+    data = tls.as_dict()
     for key in ("n", "r", "f_vector", "bounded_f_vector", "speyer_bounds",
                 "lineality_dim", "vertices", "rays", "cells"):
         assert key in data
@@ -375,7 +387,7 @@ def generated_spaces():
             m = parse_census_line(line, n, r)
             v = corank_valuation(m)
             spaces.append(tropical_linear_space(ValuatedMatroid(matroid=v.owner, valuation=v)))
-            if m.is_loopfree():
+            if not m.loops():
                 spaces.append(bergman_fan(m))
     assert any(tls.span.lineality_dim > 1 for tls in spaces)
     return spaces
