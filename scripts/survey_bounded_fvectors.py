@@ -50,7 +50,7 @@ def main(argv) -> int:
                         continue
                     v = corank_valuation(m)
                     tls = tropical_linear_space(
-                        ValuatedMatroid(matroid=v.owner, valuation=v)
+                        ValuatedMatroid(valuation=v)
                     )
                     tally[tls.bounded_f_vector] += 1
                 except MatroidError as exc:

@@ -34,7 +34,7 @@ from .matroid import (
     parse_census_line,
 )
 from .subdivision import HeightFunction, coordinatize, regular_subdivision
-from .troplin import ValuatedMatroid, bergman_fan, tropical_linear_space
+from .troplin import ValuatedMatroid, _loop_faces, bergman_fan, tropical_linear_space
 
 
 class InputError(ValueError):
@@ -85,18 +85,6 @@ def _load(what: str, path: str, parse):
         raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
-def _load_config(path: str) -> PointConfig:
-    return _load("point configuration", path, PointConfig.from_json)
-
-
-def _load_heights(path: str) -> HeightFunction:
-    return _load("height function", path, HeightFunction.from_json)
-
-
-def _load_matroid(path: str) -> Matroid:
-    return _load("matroid", path, Matroid.from_json)
-
-
 def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
     if fmt == "dot":
         return diagram.to_dot()
@@ -122,7 +110,7 @@ def _face_lattice_f_vector(diagram: HasseDiagram, inverted: bool) -> list[int]:
 
 
 def cmd_face_lattice(args) -> int:
-    config = _load_config(args.input)
+    config = _load("point configuration", args.input, PointConfig.from_json)
     hrep, inc, flags = hull(config)
     if args.encoding == "vertex":
         system = polytope_closure_vertex(inc.restricted_to(flags))
@@ -152,7 +140,7 @@ def cmd_fan_lattice(args) -> int:
 
 
 def cmd_flats(args) -> int:
-    m = _load_matroid(args.input)
+    m = _load("matroid", args.input, Matroid.from_json)
     diagram = ganter_hasse(m.closure_system(), node_cap=args.node_cap)
     f_vec = poset_statistics(diagram, m.rank)
     _emit(_diagram_output(diagram, args.format, f_vec), args.output)
@@ -171,8 +159,9 @@ def _subdivision_payload(sub) -> dict:
 
 
 def cmd_subdivide(args) -> int:
-    config = _load_config(args.points)
-    sub = regular_subdivision(config, _load_heights(args.heights))
+    config = _load("point configuration", args.points, PointConfig.from_json)
+    heights = _load("height function", args.heights, HeightFunction.from_json)
+    sub = regular_subdivision(config, heights)
     _emit(_dumps(_subdivision_payload(sub)), args.output)
     return 0
 
@@ -183,8 +172,6 @@ def _gamma_for(sub, mode: str):
     if mode == "all":
         return list(sub.boundary_facets)
     if mode == "loops":
-        from .troplin import _loop_faces
-
         zero_one = all(x in (0, 1) for p in sub.config.points for x in p)
         if not zero_one:
             raise InputError("--gamma loops needs a 0/1 point configuration")
@@ -193,8 +180,9 @@ def _gamma_for(sub, mode: str):
 
 
 def cmd_tightspan(args) -> int:
-    config = _load_config(args.points)
-    sub = regular_subdivision(config, _load_heights(args.heights))
+    config = _load("point configuration", args.points, PointConfig.from_json)
+    heights = _load("height function", args.heights, HeightFunction.from_json)
+    sub = regular_subdivision(config, heights)
     span = coordinatize(sub, _gamma_for(sub, args.gamma), node_cap=args.node_cap)
     _emit(_dumps(span.as_dict(quotient=args.quotient == "on")), args.output)
     return 0
@@ -216,23 +204,23 @@ def _tls_output(tls, fmt: str) -> str:
 
 
 def cmd_tls(args) -> int:
-    m = _load_matroid(args.matroid)
+    m = _load("matroid", args.matroid, Matroid.from_json)
     v = _load("valuation", args.valuation, lambda text: Valuation.from_json(m, text))
-    vm = ValuatedMatroid(matroid=m, valuation=v)
+    vm = ValuatedMatroid(valuation=v)
     tls = tropical_linear_space(vm, node_cap=args.node_cap)
     _emit(_tls_output(tls, args.format), args.output)
     return 0
 
 
 def cmd_bergman(args) -> int:
-    m = _load_matroid(args.input)
+    m = _load("matroid", args.input, Matroid.from_json)
     tls = bergman_fan(m, node_cap=args.node_cap)
     _emit(_tls_output(tls, args.format), args.output)
     return 0
 
 
 def cmd_corank_lift(args) -> int:
-    m = _load_matroid(args.input)
+    m = _load("matroid", args.input, Matroid.from_json)
     v = corank_valuation(m)
     _emit(v.to_json() + "\n", args.output)
     if args.emit_uniform:
@@ -247,7 +235,7 @@ def _scan_line(task) -> dict:
         m = parse_census_line(line, n, r, order=order)
         if lift == "corank":
             v = corank_valuation(m)
-            vm = ValuatedMatroid(matroid=v.owner, valuation=v)
+            vm = ValuatedMatroid(valuation=v)
             tls = tropical_linear_space(vm, node_cap=node_cap)
         else:
             tls = bergman_fan(m, node_cap=node_cap)

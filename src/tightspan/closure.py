@@ -3,7 +3,10 @@
 Subsets of a ground set {0, ..., n-1} are encoded as Python ints used as
 bit vectors: bit i is set iff element i belongs to the subset.  This gives
 O(1) canonical encodings, hashing and subset tests, which is what keeps
-the enumeration output-sensitive.
+the enumeration output-sensitive.  The package converts between the two
+views only here: :func:`indices` lists the elements of a mask in increasing
+order, walking its set bits from the lowest, and :func:`mask_of` is the
+inverse.
 
 The central routine is :func:`ganter_hasse`, a breadth-first variant of
 Ganter's 1984 closure enumeration: every closed set is pushed to the queue
@@ -16,6 +19,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
+
+
+def indices(mask: int) -> tuple[int, ...]:
+    """Elements of the subset ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def mask_of(elements) -> int:
+    """Bit mask of a collection of nonnegative ints; repeats are ignored."""
+    return sum(1 << e for e in set(elements))
 
 
 class NodeCapExceeded(RuntimeError):
@@ -50,14 +68,11 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def indices(self, mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if mask >> i & 1)
-
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
     def set_label(self, mask: int) -> str:
-        return "{" + ",".join(self.label_of(i) for i in self.indices(mask)) + "}"
+        return "{" + ",".join(self.label_of(i) for i in indices(mask)) + "}"
 
 
 class ClosureSystem:
@@ -92,10 +107,8 @@ def transpose(rows, width: int) -> tuple[int, ...]:
     entry k of the result is the mask of the rows whose bit k is set."""
     cols = [0] * width
     for j, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << j
-            r ^= low
+        for k in indices(r):
+            cols[k] |= 1 << j
     return tuple(cols)
 
 
@@ -215,7 +228,7 @@ class HasseDiagram:
 
     def as_dict(self) -> dict:
         return {
-            "nodes": [list(self.ground.indices(m)) for m in self.nodes],
+            "nodes": [list(indices(m)) for m in self.nodes],
             "arcs": [list(a) for a in self.arcs],
         }
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .closure import GroundSet, IncidenceClosure, transpose
+from .closure import GroundSet, IncidenceClosure, indices, mask_of, transpose
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -60,6 +60,13 @@ def parse_rational(x) -> Fraction:
             f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
         )
     return Fraction(text)
+
+
+def parse_int(x, field: str) -> int:
+    """A JSON integer; a float or a boolean raises ValueError naming ``field``."""
+    if type(x) is not int:
+        raise ValueError(f"{field} must be an integer, got {json.dumps(x)}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +204,7 @@ class PointConfig:
     def from_json(text: str) -> "PointConfig":
         data = json.loads(text)
         pts = tuple(tuple(parse_rational(x) for x in row) for row in data["points"])
-        return PointConfig(dim=int(data["dim"]), points=pts)
+        return PointConfig(dim=parse_int(data["dim"], "dim"), points=pts)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -245,14 +252,10 @@ class IncidenceMatrix:
     def restricted_to(self, keep_flags) -> "IncidenceMatrix":
         """Drop columns whose flag is false (e.g. restrict to hull vertices)."""
         kept = [c for c in range(self.n_points) if keep_flags[c]]
-        rows = []
-        for r in self.rows:
-            m = 0
-            for new_c, old_c in enumerate(kept):
-                if r >> old_c & 1:
-                    m |= 1 << new_c
-            rows.append(m)
-        return IncidenceMatrix(rows=tuple(rows), n_points=len(kept))
+        rows = tuple(
+            mask_of(new for new, old in enumerate(kept) if r >> old & 1) for r in self.rows
+        )
+        return IncidenceMatrix(rows=rows, n_points=len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +283,8 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     if seed[-1] >= ngens:
         raise ValueError("generators do not span the space")
 
-    rays: list[tuple[IntVector, int]] = []
-    for t in range(m):
-        ray = _content_free(rr[t][ngens:])
-        z = 0
-        for i in seed:
-            if i != seed[t]:
-                z |= 1 << i
-        rays.append((ray, z))
+    seed_mask = mask_of(seed)
+    rays = [(_content_free(rr[t][ngens:]), seed_mask ^ 1 << seed[t]) for t in range(m)]
 
     pending = [i for i in range(ngens) if i not in seed]
     for t in pending:
@@ -384,10 +381,7 @@ def _hull_and_lower_cells(
     entries = []
     cells = []
     for ray, zset in _dd_polar_rays(gens):
-        inc = 0
-        for pos in range(npts):
-            if zset >> (first + pos) & 1:
-                inc |= 1 << order[pos]
+        inc = mask_of(order[pos] for pos in indices(zset >> first))
         if lifted and ray[-1]:
             slope = [0] * d
             for val, c in zip(ray[1:-1], pivots):
@@ -456,10 +450,7 @@ def cone_hrep(generators, lines=()) -> list[tuple[IntVector, int]]:
     for facet, row in zip(hrep.facets, inc.rows):
         if facet.offset != 0:
             continue
-        mask = 0
-        for j, pos in enumerate(gen_pos):
-            if row >> pos & 1:
-                mask |= 1 << j
+        mask = mask_of(j for j, pos in enumerate(gen_pos) if row >> pos & 1)
         out.append((facet.normal, mask))
     return out
 
@@ -509,7 +500,7 @@ class Fan:
                 raise ValueError(f"ray {r} is not primitive")
         if any(not 0 <= i < len(self.rays) for c in self.maximal_cones for i in c):
             raise ValueError("cone refers to a ray index outside the ray list")
-        masks = [sum(1 << i for i in c) for c in self.maximal_cones]
+        masks = [mask_of(c) for c in self.maximal_cones]
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 if i != j and a & b == a:
@@ -522,12 +513,14 @@ class Fan:
     @staticmethod
     def from_json(text: str) -> "Fan":
         data = json.loads(text)
+
+        def ints(rows, field):
+            return tuple(tuple(parse_int(x, field) for x in row) for row in rows)
+
         return Fan(
-            rays=tuple(tuple(int(x) for x in r) for r in data["rays"]),
-            maximal_cones=tuple(tuple(int(i) for i in c) for c in data["cones"]),
-            lineality=tuple(
-                tuple(int(x) for x in l) for l in data.get("lineality", [])
-            ),
+            rays=ints(data["rays"], "ray entry"),
+            maximal_cones=ints(data["cones"], "cone index"),
+            lineality=ints(data.get("lineality", []), "lineality entry"),
         )
 
 
@@ -565,7 +558,7 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
                 )
         # the cone, then its facets, remapped from local order to ray indices
         for local in [(1 << len(cone)) - 1] + facets:
-            point_rays.append(sum(1 << i for j, i in enumerate(cone) if local >> j & 1))
+            point_rays.append(mask_of(cone[j] for j in indices(local)))
     return IncidenceClosure(ground, transpose(point_rays, nr + 1), len(point_rays))
 
 
@@ -585,12 +578,10 @@ def normal_fan(config: PointConfig) -> Fan:
             ray_index[outward] = len(rays)
             rays.append(outward)
         facet_ray.append(ray_index[outward])
-    cones = []
-    for i, is_vertex in enumerate(flags):
-        if not is_vertex:
-            continue
-        cone = tuple(
-            sorted({facet_ray[j] for j, r in enumerate(inc.rows) if r >> i & 1})
-        )
-        cones.append(cone)
+    facets_through = transpose(inc.rows, inc.n_points)
+    cones = [
+        tuple(sorted({facet_ray[j] for j in indices(facets_through[i])}))
+        for i, is_vertex in enumerate(flags)
+        if is_vertex
+    ]
     return Fan(rays=tuple(rays), maximal_cones=tuple(cones), lineality=lin)

@@ -2,7 +2,9 @@
 
 Bases are stored as bit masks over the ground set [n].  The rank of a set A
 is the maximum intersection size with a basis; flats are the closed sets of
-the induced closure operator.  Matroid polytopes are the convex hulls of
+the induced closure operator.  Basis exchange is tested one swap at a time:
+for a basis B and b in B, the b' with B - b + b' a basis (b among them) must
+meet every basis.  Matroid polytopes are the convex hulls of
 the characteristic vectors of the bases; by the exchange characterization,
 their edges are parallel to differences of two unit vectors.  Whether a
 regular subdivision is matroidal is decided on its heights, see
@@ -16,8 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .closure import ClosureSystem, GroundSet
-from .exactgeom import PointConfig, _primitive, parse_rational, polytope_closure_vertex
+from .closure import ClosureSystem, GroundSet, indices, mask_of
+from .exactgeom import (
+    PointConfig,
+    _primitive,
+    parse_int,
+    parse_rational,
+    polytope_closure_vertex,
+)
 from .subdivision import Subdivision
 
 
@@ -33,13 +41,6 @@ def _unique_keys(pairs) -> dict:
             raise MatroidError(f"key {key!r} appears twice")
         out[key] = value
     return out
-
-
-def _mask(elements) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,23 @@ class Matroid:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_bases(n: int, bases, validate: bool = True) -> "Matroid":
-        masks = frozenset(b if isinstance(b, int) else _mask(b) for b in bases)
+    def from_bases(n: int, bases) -> "Matroid":
+        """Matroid on [n] from bases given as masks or as lists of distinct
+        indices in 0..n-1; raises MatroidError unless basis exchange holds."""
+        masks = set()
+        for b in bases:
+            if not isinstance(b, int):
+                if any(not 0 <= i < n for i in b):
+                    raise MatroidError("basis element outside the ground set")
+                if len(set(b)) != len(b):
+                    raise MatroidError(f"basis {list(b)} repeats an element")
+                b = mask_of(b)
+            masks.add(b)
         if not masks:
             raise MatroidError("a matroid needs at least one basis")
         r = next(iter(masks)).bit_count()
-        m = Matroid(n=n, r=r, bases=masks)
-        if validate and not m.satisfies_exchange():
+        m = Matroid(n=n, r=r, bases=frozenset(masks))
+        if not m.satisfies_exchange():
             raise MatroidError("basis family violates the exchange axiom")
         return m
 
@@ -79,22 +90,22 @@ class Matroid:
         if not 1 <= r <= n:
             raise MatroidError("uniform matroid needs 1 <= r <= n")
         return Matroid(
-            n=n, r=r, bases=frozenset(_mask(c) for c in combinations(range(n), r))
+            n=n, r=r, bases=frozenset(mask_of(c) for c in combinations(range(n), r))
         )
 
     @staticmethod
     def from_json(text: str) -> "Matroid":
         data = json.loads(text)
-        return Matroid.from_bases(int(data["n"]), [list(b) for b in data["bases"]])
+        n = parse_int(data["n"], "n")
+        bases = [[parse_int(i, "basis index") for i in b] for b in data["bases"]]
+        return Matroid.from_bases(n, bases)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "n": self.n,
                 "r": self.r,
-                "bases": sorted(
-                    [i for i in range(self.n) if b >> i & 1] for b in self.bases
-                ),
+                "bases": sorted(list(indices(b)) for b in self.bases),
             },
             sort_keys=True,
         )
@@ -103,21 +114,16 @@ class Matroid:
 
     def satisfies_exchange(self) -> bool:
         """Basis exchange: for B, B' and b in B - B' there is b' in B' - B
-        with B - b + b' a basis."""
-        for b1 in self.bases:
-            for b2 in self.bases:
-                out = b1 & ~b2
-                inn = b2 & ~b1
-                for i in range(self.n):
-                    if not out >> i & 1:
-                        continue
-                    stripped = b1 & ~(1 << i)
-                    if not any(
-                        stripped | (1 << j) in self.bases
-                        for j in range(self.n)
-                        if inn >> j & 1
-                    ):
-                        return False
+        with B - b + b' a basis.  For each B and b in B this says that every
+        basis meets the swaps S = {b' : B - b + b' a basis}, which hold b."""
+        bases = self.bases
+        full = (1 << self.n) - 1
+        for basis in bases:
+            for b in indices(basis):
+                rest = basis ^ 1 << b
+                swaps = mask_of(c for c in indices(full ^ rest) if rest | 1 << c in bases)
+                if not all(other & swaps for other in bases):
+                    return False
         return True
 
     # -- rank and flats ----------------------------------------------------
@@ -130,11 +136,8 @@ class Matroid:
 
         def close(a: int) -> int:
             ra = self.rank(a)
-            out = a
-            for x in range(self.n):
-                if not a >> x & 1 and self.rank(a | (1 << x)) == ra:
-                    out |= 1 << x
-            return out
+            others = indices(ground.full_mask ^ a)
+            return a | mask_of(x for x in others if self.rank(a | 1 << x) == ra)
 
         return ClosureSystem(ground, close)
 
@@ -165,10 +168,7 @@ class Matroid:
 
 def sorted_bases(m: Matroid) -> list[int]:
     """Bases in lexicographic order of their sorted index tuples."""
-    def key(b):
-        return tuple(i for i in range(m.n) if b >> i & 1)
-
-    return sorted(m.bases, key=key)
+    return sorted(m.bases, key=indices)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ class Valuation:
                     f"valuation key {key!r} does not list distinct indices "
                     "in increasing order"
                 )
-            basis = _mask(idx)
+            basis = mask_of(idx)
             if basis not in owner.bases:
                 raise MatroidError(f"valuation key {key!r} is not a basis of the matroid")
             if basis in values:
@@ -227,7 +227,7 @@ class Valuation:
     def to_json(self) -> str:
         out = {}
         for b, v in self.values.items():
-            key = ",".join(str(i) for i in range(self.owner.n) if b >> i & 1)
+            key = ",".join(map(str, indices(b)))
             out[key] = str(v)
         return json.dumps(
             {"n": self.owner.n, "r": self.owner.r, "values": out}, sort_keys=True
@@ -278,7 +278,7 @@ def non_matroidal_witness(sub: Subdivision):
         raise ValueError(
             "the matroidality gate needs 0/1 points with a constant coordinate sum"
         )
-    bases = [_mask(i for i, x in enumerate(p) if x == 1) for p in pts]
+    bases = [mask_of(i for i, x in enumerate(p) if x == 1) for p in pts]
     pairs = list(combinations(range(len(bases)), 2))
 
     def witness(a: int, b: int):
@@ -340,7 +340,7 @@ def parse_census_line(line: str, n: int, r: int, order: str = "lex") -> Matroid:
     bases = []
     for ch, subset in zip(line, subsets):
         if ch in "1*":
-            bases.append(_mask(subset))
+            bases.append(mask_of(subset))
         elif ch != "0":
             raise MatroidError(f"invalid census character {ch!r}")
     if not bases:
@@ -353,4 +353,4 @@ def parse_census_line(line: str, n: int, r: int, order: str = "lex") -> Matroid:
 
 def format_census_line(m: Matroid, order: str = "lex") -> str:
     subsets = census_order(m.n, m.r, order)
-    return "".join("1" if _mask(s) in m.bases else "0" for s in subsets)
+    return "".join("1" if mask_of(s) in m.bases else "0" for s in subsets)

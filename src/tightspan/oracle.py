@@ -23,7 +23,9 @@ where the gate reads the valuation; it takes each cell's facets from
 are too large for the hyperplane enumeration.  The placing triangulation
 behind ``relative_volume`` takes facets and vertex flags from
 ``exactgeom.hull`` too.  Matroid components, the reference for the
-lineality of tropical linear spaces, are read off the separators.
+lineality of tropical linear spaces, are read off the separators.  Basis
+exchange is checked pair by pair on sets, where ``Matroid`` tests single
+swaps on masks.
 """
 
 from __future__ import annotations
@@ -425,6 +427,19 @@ def _odet(rows) -> Fraction:
 # ---------------------------------------------------------------------------
 # matroids and tropical membership
 # ---------------------------------------------------------------------------
+
+def brute_exchange(family) -> bool:
+    """Basis exchange read off its definition on Python sets, for a family
+    of index collections: for all bases B, B' and b in B - B' some b' in
+    B' - B makes B - b + b' a basis."""
+    bases = {frozenset(b) for b in family}
+    return all(
+        any(B - {b} | {c} in bases for c in B2 - B)
+        for B in bases
+        for B2 in bases
+        for b in B - B2
+    )
+
 
 def connected_components(m) -> list[int]:
     """Finest partition of the ground set of ``m`` into separators, as masks.

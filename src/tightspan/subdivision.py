@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import GroundSet, HasseDiagram, IncidenceClosure, ganter_hasse
+from .closure import GroundSet, IncidenceClosure, ganter_hasse, indices, mask_of
 from .exactgeom import (
     HRep,
     IncidenceMatrix,
@@ -77,15 +77,10 @@ class Subdivision:
     def dim(self) -> int:
         return self.base_hrep.dim
 
-    def cell_points(self, mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_points) if mask >> i & 1)
-
     def as_dict(self) -> dict:
         return {
-            "maximal_cells": [list(self.cell_points(c)) for c in self.maximal_cells],
-            "boundary_facets": [
-                list(self.cell_points(c)) for c in self.boundary_facets
-            ],
+            "maximal_cells": [list(indices(c)) for c in self.maximal_cells],
+            "boundary_facets": [list(indices(c)) for c in self.boundary_facets],
             "carrier_facets": list(self.carrier_facet),
         }
 
@@ -141,7 +136,7 @@ def subdivision_from_cells(config: PointConfig, maximal_cells) -> Subdivision:
     npts = len(config.points)
     cells = []
     for c in maximal_cells:
-        m = c if isinstance(c, int) else sum(1 << i for i in c)
+        m = c if isinstance(c, int) else mask_of(c)
         if m == 0 or m >> npts:
             raise ValueError("cell indices outside the configuration")
         cells.append(m)
@@ -166,12 +161,12 @@ def _normalize_gamma(sub: Subdivision, gamma) -> list[int]:
     and validate each lies in some facet of the hull."""
     masks = []
     for g in gamma:
-        m = g if isinstance(g, int) else sum(1 << i for i in g)
+        m = g if isinstance(g, int) else mask_of(g)
         if m == 0:
             continue
         if not any(m & ~row == 0 for row in sub.base_incidence.rows):
             raise ValueError(
-                f"gamma member {sorted(sub.cell_points(m))} is not contained "
+                f"gamma member {list(indices(m))} is not contained "
                 "in any facet of the hull"
             )
         masks.append(m)
@@ -210,8 +205,6 @@ class ExtendedTightSpan:
     """Coordinatized dual complex of the kept cells of a regular subdivision."""
 
     base: Subdivision
-    gamma: tuple[int, ...]
-    hasse: HasseDiagram
     dual_vertices: tuple[Vector, ...]
     dual_rays: tuple[IntVector, ...]
     lineality: tuple[IntVector, ...]
@@ -285,6 +278,7 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     dual_rays = [outward[carrier] for carrier in sub.carrier_facet]
 
     n_max = len(sub.maximal_cells)
+    vertex_part = (1 << n_max) - 1
     full = system.ground.full_mask
 
     # the kept closed sets form a polyhedral complex, whose face posets are
@@ -297,14 +291,12 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
             continue
         if node == full and not trivial_point:
             continue
-        vs = tuple(i for i in range(n_max) if node >> i & 1)
-        rs = tuple(i for i in range(len(sub.boundary_facets)) if node >> (n_max + i) & 1)
+        vs = indices(node & vertex_part)
+        rs = indices(node >> n_max)
         cells.append(SpanCell(node=node, vertices=vs, rays=rs, dim=level - 1))
 
     return ExtendedTightSpan(
         base=sub,
-        gamma=system.forbidden,
-        hasse=diagram,
         dual_vertices=tuple(dual_vertices),
         dual_rays=tuple(dual_rays),
         lineality=lineality,

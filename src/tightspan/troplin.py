@@ -3,10 +3,12 @@
 A valuation on a matroid induces a regular subdivision of the matroid
 polytope; the pair is a valuated matroid when every cell of that
 subdivision is again a matroid polytope (decided on the valuation by
-``matroid.non_matroidal_witness``).  The tropical linear space is the dual
-complex restricted to the cells whose matroids are loop-free, modulo the
-all-ones direction; equivalently the extended tight span with respect to
-the boundary faces lying in the coordinate hyperplanes x_i = 0.
+``matroid.non_matroidal_witness``).  ``ValuatedMatroid`` holds the
+valuation alone; its matroid is the valuation's owner.  The tropical
+linear space is the dual complex restricted to the cells whose matroids are
+loop-free, modulo the all-ones direction; equivalently the extended tight
+span with respect to the boundary faces lying in the coordinate
+hyperplanes x_i = 0.
 ``TropicalLinearSpace.as_dict`` is the document the ``tls`` and ``bergman``
 commands print: the span's dual complex, the report and the lineality basis.
 """
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
+from .closure import indices, mask_of
 from .exactgeom import _rref, orthogonalize, project_off
 from .matroid import (
     Matroid,
@@ -55,31 +58,25 @@ class NonMatroidalValuation(MatroidError):
 
 @dataclass(frozen=True)
 class ValuatedMatroid:
-    """Matroid plus a valuation whose subdivision is matroidal."""
+    """A valuation whose subdivision is matroidal, on its owner matroid."""
 
-    matroid: Matroid
     valuation: Valuation
 
     def __post_init__(self):
-        if self.valuation.owner.bases != self.matroid.bases:
-            raise MatroidError("valuation does not match the matroid's bases")
         witness = non_matroidal_witness(self.subdivision)
         if witness is not None:
             cell, edge = witness
-            raise NonMatroidalValuation(
-                self.subdivision.cell_points(cell), edge
-            )
+            raise NonMatroidalValuation(indices(cell), edge)
+
+    @property
+    def matroid(self) -> Matroid:
+        return self.valuation.owner
 
     @cached_property
     def subdivision(self) -> Subdivision:
         config = self.matroid.polytope()
         heights = HeightFunction(values=self.valuation.heights())
         return regular_subdivision(config, heights)
-
-    @property
-    def point_bases(self) -> list[int]:
-        """Basis masks in polytope point order."""
-        return sorted_bases(self.matroid)
 
 
 def cell_at(vm: ValuatedMatroid, x) -> Matroid:
@@ -89,16 +86,12 @@ def cell_at(vm: ValuatedMatroid, x) -> Matroid:
     xs = [Fraction(v) for v in x]
     if len(xs) != m.n:
         raise ValueError("point has wrong length")
-    best = None
-    argmin: list[int] = []
-    for b in sorted_bases(m):
-        val = vm.valuation.value(b) - sum(xs[i] for i in range(m.n) if b >> i & 1)
-        if best is None or val < best:
-            best = val
-            argmin = [b]
-        elif val == best:
-            argmin.append(b)
-    return Matroid(n=m.n, r=m.r, bases=frozenset(argmin))
+    vals = {
+        b: v - sum(xs[i] for i in indices(b)) for b, v in vm.valuation.values.items()
+    }
+    best = min(vals.values())
+    argmin = frozenset(b for b, v in vals.items() if v == best)
+    return Matroid(n=m.n, r=m.r, bases=argmin)
 
 
 @dataclass(frozen=True)
@@ -156,11 +149,8 @@ class TropicalLinearSpace:
         out by F is contained in the minimizer set at x.
         """
         cell = cell_at(self.source, x)
-        argmin_mask = 0
-        order = self.source.point_bases
-        pos = {b: i for i, b in enumerate(order)}
-        for b in cell.bases:
-            argmin_mask |= 1 << pos[b]
+        pos = {b: i for i, b in enumerate(sorted_bases(self.source.matroid))}
+        argmin_mask = mask_of(pos[b] for b in cell.bases)
         system = tight_span_closure(self.span.base)
         return any(system.cell(c.node) & ~argmin_mask == 0 for c in self.span.cells)
 
@@ -194,16 +184,11 @@ def _loop_faces(config) -> list[int]:
     """Point masks of the coordinate-zero faces: for each ground element i,
     the points with i-th coordinate zero (the maximal boundary face whose
     cells all have i as a loop).  Empty faces are dropped."""
-    n = config.dim
-    out = []
-    for i in range(n):
-        mask = 0
-        for j, p in enumerate(config.points):
-            if p[i] == 0:
-                mask |= 1 << j
-        if mask:
-            out.append(mask)
-    return out
+    faces = [
+        mask_of(j for j, p in enumerate(config.points) if p[i] == 0)
+        for i in range(config.dim)
+    ]
+    return [f for f in faces if f]
 
 
 def tropical_linear_space(
@@ -218,7 +203,7 @@ def tropical_linear_space(
     m = vm.matroid
     if m.loops():
         raise MatroidError(
-            f"matroid has loops {sorted(i for i in range(m.n) if m.loops() >> i & 1)}; "
+            f"matroid has loops {list(indices(m.loops()))}; "
             "its tropical linear space is empty"
         )
     sub = vm.subdivision
@@ -234,7 +219,7 @@ def bergman_fan(m: Matroid, node_cap: int = 10_000_000) -> TropicalLinearSpace:
     the normal fan of the matroid polytope, in its coarsest structure."""
     if m.loops():
         raise MatroidError("matroid with loops has no Bergman fan")
-    vm = ValuatedMatroid(matroid=m, valuation=Valuation.zero(m))
+    vm = ValuatedMatroid(valuation=Valuation.zero(m))
     return tropical_linear_space(vm, node_cap=node_cap)
 
 

@@ -73,7 +73,7 @@ def quartet_vm():
     m = Matroid.uniform(2, 4)
     vals = {b: Fraction(0) for b in m.bases}
     vals[(1 << 2) | (1 << 3)] = Fraction(1)
-    return ValuatedMatroid(matroid=m, valuation=Valuation(owner=m, values=vals))
+    return ValuatedMatroid(valuation=Valuation(owner=m, values=vals))
 
 
 def tropical_minor_valuation(matrix) -> Valuation | None:

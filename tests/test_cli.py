@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import square_config, u12_power
 from tightspan import Matroid, bergman_fan, normal_fan
 from tightspan.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -236,6 +241,21 @@ def test_fvector_scan_jobs_match(files, capsys):
     assert seq == par
 
 
+def test_python_dash_m_matches_main(files, capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightspan", "bergman", files["u23.json"]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    code, out, _ = run(capsys, ["bergman", files["u23.json"]])
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and proc.stderr == ""
+
+
 def test_byte_identical_reruns(files, capsys):
     for argv in (
         ["face-lattice", files["square.json"]],
@@ -374,6 +394,38 @@ def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     empty = _write_text(tmp_path, "m0.json", '{"n": 0, "bases": [[]]}')
     code, _, err = run(capsys, ["bergman", empty])
     assert code == 1 and "nonempty ground set" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("flats", '{"n": 3, "bases": [[0, 0, 1], [1, 2]]}', "repeats an element"),
+        ("flats", '{"n": 3.7, "bases": [[0, 1]]}', "n must be an integer"),
+        ("flats", '{"n": true, "bases": [[0]]}', "n must be an integer"),
+        ("flats", '{"n": 3, "bases": [[0, -1]]}', "basis element outside"),
+        ("flats", '{"n": 3, "bases": [[0, 1.0]]}', "basis index must be an integer"),
+        ("flats", '{"n": 3, "bases": [[0, true]]}', "basis index must be an integer"),
+        ("face-lattice", '{"dim": 2.5, "points": [[0, 0], [1, 0]]}', "dim must be"),
+        ("face-lattice", '{"dim": true, "points": [[0], [1]]}', "dim must be"),
+        ("fan-lattice", '{"rays": [[1.5, 0], [0, 1]], "cones": [[0, 1]]}', "ray entry"),
+        ("fan-lattice", '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1.9]]}', "cone index"),
+        (
+            "fan-lattice",
+            '{"rays": [[1, 0, 0]], "cones": [[0]], "lineality": [[0, 1, true]]}',
+            "lineality entry",
+        ),
+    ],
+    ids=["repeated-index", "float-n", "bool-n", "negative-index", "float-index",
+         "bool-index", "float-dim", "bool-dim", "float-ray", "float-cone",
+         "bool-lineality"],
+)
+def test_integer_fields_take_json_integers_only(capsys, tmp_path, command, text, field):
+    # int() used to truncate these (3.7 -> 3, true -> 1, [0, 0, 1] -> {0, 1})
+    # and the command ran on the truncated input with exit 0
+    bad = _write_text(tmp_path, "in.json", text)
+    code, out, err = run(capsys, [command, bad])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
 
 
 def test_large_ground_set_is_checked_for_basis_exchange(capsys, tmp_path):

@@ -15,12 +15,19 @@ from tightspan import (
     poset_statistics,
     restrict_to_lower_set,
 )
-from tightspan.closure import HasseDiagram, IncidenceClosure
+from tightspan.closure import HasseDiagram, IncidenceClosure, indices, mask_of
 from tightspan.oracle import brute_closed_sets, brute_incidence_close
 
 
 def arcs_as_masks(diagram):
     return {(diagram.nodes[a], diagram.nodes[b]) for a, b in diagram.arcs}
+
+
+@given(st.integers(min_value=0, max_value=1 << 130))
+def test_indices_and_mask_of_invert_each_other(m):
+    elements = indices(m)
+    assert all(a < b for a, b in zip(elements, elements[1:]))
+    assert mask_of(elements) == m
 
 
 def test_identity_boolean_lattice():

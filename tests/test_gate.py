@@ -24,6 +24,7 @@ from tightspan import (
     parse_census_line,
     regular_subdivision,
 )
+from tightspan.closure import mask_of
 from tightspan.matroid import is_hypersimplex_subset
 from tightspan.oracle import brute_cell_edges, brute_non_matroidal_edges
 from tightspan.subdivision import subdivision_from_cells
@@ -89,7 +90,7 @@ def test_gate_matches_oracle_on_arbitrary_supports(rn, data):
     r, n = rn
     subsets = st.sampled_from(list(combinations(range(n), r)))
     family = data.draw(st.lists(subsets, min_size=1, max_size=8, unique=True))
-    m = Matroid.from_bases(n, family, validate=False)
+    m = Matroid(n=n, r=r, bases=frozenset(mask_of(b) for b in family))
     check_against_oracle(lifted(m, data.draw(heights_for(m))))
 
 
@@ -102,7 +103,7 @@ def test_gate_matches_oracle_on_arbitrary_supports(rn, data):
     ],
 )
 def test_support_failing_exchange_is_caught_before_the_heights(n, family):
-    m = Matroid.from_bases(n, family, validate=False)
+    m = Matroid(n=n, r=len(family[0]), bases=frozenset(mask_of(b) for b in family))
     for heights in ([0] * len(family), list(range(len(family)))):
         cell, direction = check_against_oracle(lifted(m, heights))
         assert sum(map(abs, direction)) > 2
@@ -133,7 +134,7 @@ def test_tropical_minors_pass_the_gate(rn, blanks, data):
     valuation = tropical_minor_valuation(matrix)
     if valuation is None:
         return
-    vm = ValuatedMatroid(matroid=valuation.owner, valuation=valuation)
+    vm = ValuatedMatroid(valuation=valuation)
     assert non_matroidal_witness(vm.subdivision) is None
 
 

@@ -21,7 +21,7 @@ from tightspan import (
     regular_subdivision,
 )
 from tightspan.matroid import format_census_line, sorted_bases
-from tightspan.oracle import brute_closed_sets, connected_components
+from tightspan.oracle import brute_closed_sets, brute_exchange, connected_components
 
 
 def mask(elements):
@@ -212,15 +212,14 @@ def test_direct_sum_and_components():
 def test_exchange_validation():
     with pytest.raises(MatroidError):
         Matroid.from_bases(4, [[0, 1], [2, 3]])
-    # explicit opt-out skips the check
-    m = Matroid.from_bases(4, [[0, 1], [2, 3]], validate=False)
+    m = Matroid(n=4, r=2, bases=frozenset({mask([0, 1]), mask([2, 3])}))
     assert not _polytope_is_matroidal(m)
 
 
 def test_large_ground_sets_defer_to_polytope_criterion():
-    # with the exchange check opted out, the matroidality gate on the
+    # the raw constructor checks no exchange; the matroidality gate on the
     # zero-height subdivision decides an n = 11 support on demand
-    bad = Matroid.from_bases(11, [[0, 1], [2, 3]], validate=False)
+    bad = Matroid(n=11, r=2, bases=frozenset({mask([0, 1]), mask([2, 3])}))
     assert _polytope_is_matroidal(bad) is False
     good = Matroid.from_bases(11, [[i] for i in range(11)])
     assert _polytope_is_matroidal(good) is True
@@ -253,36 +252,18 @@ def test_census_round_trip():
         assert parse_census_line(line, m.n, m.r).bases == m.bases
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=5),
-    st.data(),
-)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
 def test_constructor_agrees_with_exchange_oracle(n, data):
-    r = data.draw(st.integers(min_value=1, max_value=n))
-    subsets = [mask(c) for c in combinations(range(n), r)]
-    picked = data.draw(
-        st.lists(st.sampled_from(subsets), min_size=1, unique=True)
-    )
-
-    def oracle_exchange(bases):
-        for b1 in bases:
-            for b2 in bases:
-                for i in range(n):
-                    if b1 >> i & 1 and not b2 >> i & 1:
-                        ok = False
-                        for j in range(n):
-                            if b2 >> j & 1 and not b1 >> j & 1:
-                                if (b1 & ~(1 << i)) | (1 << j) in bases:
-                                    ok = True
-                                    break
-                        if not ok:
-                            return False
-        return True
-
-    expected = oracle_exchange(set(picked))
+    # any nonempty family of r-subsets of [n], most of them non-matroids
+    r = data.draw(st.integers(min_value=0, max_value=n))
+    subsets = list(combinations(range(n), r))
+    family = data.draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+    expected = brute_exchange(family)
+    raw = Matroid(n=n, r=r, bases=frozenset(mask(b) for b in family))
+    assert raw.satisfies_exchange() == expected
     try:
-        Matroid.from_bases(n, picked)
+        Matroid.from_bases(n, family)
         assert expected
     except MatroidError:
         assert not expected

@@ -12,6 +12,8 @@ import tightspan
 MODULES = sorted(
     p for p in Path(tightspan.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+# closure.py owns the subset encoding; oracle.py shares no logic by design
+MASK_OWNERS = ("closure.py", "oracle.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +52,55 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _tests_bit(node, name: str) -> bool:
+    """Whether ``node`` is ``<mask> >> <shift> & 1`` with the shift reading
+    the variable ``name``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.RShift)
+        and any(
+            isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.left.right)
+        )
+    )
+
+
+def hand_written_indices(source: str) -> list[int]:
+    """Lines of comprehensions that list the elements of a mask by testing
+    every position, ``... for i in range(...) if m >> i & 1``, in place of
+    ``closure.indices``."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, comprehensions):
+            continue
+        for gen in node.generators:
+            over_range = (
+                isinstance(gen.iter, ast.Call)
+                and isinstance(gen.iter.func, ast.Name)
+                and gen.iter.func.id == "range"
+                and isinstance(gen.target, ast.Name)
+            )
+            if over_range:
+                lines += [c.lineno for c in gen.ifs if _tests_bit(c, gen.target.id)]
+    return sorted(lines)
+
+
+def test_the_check_sees_a_hand_written_mask_walk():
+    assert hand_written_indices("[i for i in range(n) if m >> i & 1]\n") == [1]
+    assert hand_written_indices("any(\n  f(j)\n  for j in range(n)\n  if m >> j & 1\n)\n") == [4]
+    assert hand_written_indices("(i for i in range(n) if m >> (k + i) & 1)\n") == [1]
+    assert hand_written_indices("[i for i in range(n) if m >> k & 1]\n") == []
+    assert hand_written_indices("[i for i in indices(m)]\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in MASK_OWNERS], ids=lambda p: p.name
+)
+def test_subsets_are_listed_through_closure(path):
+    assert hand_written_indices(path.read_text()) == []

@@ -22,6 +22,7 @@ from tightspan import (
     regular_subdivision,
     tight_span_closure,
 )
+from tightspan.closure import indices
 from tightspan.subdivision import span_ground
 from tightspan import exactgeom
 from tightspan.oracle import (
@@ -37,7 +38,7 @@ from tightspan.oracle import (
 def node_label_sets(sub, diagram):
     ground = diagram.ground
     return {
-        frozenset(ground.label_of(i) for i in ground.indices(m)) for m in diagram.nodes
+        frozenset(ground.label_of(i) for i in indices(m)) for m in diagram.nodes
     }
 
 
@@ -67,7 +68,7 @@ def test_trivial_square_boundary_is_edge_set():
 
 def test_two_pyramids():
     sub = two_pyramid_subdivision()
-    cells = {sub.cell_points(c) for c in sub.maximal_cells}
+    cells = {indices(c) for c in sub.maximal_cells}
     assert cells == {(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)}
 
 
@@ -100,7 +101,7 @@ def test_volume_partition():
         _, pivots = _rref([[Fraction(x) for x in r] for r in diffs])
         total = relative_volume(pts, pivots)
         parts = sum(
-            relative_volume([pts[i] for i in sub.cell_points(c)], pivots)
+            relative_volume([pts[i] for i in indices(c)], pivots)
             for c in sub.maximal_cells
         )
         assert parts == total
