@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from contextlib import nullcontext
@@ -81,7 +82,9 @@ def _load(what: str, path: str, parse):
         return parse(text)
     except ZeroDivisionError as exc:
         raise InputError(f"bad {what} in {path}: a fraction has denominator 0") from exc
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f'bad {what} in {path}: missing key "{exc.args[0]}"') from exc
+    except (AttributeError, RecursionError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
@@ -392,7 +395,14 @@ def main(argv=None) -> int:
     if args.command == "fvector-scan" and args.r > args.n:
         parser.error(f"argument --r: must be at most --n {args.n}, got {args.r}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so that the flush at exit fails no more, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NodeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -80,7 +80,11 @@ class ClosureSystem:
 
     The operator must be extensive, monotone and idempotent.  That is the
     caller's responsibility; it is spot-checked by the test suite only.
-    ClosureSystem instances are immutable and safe to share between threads.
+    A ClosureSystem never changes its operator.  :class:`IncidenceClosure`
+    caches facts about its own operator as it enumerates; each fact is
+    true whichever call records it, so no answer depends on the call
+    order.  The caches are plain dicts with no locking (``--jobs`` runs
+    worker processes, not threads).
     """
 
     def __init__(self, ground: GroundSet, close_fn: Callable[[int], int]):
@@ -128,8 +132,18 @@ class IncidenceClosure(ClosureSystem):
     Single closures run through :meth:`ClosureSystem.close`.  The
     candidates of a node N are formed from its cell instead (Kaibel and
     Pfetsch, Comput. Geom. 2002): cl(N + i) = close_cell(cell(N) & rows[i]),
-    so :meth:`cover_counts` intersects cell(N) once with each row and closes
-    each distinct cell once.
+    so :meth:`cover_counts` intersects cell(N) once with each row.  Two
+    caches of facts about this operator make it form and close less:
+
+    * ``_closed`` maps each cell to its closure, so each distinct cell is
+      closed once per system, however many nodes form it;
+    * ``_alive`` maps a closed set c to the generators i for which
+      cl(c + i) may still lie below the full set.  The closure is
+      monotone, so once cl(N + i) is the full set, so is cl(c + i) for
+      every key c = cl(N + j) above N; c inherits only N's live i.  The
+      other i outside c are counted under the full set without forming
+      their cells.  Generators inside a forbidden mask drop out at the
+      root this way.
     """
 
     def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
@@ -146,6 +160,8 @@ class IncidenceClosure(ClosureSystem):
         self.forbidden = tuple(forbidden)
         self._all_points = all_points
         self._full = ground.full_mask
+        self._closed: dict[int, int] = {}  # cell -> close_cell(cell)
+        self._alive: dict[int, int] = {}  # closed set -> i not known to give full
 
     def cell(self, subset: int) -> int:
         """Intersection of the rows of the generators in ``subset``."""
@@ -175,18 +191,47 @@ class IncidenceClosure(ClosureSystem):
         return self.close_cell(self.cell(subset)) if subset else 0
 
     def cover_counts(self, nmask: int) -> dict[int, int]:
+        full = self._full
+        outside = full & ~nmask
+        alive = self._alive.get(nmask, full) & outside
+        # the candidate cells of the alive i, each with the mask of its i
         base = self.cell(nmask)
         rows = self.rows
         cells: dict[int, int] = {}
-        for i in range(self.ground.size):
-            if not nmask >> i & 1:
-                q = base & rows[i]
-                cells[q] = cells.get(q, 0) + 1
+        m = alive
+        while m:
+            low = m & -m
+            q = base & rows[low.bit_length() - 1]
+            cells[q] = cells.get(q, 0) | low
+            m ^= low
+        # each distinct cell closed once per system, giving masks per closure
+        closed = self._closed
         close_cell = self.close_cell
+        by_closure: dict[int, int] = {}
+        for q, gens in cells.items():
+            c = closed.get(q)
+            if c is None:
+                c = closed[q] = close_cell(q)
+            by_closure[c] = by_closure.get(c, 0) | gens
+        # the other outside i give the full set: count them there, placed at
+        # the first i that gives it, so keys keep the order of their first i
+        to_full = by_closure.pop(full, 0) | outside & ~alive
+        first_full = to_full & -to_full
         hits: dict[int, int] = {}
-        for q, k in cells.items():
-            c = close_cell(q)
-            hits[c] = hits.get(c, 0) + k
+        live = 0
+        for c, gens in by_closure.items():
+            if first_full and gens & -gens > first_full:
+                hits[full] = to_full.bit_count()
+                first_full = 0
+            hits[c] = gens.bit_count()
+            live |= gens
+        if first_full:
+            hits[full] = to_full.bit_count()
+        # monotonicity: cl(c + i) is full for every c above nmask once
+        # cl(nmask + i) is, so the keys inherit only the live i
+        alive_at = self._alive
+        for c in by_closure:
+            alive_at[c] = alive_at.get(c, full) & live
         return hits
 
 

@@ -500,6 +500,9 @@ class Fan:
                 raise ValueError(f"ray {r} is not primitive")
         if any(not 0 <= i < len(self.rays) for c in self.maximal_cones for i in c):
             raise ValueError("cone refers to a ray index outside the ray list")
+        for c in self.maximal_cones:
+            if len(set(c)) != len(c):
+                raise ValueError(f"cone {list(c)} repeats an element")
         masks = [mask_of(c) for c in self.maximal_cones]
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):

@@ -98,7 +98,12 @@ class Matroid:
         data = json.loads(text)
         n = parse_int(data["n"], "n")
         bases = [[parse_int(i, "basis index") for i in b] for b in data["bases"]]
-        return Matroid.from_bases(n, bases)
+        m = Matroid.from_bases(n, bases)
+        if "r" in data and parse_int(data["r"], "r") != m.r:
+            raise MatroidError(
+                f"stated rank r = {data['r']} differs from the basis size {m.r}"
+            )
+        return m
 
     def to_json(self) -> str:
         return json.dumps(

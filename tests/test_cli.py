@@ -428,6 +428,41 @@ def test_integer_fields_take_json_integers_only(capsys, tmp_path, command, text,
     assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
 
 
+def test_stated_rank_must_match_the_bases(capsys, tmp_path):
+    # the six 2-subsets of [4] under "r": 3 used to print a rank-2 lattice
+    pairs = [list(b) for b in combinations(range(4), 2)]
+    bad = _write_text(tmp_path, "r3.json", json.dumps({"n": 4, "r": 3, "bases": pairs}))
+    code, out, err = run(capsys, ["flats", bad])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "r = 3" in err and "basis size 2" in err
+
+    bad = _write_text(tmp_path, "rf.json", json.dumps({"n": 4, "r": 2.0, "bases": pairs}))
+    code, _, err = run(capsys, ["flats", bad])
+    assert code == 1 and "r must be an integer" in err
+
+    for doc in ({"n": 4, "r": 2, "bases": pairs}, {"n": 4, "bases": pairs}):
+        good = _write_text(tmp_path, "r2.json", json.dumps(doc))
+        code, out, _ = run(capsys, ["flats", good])
+        assert code == 0 and json.loads(out)["f_vector"] == [1, 4, 1]
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("flats", '{"n": 3}', "bases"),
+        ("flats", '{"bases": [[0]]}', "n"),
+        ("fan-lattice", '{"rays": [[1, 0], [0, 1]]}', "cones"),
+        ("face-lattice", '{"dim": 2}', "points"),
+    ],
+)
+def test_missing_key_is_named(capsys, tmp_path, command, text, key):
+    bad = _write_text(tmp_path, "in.json", text)
+    code, out, err = run(capsys, [command, bad])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.rstrip().endswith(f'missing key "{key}"')
+
+
 def test_large_ground_set_is_checked_for_basis_exchange(capsys, tmp_path):
     bad = _write_text(tmp_path, "m11.json", '{"n": 11, "r": 3, "bases": [[0,1,2],[3,4,5]]}')
     code, out, err = run(capsys, ["flats", bad])
@@ -458,6 +493,39 @@ def test_fan_with_non_extreme_ray_is_input_error(capsys, tmp_path):
     )
     code, _, err = run(capsys, ["fan-lattice", bad])
     assert code == 1 and "bad fan" in err and "not extreme" in err
+
+
+def test_fan_cone_with_a_repeated_ray_is_input_error(files, capsys, tmp_path):
+    # used to be reported as "ray 2 is not extreme in cone (2, 2, 3)"
+    fan = json.loads(Path(files["fan.json"]).read_text())
+    fan["cones"][0] = [fan["cones"][0][0]] + fan["cones"][0]
+    bad = _write_text(tmp_path, "fan.json", json.dumps(fan))
+    code, out, err = run(capsys, ["fan-lattice", bad])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "repeats an element" in err
+    assert "not extreme" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fvector_scan_closed_stdout_ends_quietly(tmp_path, jobs):
+    # the reader stops after one line, as `| head -1` does; the records
+    # (about 160 bytes each) overflow any pipe buffer long before the end
+    census = _write_text(tmp_path, "c31.txt", "111\n" * 2000)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tightspan", "fvector-scan", census,
+         "--n", "3", "--r", "1", "--jobs", jobs],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert json.loads(proc.stdout.readline())["line"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -283,6 +283,11 @@ def test_fan_with_lineality():
     assert set(h.nodes) == nodes
 
 
+def test_fan_rejects_a_cone_that_repeats_a_ray():
+    with pytest.raises(ValueError, match="repeats an element"):
+        Fan(rays=((1, 0), (0, 1)), maximal_cones=((0, 0, 1),))
+
+
 def test_fan_rejects_redundant_ray():
     with pytest.raises(ValueError):
         fan_closure(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -223,6 +224,14 @@ def test_large_ground_sets_defer_to_polytope_criterion():
     assert _polytope_is_matroidal(bad) is False
     good = Matroid.from_bases(11, [[i] for i in range(11)])
     assert _polytope_is_matroidal(good) is True
+
+
+def test_from_json_checks_a_stated_rank():
+    pairs = [list(b) for b in combinations(range(4), 2)]
+    for doc in ({"n": 4, "r": 2, "bases": pairs}, {"n": 4, "bases": pairs}):
+        assert Matroid.from_json(json.dumps(doc)) == Matroid.uniform(2, 4)
+    with pytest.raises(MatroidError, match="r = 3 differs from the basis size 2"):
+        Matroid.from_json(json.dumps({"n": 4, "r": 3, "bases": pairs}))
 
 
 def test_census_parsing():
