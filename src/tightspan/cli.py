@@ -270,9 +270,10 @@ def _scan_record_text(rec: dict, fmt: str) -> str:
 def _scan_records(tasks, jobs: int):
     """Records of the census lines in line order, each yielded as soon as
     it and all lines before it are done, so that a scan cut short keeps
-    what it has already written."""
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    what it has already written.  At most one worker per line starts."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
             yield from pool.imap(_scan_line, tasks)
     else:
         yield from map(_scan_line, tasks)

@@ -11,7 +11,8 @@ inverse.
 The central routine is :func:`ganter_hasse`, a breadth-first variant of
 Ganter's 1984 closure enumeration: every closed set is pushed to the queue
 exactly once, so the total work is linear in the number of covering pairs
-(up to the cost of the closure operator itself).
+(up to the cost of the closure operator itself).  Its cover test is one
+mask comparison per candidate: H covers N iff the i that give H are H - N.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class ClosureSystem:
 
     The operator must be extensive, monotone and idempotent.  That is the
     caller's responsibility; it is spot-checked by the test suite only.
-    A ClosureSystem never changes its operator.  :class:`IncidenceClosure`
+    A ClosureSystem never changes its operator.  :meth:`candidates` is the
+    one hook :func:`ganter_hasse` asks for the candidates of a node; a
+    subclass may form them without the operator.  :class:`IncidenceClosure`
     caches facts about its own operator as it enumerates; each fact is
     true whichever call records it, so no answer depends on the call
     order.  The caches are plain dicts with no locking (``--jobs`` runs
@@ -94,16 +97,19 @@ class ClosureSystem:
     def close(self, subset: int) -> int:
         return self._close_fn(subset)
 
-    def cover_counts(self, nmask: int) -> dict[int, int]:
-        """Map each candidate closure cl(N + i), i outside N, to the number
-        of i that give it; keys in the order of their first i, i increasing."""
-        close = self.close
-        hits: dict[int, int] = {}
-        for i in range(self.ground.size):
-            if not nmask >> i & 1:
-                c = close(nmask | 1 << i)
-                hits[c] = hits.get(c, 0) + 1
-        return hits
+    def candidates(self, nmask: int) -> dict[int, int]:
+        """Map each candidate closure cl(N + i), i outside N, to the mask of
+        the i that give it; keys in the order of their first i, i increasing.
+        The operator is called directly, not through :meth:`close`."""
+        close = self._close_fn
+        out: dict[int, int] = {}
+        m = self.ground.full_mask & ~nmask
+        while m:
+            low = m & -m
+            c = close(nmask | low)
+            out[c] = out.get(c, 0) | low
+            m ^= low
+        return out
 
 
 def transpose(rows, width: int) -> tuple[int, ...]:
@@ -132,7 +138,7 @@ class IncidenceClosure(ClosureSystem):
     Single closures run through :meth:`ClosureSystem.close`.  The
     candidates of a node N are formed from its cell instead (Kaibel and
     Pfetsch, Comput. Geom. 2002): cl(N + i) = close_cell(cell(N) & rows[i]),
-    so :meth:`cover_counts` intersects cell(N) once with each row.  Two
+    so :meth:`candidates` intersects cell(N) once with each row.  Two
     caches of facts about this operator make it form and close less:
 
     * ``_closed`` maps each cell to its closure, so each distinct cell is
@@ -141,9 +147,8 @@ class IncidenceClosure(ClosureSystem):
       cl(c + i) may still lie below the full set.  The closure is
       monotone, so once cl(N + i) is the full set, so is cl(c + i) for
       every key c = cl(N + j) above N; c inherits only N's live i.  The
-      other i outside c are counted under the full set without forming
-      their cells.  Generators inside a forbidden mask drop out at the
-      root this way.
+      other i outside c join the full set's mask without forming their
+      cells.  Generators inside a forbidden mask drop out at the root.
     """
 
     def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
@@ -190,49 +195,44 @@ class IncidenceClosure(ClosureSystem):
     def _close(self, subset: int) -> int:
         return self.close_cell(self.cell(subset)) if subset else 0
 
-    def cover_counts(self, nmask: int) -> dict[int, int]:
+    def candidates(self, nmask: int) -> dict[int, int]:
         full = self._full
         outside = full & ~nmask
         alive = self._alive.get(nmask, full) & outside
-        # the candidate cells of the alive i, each with the mask of its i
+        # the candidates of the alive i from their cells, each distinct cell
+        # closed once per system
         base = self.cell(nmask)
         rows = self.rows
-        cells: dict[int, int] = {}
+        closed = self._closed
+        close_cell = self.close_cell
+        by_closure: dict[int, int] = {}
         m = alive
         while m:
             low = m & -m
             q = base & rows[low.bit_length() - 1]
-            cells[q] = cells.get(q, 0) | low
-            m ^= low
-        # each distinct cell closed once per system, giving masks per closure
-        closed = self._closed
-        close_cell = self.close_cell
-        by_closure: dict[int, int] = {}
-        for q, gens in cells.items():
             c = closed.get(q)
             if c is None:
                 c = closed[q] = close_cell(q)
-            by_closure[c] = by_closure.get(c, 0) | gens
-        # the other outside i give the full set: count them there, placed at
-        # the first i that gives it, so keys keep the order of their first i
+            by_closure[c] = by_closure.get(c, 0) | low
+            m ^= low
+        # the other outside i give the full set: add them to its mask, placed
+        # at the first i that gives it, so keys keep the order of their first i
         to_full = by_closure.pop(full, 0) | outside & ~alive
         first_full = to_full & -to_full
-        hits: dict[int, int] = {}
-        live = 0
-        for c, gens in by_closure.items():
-            if first_full and gens & -gens > first_full:
-                hits[full] = to_full.bit_count()
-                first_full = 0
-            hits[c] = gens.bit_count()
-            live |= gens
-        if first_full:
-            hits[full] = to_full.bit_count()
         # monotonicity: cl(c + i) is full for every c above nmask once
         # cl(nmask + i) is, so the keys inherit only the live i
+        live = outside & ~to_full
         alive_at = self._alive
-        for c in by_closure:
+        out: dict[int, int] = {}
+        for c, gens in by_closure.items():
+            if first_full and gens & -gens > first_full:
+                out[full] = to_full
+                first_full = 0
+            out[c] = gens
             alive_at[c] = alive_at.get(c, full) & live
-        return hits
+        if first_full:
+            out[full] = to_full
+        return out
 
 
 @dataclass
@@ -291,14 +291,14 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
     """Enumerate all closed sets and their covering arcs.
 
     Breadth-first over a FIFO queue seeded with close(empty set).  For a
-    dequeued closed set N, ``system.cover_counts`` counts the candidate
-    closures cl(N + {i}), i outside N, per distinct result; an incidence
-    closure forms them from the cell of N.  ``closure_calls`` counts the
-    candidates.  A candidate H covers N iff exactly |H - N| of the i give H
-    (Kaibel and Pfetsch, Comput. Geom. 2002): only i in H - N can give H;
-    all of them do when H covers N, and none from a closed set strictly
-    between N and H does otherwise.  The test holds for every closure
-    operator.  Covers are kept in the order their candidates first appear.
+    dequeued closed set N, ``system.candidates`` maps each distinct
+    cl(N + {i}), i outside N, to the mask of the i that give it; an
+    incidence closure forms them from the cell of N.  ``closure_calls``
+    counts the i.  A candidate H covers N iff its mask is H - N (Kaibel and
+    Pfetsch, Comput. Geom. 2002): only i in H - N can give H; all of them
+    do when H covers N, and none from a closed set strictly between N and
+    H does otherwise.  A closure is extensive, so H - N is H ^ N.  The test
+    holds for every closure operator.  Covers keep their candidates' order.
 
     Raises NodeCapExceeded once more than ``node_cap`` closed sets appear.
     """
@@ -317,8 +317,8 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
         ni = queue.popleft()
         nmask = nodes[ni]
         closure_calls += n - nmask.bit_count()
-        for c, k in system.cover_counts(nmask).items():
-            if k != (c & ~nmask).bit_count():
+        for c, gens in system.candidates(nmask).items():
+            if gens != c ^ nmask:
                 continue
             ci = index.get(c)
             if ci is None:

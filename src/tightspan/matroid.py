@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .closure import ClosureSystem, GroundSet, indices, mask_of
 from .exactgeom import (
@@ -324,24 +326,23 @@ def non_matroidal_witness(sub: Subdivision):
 # census files
 # ---------------------------------------------------------------------------
 
-def census_order(n: int, r: int, order: str = "lex") -> list[tuple[int, ...]]:
-    subsets = list(combinations(range(n), r))
-    if order == "lex":
-        return subsets
-    if order == "revlex":
-        return subsets[::-1]
-    raise MatroidError(f"unknown census ordering {order!r}")
+@lru_cache(maxsize=4)
+def census_order(n: int, r: int, order: str = "lex") -> tuple[tuple[int, ...], ...]:
+    """The r-subsets of [n] in the census ``order``, built once per shape."""
+    if order not in ("lex", "revlex"):
+        raise MatroidError(f"unknown census ordering {order!r}")
+    subsets = tuple(combinations(range(n), r))
+    return subsets if order == "lex" else subsets[::-1]
 
 
 def parse_census_line(line: str, n: int, r: int, order: str = "lex") -> Matroid:
     """Decode one census bitstring (characters 0/1/*, '*' counts as 1) into a
-    matroid; the exchange axiom is always verified."""
+    matroid; the exchange axiom is always verified.  The length is checked
+    before the basis order is built, so a wrong shape fails at once."""
     line = line.strip()
+    if len(line) != comb(n, r):
+        raise MatroidError(f"census line has {len(line)} characters, expected {comb(n, r)}")
     subsets = census_order(n, r, order)
-    if len(line) != len(subsets):
-        raise MatroidError(
-            f"census line has {len(line)} characters, expected {len(subsets)}"
-        )
     bases = []
     for ch, subset in zip(line, subsets):
         if ch in "1*":

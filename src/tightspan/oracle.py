@@ -31,6 +31,7 @@ swaps on masks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
@@ -312,25 +313,42 @@ def brute_cell_edges(config, cell_mask):
     """Edges of conv(cell points) as pairs (a, b), a < b, of point indices
     into config: pairs of vertices whose smallest face (the points on
     every facet through both) is collinear."""
+    idx = [i for i in range(len(config.points)) if cell_mask >> i & 1]
+    cell_pts = tuple(config.points[i] for i in idx)
+    return [(idx[a], idx[b]) for a, b in _cell_edges(config.dim, cell_pts)]
+
+
+@lru_cache(maxsize=4096)
+def _cell_edges(dim, cell_pts):
+    """Edges of conv(cell_pts) as index pairs into cell_pts, memoised on
+    the points: a shrinking property test meets the same cells again and
+    again, and each would cost a hull and a rank per vertex pair."""
     from .exactgeom import PointConfig, hull  # facets only; faces and ranks are ours
 
-    idx = [i for i in range(len(config.points)) if cell_mask >> i & 1]
-    cell_pts = [config.points[i] for i in idx]
-    hrep, inc, flags = hull(PointConfig(dim=config.dim, points=tuple(cell_pts)))
+    hrep, inc, flags = hull(PointConfig(dim=dim, points=cell_pts))
     if hrep.dim < 1:
-        return []
-    on_facet = [{j for j in range(len(idx)) if row >> j & 1} for row in inc.rows]
-    verts = [j for j in range(len(idx)) if flags[j]]
+        return ()
+    on_facet = [{j for j in range(len(cell_pts)) if row >> j & 1} for row in inc.rows]
+    verts = [j for j in range(len(cell_pts)) if flags[j]]
     edges = []
     for a, b in combinations(verts, 2):
-        face = set(range(len(idx)))
+        face = set(range(len(cell_pts)))
         for on in on_facet:
             if a in on and b in on:
                 face &= on
-        diffs = [[x - y for x, y in zip(cell_pts[j], cell_pts[a])] for j in face]
-        if _orank(diffs) == 1:
-            edges.append((idx[a], idx[b]))
-    return edges
+        # a and b lie in their face: it is collinear iff every point of it
+        # differs from a by a multiple of d = pts[b] - pts[a], compared on
+        # a coordinate k where d is nonzero
+        base = cell_pts[a]
+        d = [x - y for x, y in zip(cell_pts[b], base)]
+        k = next(i for i, x in enumerate(d) if x)
+        if all(
+            (cell_pts[j][i] - base[i]) * d[k] == (cell_pts[j][k] - base[k]) * d[i]
+            for j in face
+            for i in range(dim)
+        ):
+            edges.append((a, b))
+    return tuple(edges)
 
 
 def brute_non_matroidal_edges(sub):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import square_config, u12_power
-from tightspan import Matroid, bergman_fan, normal_fan
+from tightspan import Matroid, PointConfig, bergman_fan, normal_fan
 from tightspan.cli import main
+from tightspan.oracle import brute_vertex_flags
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -298,6 +300,96 @@ def test_error_exit_codes(files, capsys):
     assert code == 1
 
 
+# -- insertion-order equivariance ----------------------------------------------
+
+def _cli_document(command, inputs, *options):
+    """The JSON document of ``command`` on the given JSON inputs."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for i, payload in enumerate(inputs):
+            paths.append(os.path.join(d, f"in{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(payload))
+        out = os.path.join(d, "out.json")
+        assert main([command, *paths, *options, "-o", out]) == 0
+        return json.loads(Path(out).read_text())
+
+
+@st.composite
+def permuted_lifting(draw):
+    """Distinct integer points with integer heights, and the same lifted
+    points in a drawn order: entry k of the second is entry perm[k] of the first."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=7, unique=True))
+    hts = draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
+    perm = draw(st.permutations(range(len(pts))))
+    return [
+        (
+            {"dim": dim, "points": [[str(x) for x in p] for p in pp]},
+            {"values": [str(h) for h in hh]},
+        )
+        for pp, hh in ((pts, hts), ([pts[k] for k in perm], [hts[k] for k in perm]))
+    ]
+
+
+def _config(payload):
+    return PointConfig.from_json(json.dumps(payload))
+
+
+def _as_points(cells, points):
+    """Each cell, a list of indices into ``points``, as the set of its points."""
+    return sorted(sorted(points[i] for i in cell) for cell in cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_lifting(), st.sampled_from(["none", "all"]))
+def test_permuting_the_input_points_permutes_every_document(lifting, gamma):
+    (config, _), (pconfig, _) = lifting
+    pts, ppts = config["points"], pconfig["points"]
+
+    # face-lattice: vertex nodes name vertices in input order, facet nodes
+    # name facets in their sorted order
+    verts = [p for p, flag in zip(pts, brute_vertex_flags(_config(config))) if flag]
+    pverts = [p for p, flag in zip(ppts, brute_vertex_flags(_config(pconfig))) if flag]
+    doc, pdoc = (_cli_document("face-lattice", [c]) for c in (config, pconfig))
+    assert _as_points(doc["nodes"], verts) == _as_points(pdoc["nodes"], pverts)
+    assert doc["f_vector"] == pdoc["f_vector"]
+    facet, pfacet = (
+        _cli_document("face-lattice", [c], "--encoding", "facet") for c in (config, pconfig)
+    )
+    assert facet == pfacet
+
+    # subdivide: the cells and boundary facets, as point sets, with carriers
+    doc, pdoc = (_cli_document("subdivide", inputs) for inputs in lifting)
+    assert _as_points(doc["maximal_cells"], pts) == _as_points(pdoc["maximal_cells"], ppts)
+    carried, pcarried = (
+        sorted(
+            (sorted(p[i] for i in facet), carrier)
+            for facet, carrier in zip(d["boundary_facets"], d["carrier_facets"])
+        )
+        for d, p in ((doc, pts), (pdoc, ppts))
+    )
+    assert carried == pcarried
+    assert doc["matroidal"] == pdoc["matroidal"]
+
+    # tightspan: the same dual vertices, cells and f-vectors
+    doc, pdoc = (_cli_document("tightspan", inputs, "--gamma", gamma) for inputs in lifting)
+    for key in ("f_vector", "bounded_f_vector", "lineality", "lineality_dim"):
+        assert doc[key] == pdoc[key], key
+    assert sorted(doc["vertices"]) == sorted(pdoc["vertices"])
+    cells, pcells = (
+        sorted(
+            (
+                sorted(d["vertices"][v] for v in c["vertices"]),
+                sorted(d["rays"][r] for r in c["rays"]),
+            )
+            for c in d["cells"]
+        )
+        for d in (doc, pdoc)
+    )
+    assert cells == pcells
+
+
 # -- malformed input: one "error:" line and exit code 1, never a traceback -----
 
 def _write_text(tmp_path, name, text):
@@ -556,6 +648,48 @@ def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypa
     for crashed in records[1:3]:
         assert crashed["ok"] is False and crashed["exception"] == "ZeroDivisionError"
     assert records[-1] == {"summary": {"failed": 2, "ok": 2}}
+
+
+@pytest.mark.parametrize(
+    "census, jobs, sizes",
+    [("111\n", "4", []), ("111\n110\n", "8", [2]), ("111\n110\n100\n", "2", [2])],
+)
+def test_fvector_scan_starts_at_most_one_worker_per_line(
+    tmp_path, capsys, monkeypatch, census, jobs, sizes
+):
+    from tightspan import cli
+
+    started = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the lines in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    path = _write_text(tmp_path, "c31.txt", census)
+    code, out, _ = run(capsys, ["fvector-scan", path, "--n", "3", "--r", "1", "--jobs", jobs])
+    assert code == 0 and started == sizes
+    assert len(out.splitlines()) == census.count("\n") + 1
+
+
+def test_fvector_scan_checks_the_line_length_before_listing_the_bases(tmp_path, capsys):
+    # C(40, 20) = 137846528820 subsets: listing them would not finish
+    path = _write_text(tmp_path, "c.txt", "1111111111\n")
+    code, out, _ = run(capsys, ["fvector-scan", path, "--n", "40", "--r", "20"])
+    record, summary = map(json.loads, out.splitlines())
+    assert code == 0 and summary == {"summary": {"failed": 1, "ok": 0}}
+    assert record["error"] == "census line has 10 characters, expected 137846528820"
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -277,7 +277,7 @@ def test_dead_generators_match_oracle(system):
     for j in dead:
         assert system.close(1 << j) == system.ground.full_mask
     _assert_same_enumeration(system)
-    _assert_cover_counts_match_base_loop(system)
+    _assert_candidates_contract(system)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,33 +303,63 @@ def test_incidence_closure_rejects_bad_rows():
 
 def test_incidence_closure_closes_through_the_base_class():
     # a single closure, whatever the system, is evaluated by one method;
-    # only the candidates of a node go through the cover_counts hook
+    # only the candidates of a node go through the candidates hook
     assert IncidenceClosure.close is ClosureSystem.close
 
 
-def _assert_cover_counts_match_base_loop(system):
-    # an incidence closure caches what it learns about its operator, so
-    # every mask is asked again, and again after a full enumeration
-    n = system.ground.size
+def _assert_candidates_contract(system):
+    # each candidate's mask holds the i outside N that give it: the masks
+    # split the outside of N, keys come in the order of their first i, and
+    # an incidence closure, which caches what it learns about its operator,
+    # gives the base-class loop item for item, asked twice and once more
+    # after a full enumeration
+    n, full = system.ground.size, system.ground.full_mask
     masks = range(1 << n) if n <= 10 else ganter_hasse(system).nodes
-    slow = {nmask: list(ClosureSystem.cover_counts(system, nmask).items()) for nmask in masks}
+    slow = {nmask: list(ClosureSystem.candidates(system, nmask).items()) for nmask in masks}
+    for nmask, items in slow.items():
+        union = first = 0
+        for c, gens in items:
+            assert gens and gens & (union | nmask) == 0, nmask
+            assert first < gens & -gens, nmask
+            assert all(system.close(nmask | 1 << i) == c for i in indices(gens))
+            union |= gens
+            first = gens & -gens
+        assert union == full & ~nmask, nmask
     for rerun in range(2):
         for nmask in masks:
-            assert list(system.cover_counts(nmask).items()) == slow[nmask], (rerun, nmask)
+            assert list(system.candidates(nmask).items()) == slow[nmask], (rerun, nmask)
     ganter_hasse(system)
     for nmask in masks:
-        assert list(system.cover_counts(nmask).items()) == slow[nmask], ("after", nmask)
+        assert list(system.candidates(nmask).items()) == slow[nmask], ("after", nmask)
 
 
 @pytest.mark.parametrize("name,system", closure_corpus())
 def test_cover_counts_match_the_base_class_loop(name, system):
-    _assert_cover_counts_match_base_loop(system)
+    _assert_candidates_contract(system)
 
 
 @settings(max_examples=80, deadline=None)
 @given(incidence_closure())
 def test_random_incidence_cover_counts_match_the_base_class_loop(system):
-    _assert_cover_counts_match_base_loop(system)
+    _assert_candidates_contract(system)
+
+
+@pytest.mark.parametrize("name,system", INCIDENCE_CORPUS)
+def test_plain_system_over_an_incidence_closure_matches_brute_force(name, system):
+    # the base-class loop through the same operator: its candidates include
+    # non-covers, which the mask test must drop
+    plain = ClosureSystem(system.ground, system.close)
+    diagram = ganter_hasse(plain)
+    nodes, covers = brute_closed_sets(plain)
+    assert set(diagram.nodes) == nodes
+    assert arcs_as_masks(diagram) == covers
+
+
+def test_candidates_include_non_covers():
+    plain = ClosureSystem(GroundSet(3), [0, 3, 3, 3, 7, 7, 7, 7].__getitem__)
+    # over the empty set, {0,1} is given by i = 0 and i = 1, {0,1,2} by i = 2 alone
+    assert plain.candidates(0) == {0b011: 0b011, 0b111: 0b100}
+    assert arcs_as_masks(ganter_hasse(plain)) == {(0, 0b011), (0b011, 0b111)}
 
 
 def test_cover_counts_give_closure_calls_per_candidate():
