@@ -88,9 +88,9 @@ def _load(what: str, path: str, parse):
         raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
-def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
+def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None, name=str) -> str:
     if fmt == "dot":
-        return diagram.to_dot()
+        return diagram.to_dot(name)
     if fmt == "pretty":
         lines = [
             f"nodes: {len(diagram.nodes)}",
@@ -106,8 +106,8 @@ def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None) -> str:
 
 
 def _face_lattice_f_vector(diagram: HasseDiagram, inverted: bool) -> list[int]:
-    heights = diagram.heights()
-    counts = poset_statistics(diagram, lambda m: heights[diagram.index[m]])
+    height = dict(zip(diagram.nodes, diagram.heights()))
+    counts = poset_statistics(diagram, height.__getitem__)
     inner = counts[1:-1] if len(counts) > 2 else []
     return inner[::-1] if inverted else inner
 
@@ -117,17 +117,15 @@ def cmd_face_lattice(args) -> int:
     hrep, inc, flags = hull(config)
     if args.encoding == "vertex":
         system = polytope_closure_vertex(inc.restricted_to(flags))
-        inverted = False
+        inverted, prefix = False, "v"
     else:
         if not hrep.facets:
             raise InputError("facet encoding needs a polytope with facets")
         system = polytope_closure_facet(inc)
-        inverted = True
+        inverted, prefix = True, "f"
     diagram = ganter_hasse(system, node_cap=args.node_cap)
-    _emit(
-        _diagram_output(diagram, args.format, _face_lattice_f_vector(diagram, inverted)),
-        args.output,
-    )
+    f_vec = _face_lattice_f_vector(diagram, inverted)
+    _emit(_diagram_output(diagram, args.format, f_vec, lambda i: f"{prefix}{i}"), args.output)
     return 0
 
 
@@ -138,7 +136,8 @@ def cmd_fan_lattice(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad fan in {args.input}: {exc}") from exc
     diagram = ganter_hasse(system, node_cap=args.node_cap)
-    _emit(_diagram_output(diagram, args.format), args.output)
+    names = [f"r{i}" for i in range(len(fan.rays))] + ["inf"]  # inf: the artificial top
+    _emit(_diagram_output(diagram, args.format, name=names.__getitem__), args.output)
     return 0
 
 
@@ -225,9 +224,13 @@ def cmd_bergman(args) -> int:
 def cmd_corank_lift(args) -> int:
     m = _load("matroid", args.input, Matroid.from_json)
     v = corank_valuation(m)
-    _emit(v.to_json() + "\n", args.output)
-    if args.emit_uniform:
-        _emit(Matroid.uniform(m.r, m.n).to_json() + "\n", args.emit_uniform)
+    # both destinations open before either is written: a bad path writes nothing
+    with _open_output(args.output) as out, (
+        _open_output(args.emit_uniform) if args.emit_uniform else nullcontext()
+    ) as fh:
+        out.write(v.to_json() + "\n")
+        if fh is not None:
+            fh.write(Matroid.uniform(m.r, m.n).to_json() + "\n")
     return 0
 
 
@@ -264,7 +267,8 @@ def _scan_record_text(rec: dict, fmt: str) -> str:
         )
     if "exception" in rec:
         return f"line {rec['line']:4d}  FAILED ({rec['exception']}): {rec['error']}\n"
-    return f"line {rec['line']:4d}  SKIPPED: {rec['error']}\n"
+    status = "CAPPED" if rec.get("node_cap") else "SKIPPED"
+    return f"line {rec['line']:4d}  {status}: {rec['error']}\n"
 
 
 def _scan_records(tasks, jobs: int):

@@ -3,10 +3,11 @@
 Subsets of a ground set {0, ..., n-1} are encoded as Python ints used as
 bit vectors: bit i is set iff element i belongs to the subset.  This gives
 O(1) canonical encodings, hashing and subset tests, which is what keeps
-the enumeration output-sensitive.  The package converts between the two
-views only here: :func:`indices` lists the elements of a mask in increasing
-order, walking its set bits from the lowest, and :func:`mask_of` is the
-inverse.
+the enumeration output-sensitive.  This layer holds masks only: elements
+have no names here (the CLI's dot renderer names them).  The package
+converts between the two views only here: :func:`indices` lists the
+elements of a mask in increasing order, walking its set bits from the
+lowest, and :func:`mask_of` is the inverse.
 
 The central routine is :func:`ganter_hasse`, a breadth-first variant of
 Ganter's 1984 closure enumeration: every closed set is pushed to the queue
@@ -18,7 +19,7 @@ mask comparison per candidate: H covers N iff the i that give H are H - N.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -51,29 +52,17 @@ class NodeCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite ground set with elements 0..size-1 and optional labels."""
+    """Finite ground set with elements 0..size-1, subsets of it as masks."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("ground set must contain at least one element")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("labels must match the ground set size")
-            if len(set(self.labels)) != self.size:
-                raise ValueError("labels must be pairwise distinct")
 
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
-
-    def set_label(self, mask: int) -> str:
-        return "{" + ",".join(self.label_of(i) for i in indices(mask)) + "}"
 
 
 class ClosureSystem:
@@ -83,7 +72,8 @@ class ClosureSystem:
     caller's responsibility; it is spot-checked by the test suite only.
     A ClosureSystem never changes its operator.  :meth:`candidates` is the
     one hook :func:`ganter_hasse` asks for the candidates of a node; a
-    subclass may form them without the operator.  :class:`IncidenceClosure`
+    subclass may form them without the operator and may place the full
+    set's key anywhere.  :class:`IncidenceClosure`
     caches facts about its own operator as it enumerates; each fact is
     true whichever call records it, so no answer depends on the call
     order.  The caches are plain dicts with no locking (``--jobs`` runs
@@ -99,8 +89,10 @@ class ClosureSystem:
 
     def candidates(self, nmask: int) -> dict[int, int]:
         """Map each candidate closure cl(N + i), i outside N, to the mask of
-        the i that give it; keys in the order of their first i, i increasing.
-        The operator is called directly, not through :meth:`close`."""
+        the i that give it: keys other than the full set in the order of
+        their first i; the full set covers N only as its only key, so its
+        place is free.  Here every key sits at its first i, and the operator
+        is called directly, not through :meth:`close`."""
         close = self._close_fn
         out: dict[int, int] = {}
         m = self.ground.full_mask & ~nmask
@@ -147,8 +139,9 @@ class IncidenceClosure(ClosureSystem):
       cl(c + i) may still lie below the full set.  The closure is
       monotone, so once cl(N + i) is the full set, so is cl(c + i) for
       every key c = cl(N + j) above N; c inherits only N's live i.  The
-      other i outside c join the full set's mask without forming their
-      cells.  Generators inside a forbidden mask drop out at the root.
+      other i outside c join the full set's mask, whose key comes last,
+      without forming their cells.  Generators inside a forbidden mask
+      drop out at the root.
     """
 
     def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
@@ -215,45 +208,34 @@ class IncidenceClosure(ClosureSystem):
                 c = closed[q] = close_cell(q)
             by_closure[c] = by_closure.get(c, 0) | low
             m ^= low
-        # the other outside i give the full set: add them to its mask, placed
-        # at the first i that gives it, so keys keep the order of their first i
+        # the other outside i give the full set: add them to its mask
         to_full = by_closure.pop(full, 0) | outside & ~alive
-        first_full = to_full & -to_full
         # monotonicity: cl(c + i) is full for every c above nmask once
         # cl(nmask + i) is, so the keys inherit only the live i
         live = outside & ~to_full
         alive_at = self._alive
-        out: dict[int, int] = {}
-        for c, gens in by_closure.items():
-            if first_full and gens & -gens > first_full:
-                out[full] = to_full
-                first_full = 0
-            out[c] = gens
+        for c in by_closure:
             alive_at[c] = alive_at.get(c, full) & live
-        if first_full:
-            out[full] = to_full
-        return out
+        if to_full:
+            by_closure[full] = to_full
+        return by_closure
 
 
 @dataclass
 class HasseDiagram:
     """Covering-relation digraph of the closed sets, arcs directed upward.
 
-    ``nodes`` holds each closed set exactly once, in discovery (BFS) order;
-    ``index`` maps the canonical bit-vector encoding back to the node index.
-    ``closure_calls`` counts the closures taken, for the output-sensitivity
-    checks.  ``as_dict`` is the diagram as a JSON-ready document: each
-    node as its sorted element list, each arc as an index pair.
+    ``nodes`` holds each closed set exactly once as a mask, in discovery
+    (BFS) order; an arc is a pair of node positions.  ``closure_calls``
+    counts the closures taken, for the output-sensitivity checks.
+    ``as_dict`` is the diagram as a JSON-ready document: each node as its
+    sorted element list, each arc as an index pair.  ``to_dot`` writes
+    each element as ``name(i)``.
     """
 
-    ground: GroundSet
-    nodes: list[int] = field(default_factory=list)
-    arcs: list[tuple[int, int]] = field(default_factory=list)
-    index: dict[int, int] = field(default_factory=dict)
+    nodes: list[int]
+    arcs: list[tuple[int, int]]
     closure_calls: int = 0
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def heights(self) -> list[int]:
         """Longest-path height of every node above the root.
@@ -277,10 +259,11 @@ class HasseDiagram:
             "arcs": [list(a) for a in self.arcs],
         }
 
-    def to_dot(self) -> str:
+    def to_dot(self, name: Callable[[int], str] = str) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for i, m in enumerate(self.nodes):
-            lines.append(f'  n{i} [label="{self.ground.set_label(m)}"];')
+            label = ",".join(name(e) for e in indices(m))
+            lines.append(f'  n{i} [label="{{{label}}}"];')
         for a, b in self.arcs:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
@@ -299,11 +282,12 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
     do when H covers N, and none from a closed set strictly between N and
     H does otherwise.  A closure is extensive, so H - N is H ^ N.  The test
     holds for every closure operator.  Covers keep their candidates' order.
+    The full set covers N only when every i outside N gives it, and then it
+    is N's only key, so where a system places its key changes no output.
 
     Raises NodeCapExceeded once more than ``node_cap`` closed sets appear.
     """
-    ground = system.ground
-    n = ground.size
+    n = system.ground.size
     closure_calls = 0
 
     root = system.close(0)
@@ -330,9 +314,7 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
                 queue.append(ci)
             arcs.append((ni, ci))
 
-    return HasseDiagram(
-        ground=ground, nodes=nodes, arcs=arcs, index=index, closure_calls=closure_calls
-    )
+    return HasseDiagram(nodes, arcs, closure_calls)
 
 
 def restrict_to_lower_set(

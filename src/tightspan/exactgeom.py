@@ -464,8 +464,7 @@ def polytope_closure_vertex(inc: IncidenceMatrix) -> IncidenceClosure:
     containing A.  The incidence matrix must be over the vertex set: a
     vertex's row is the set of facets through it."""
     nv = inc.n_points
-    ground = GroundSet(nv, labels=tuple(f"v{i}" for i in range(nv)))
-    return IncidenceClosure(ground, transpose(inc.rows, nv), len(inc.rows))
+    return IncidenceClosure(GroundSet(nv), transpose(inc.rows, nv), len(inc.rows))
 
 
 def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
@@ -475,8 +474,7 @@ def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
     nf = len(inc.rows)
     if nf == 0:
         raise ValueError("facet closure needs at least one facet")
-    ground = GroundSet(nf, labels=tuple(f"f{i}" for i in range(nf)))
-    return IncidenceClosure(ground, inc.rows, inc.n_points)
+    return IncidenceClosure(GroundSet(nf), inc.rows, inc.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +539,6 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
     when the cell is empty, i.e. when no cone contains F.
     """
     nr = len(fan.rays)
-    ground = GroundSet(
-        nr + 1, labels=tuple(f"r{i}" for i in range(nr)) + ("inf",)
-    )
     point_rays: list[int] = []
     for cone in fan.maximal_cones:
         if not cone:
@@ -562,7 +557,7 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
         # the cone, then its facets, remapped from local order to ray indices
         for local in [(1 << len(cone)) - 1] + facets:
             point_rays.append(mask_of(cone[j] for j in indices(local)))
-    return IncidenceClosure(ground, transpose(point_rays, nr + 1), len(point_rays))
+    return IncidenceClosure(GroundSet(nr + 1), transpose(point_rays, nr + 1), len(point_rays))
 
 
 def normal_fan(config: PointConfig) -> Fan:

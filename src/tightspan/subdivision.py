@@ -147,15 +147,6 @@ def subdivision_from_cells(config: PointConfig, maximal_cells) -> Subdivision:
     return _assemble(config, None, cells, base_hrep, base_inc)
 
 
-def span_ground(sub: Subdivision) -> GroundSet:
-    """Ground set for the dual closure system: maximal cells then boundary
-    facets, labelled max<i> / bd<i>."""
-    labels = tuple(f"max{i}" for i in range(len(sub.maximal_cells))) + tuple(
-        f"bd{i}" for i in range(len(sub.boundary_facets))
-    )
-    return GroundSet(len(labels), labels=labels)
-
-
 def _normalize_gamma(sub: Subdivision, gamma) -> list[int]:
     """Turn gamma members (point-index collections or masks) into point masks
     and validate each lies in some facet of the hull."""
@@ -181,11 +172,9 @@ def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
     generator containing the cell cut out by F; closed sets whose cell lies
     inside a gamma member are collapsed to the full ground set.
     """
+    gens = sub.maximal_cells + sub.boundary_facets
     return IncidenceClosure(
-        span_ground(sub),
-        sub.maximal_cells + sub.boundary_facets,
-        sub.n_points,
-        forbidden=_normalize_gamma(sub, gamma),
+        GroundSet(len(gens)), gens, sub.n_points, forbidden=_normalize_gamma(sub, gamma)
     )
 
 

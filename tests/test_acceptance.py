@@ -139,8 +139,8 @@ def test_criterion_3_face_lattices():
         else:
             system = polytope_closure_facet(inc)
         d = ganter_hasse(system)
-        heights = d.heights()
-        counts = poset_statistics(d, lambda m: heights[d.index[m]])
+        height = dict(zip(d.nodes, d.heights()))
+        counts = poset_statistics(d, height.__getitem__)
         inner = counts[1:-1]
         return tuple(inner[::-1] if encoding == "facet" else inner), d
 

@@ -209,6 +209,29 @@ def test_corank_lift_and_pipe_to_tls(files, capsys, tmp_path):
     assert json.loads(out)["bounded_f_vector"] == [2, 1]
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_corank_lift_with_a_bad_uniform_path_writes_no_valuation(files, capsys, tmp_path, to_file):
+    val_path = tmp_path / "v.json"
+    argv = ["corank-lift", files["u1212.json"], "--emit-uniform", str(tmp_path / "no" / "u.json")]
+    code, out, err = run(capsys, argv + (["-o", str(val_path)] if to_file else []))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not val_path.exists() or val_path.read_text() == ""
+
+
+def test_fvector_scan_pretty_names_node_cap_aborts(files, capsys):
+    argv = ["fvector-scan", files["census42.txt"], "--n", "4", "--r", "2", "--node-cap", "3"]
+    code, out, _ = run(capsys, argv + ["--format", "pretty"])
+    assert code == 0
+    assert out == (
+        "line    0  CAPPED: closed-set enumeration exceeded node cap 3 "
+        "(3 closed sets found before aborting)\n"
+        "line    1  bounded (1,)  f (1,)\n"
+        "line    2  SKIPPED: census line violates the exchange axiom\n"
+        "summary: 1 ok, 2 failed\n"
+    )
+
+
 def test_fvector_scan_isolation(files, capsys):
     code, out, _ = run(capsys, ["fvector-scan", files["census31.txt"], "--n", "3", "--r", "1"])
     assert code == 0

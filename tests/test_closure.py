@@ -119,7 +119,7 @@ def test_poset_statistics():
     m = Matroid.uniform(2, 3)
     hf = ganter_hasse(m.closure_system())
     assert poset_statistics(hf, m.rank) == [1, 3, 1]
-    empty = HasseDiagram(ground=GroundSet(1))
+    empty = HasseDiagram(nodes=[], arcs=[])
     assert poset_statistics(empty, lambda m: 0) == []
 
 
@@ -142,7 +142,8 @@ def test_exports_are_deterministic():
     assert h1.as_dict() == h2.as_dict()
     assert h1.to_dot() == h2.to_dot()
     assert h1.to_dot().count("->") == len(h1.arcs)
-    assert '"{v0}"' in h1.to_dot()
+    assert '"{0}"' in h1.to_dot()
+    assert '"{v0}"' in h1.to_dot(lambda i: f"v{i}")
 
 
 def test_heights_are_longest_paths():
@@ -307,12 +308,17 @@ def test_incidence_closure_closes_through_the_base_class():
     assert IncidenceClosure.close is ClosureSystem.close
 
 
+def _full_set_last(items, full):
+    return [it for it in items if it[0] != full] + [it for it in items if it[0] == full]
+
+
 def _assert_candidates_contract(system):
     # each candidate's mask holds the i outside N that give it: the masks
     # split the outside of N, keys come in the order of their first i, and
-    # an incidence closure, which caches what it learns about its operator,
-    # gives the base-class loop item for item, asked twice and once more
-    # after a full enumeration
+    # the full set covers N only as its only key.  An incidence closure,
+    # which caches what it learns about its operator, gives the base-class
+    # loop item for item with the full set's item moved to the end, asked
+    # twice and once more after a full enumeration
     n, full = system.ground.size, system.ground.full_mask
     masks = range(1 << n) if n <= 10 else ganter_hasse(system).nodes
     slow = {nmask: list(ClosureSystem.candidates(system, nmask).items()) for nmask in masks}
@@ -325,12 +331,33 @@ def _assert_candidates_contract(system):
             union |= gens
             first = gens & -gens
         assert union == full & ~nmask, nmask
+        if dict(items).get(full) == full ^ nmask:
+            assert items == [(full, full ^ nmask)], nmask
+    if isinstance(system, IncidenceClosure):
+        slow = {nmask: _full_set_last(items, full) for nmask, items in slow.items()}
     for rerun in range(2):
         for nmask in masks:
             assert list(system.candidates(nmask).items()) == slow[nmask], (rerun, nmask)
     ganter_hasse(system)
     for nmask in masks:
         assert list(system.candidates(nmask).items()) == slow[nmask], ("after", nmask)
+
+
+class _FullSetFirst(ClosureSystem):
+    """The base-class loop with the full set's key moved to the front."""
+
+    def candidates(self, nmask):
+        out = super().candidates(nmask)
+        full = self.ground.full_mask
+        return {full: out.pop(full), **out} if full in out else out
+
+
+def _assert_full_set_place_is_free(system):
+    front = ganter_hasse(_FullSetFirst(system.ground, system.close))
+    diagram = ganter_hasse(system)
+    assert front.nodes == diagram.nodes
+    assert front.arcs == diagram.arcs
+    assert front.closure_calls == diagram.closure_calls
 
 
 @pytest.mark.parametrize("name,system", closure_corpus())
@@ -342,6 +369,17 @@ def test_cover_counts_match_the_base_class_loop(name, system):
 @given(incidence_closure())
 def test_random_incidence_cover_counts_match_the_base_class_loop(system):
     _assert_candidates_contract(system)
+
+
+@pytest.mark.parametrize("name,system", closure_corpus())
+def test_full_set_place_changes_no_enumeration(name, system):
+    _assert_full_set_place_is_free(system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidence_closure())
+def test_random_incidence_full_set_place_changes_no_enumeration(system):
+    _assert_full_set_place_is_free(system)
 
 
 @pytest.mark.parametrize("name,system", INCIDENCE_CORPUS)

@@ -23,7 +23,6 @@ from tightspan import (
     tight_span_closure,
 )
 from tightspan.closure import indices
-from tightspan.subdivision import span_ground
 from tightspan import exactgeom
 from tightspan.oracle import (
     _orank,
@@ -36,10 +35,11 @@ from tightspan.oracle import (
 
 
 def node_label_sets(sub, diagram):
-    ground = diagram.ground
-    return {
-        frozenset(ground.label_of(i) for i in indices(m)) for m in diagram.nodes
-    }
+    """Each node as its set of names: max<i> for the i-th maximal cell of
+    ``sub``, bd<i> for the i-th boundary facet after them."""
+    names = [f"max{i}" for i in range(len(sub.maximal_cells))]
+    names += [f"bd{i}" for i in range(len(sub.boundary_facets))]
+    return {frozenset(names[i] for i in indices(m)) for m in diagram.nodes}
 
 
 def test_interval_subdivision_cells():
