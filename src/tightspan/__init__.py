@@ -13,7 +13,6 @@ from .closure import (
     NodeCapExceeded,
     ganter_hasse,
     poset_statistics,
-    restrict_to_lower_set,
 )
 from .exactgeom import (
     Fan,
@@ -23,7 +22,6 @@ from .exactgeom import (
     PointConfig,
     fan_closure,
     hull,
-    normal_fan,
     polytope_closure_facet,
     polytope_closure_vertex,
 )
@@ -42,7 +40,6 @@ from .subdivision import (
     Subdivision,
     coordinatize,
     regular_subdivision,
-    subdivision_from_cells,
     tight_span_closure,
 )
 from .troplin import (
@@ -51,7 +48,6 @@ from .troplin import (
     TropicalLinearSpace,
     ValuatedMatroid,
     bergman_fan,
-    cell_at,
     speyer_bound,
     speyer_bounds,
     tropical_linear_space,

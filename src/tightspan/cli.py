@@ -27,7 +27,6 @@ from .exactgeom import (
 )
 from .matroid import (
     Matroid,
-    MatroidError,
     Valuation,
     corank_valuation,
     is_hypersimplex_subset,
@@ -221,16 +220,44 @@ def cmd_bergman(args) -> int:
     return 0
 
 
+def _emit_all(docs) -> None:
+    """Write each (text, path), stdout for no path: files go to temporary
+    files beside them, renamed once every write has succeeded, so a path
+    that cannot be written (an InputError) leaves every destination as it
+    was.  Only a failing rename can leave some renamed."""
+    staged = []
+    try:
+        for text, path in docs:
+            if path:
+                tmp = f"{path}.{os.getpid()}.tmp"
+                with open(tmp, "x", encoding="utf-8") as fh:
+                    staged.append((tmp, path))
+                    fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        # name the destination, not the temporary file
+        raise InputError(
+            f"cannot write {path}: {OSError(exc.errno, exc.strerror, path)}"
+        ) from exc
+    for text, path in docs:
+        if not path:
+            sys.stdout.write(text)
+
+
 def cmd_corank_lift(args) -> int:
     m = _load("matroid", args.input, Matroid.from_json)
-    v = corank_valuation(m)
-    # both destinations open before either is written: a bad path writes nothing
-    with _open_output(args.output) as out, (
-        _open_output(args.emit_uniform) if args.emit_uniform else nullcontext()
-    ) as fh:
-        out.write(v.to_json() + "\n")
-        if fh is not None:
-            fh.write(Matroid.uniform(m.r, m.n).to_json() + "\n")
+    docs = [(corank_valuation(m).to_json() + "\n", args.output)]
+    if args.emit_uniform:
+        if args.output and os.path.realpath(args.output) == os.path.realpath(
+            args.emit_uniform
+        ):
+            raise InputError("-o and --emit-uniform name the same file")
+        docs.append((Matroid.uniform(m.r, m.n).to_json() + "\n", args.emit_uniform))
+    _emit_all(docs)
     return 0
 
 
@@ -249,7 +276,7 @@ def _scan_line(task) -> dict:
         record["ok"] = True
     except NodeCapExceeded as exc:
         record.update(ok=False, error=str(exc), node_cap=True)
-    except (MatroidError, ValueError) as exc:
+    except ValueError as exc:  # MatroidError among them
         record.update(ok=False, error=str(exc))
     except Exception as exc:  # a fault on one line must not lose the others
         traceback.print_exc(file=sys.stderr)
@@ -411,7 +438,7 @@ def main(argv=None) -> int:
     except NodeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, MatroidError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # InputError, MatroidError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

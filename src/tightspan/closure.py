@@ -123,9 +123,9 @@ class IncidenceClosure(ClosureSystem):
     and F closes to every generator whose row contains that cell:
     cl(F) = close_cell(cell(F)), with cl(empty set) = empty set.  A cell
     lying inside one of the ``forbidden`` point masks closes to the full
-    ground set instead; this is the lower-set restriction of
-    :func:`restrict_to_lower_set` with keep(F) = "cell(F) lies in no
-    forbidden mask", stated as a mask test.
+    ground set instead: the closed sets are restricted to the lower set
+    keep(F) = "cell(F) lies in no forbidden mask", stated as a mask test
+    (``oracle.restrict_to_lower_set`` states it on any closure system).
 
     Single closures run through :meth:`ClosureSystem.close`.  The
     candidates of a node N are formed from its cell instead (Kaibel and
@@ -315,24 +315,6 @@ def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiag
             arcs.append((ni, ci))
 
     return HasseDiagram(nodes, arcs, closure_calls)
-
-
-def restrict_to_lower_set(
-    system: ClosureSystem, keep: Callable[[int], bool]
-) -> ClosureSystem:
-    """Restrict a closure system to a downward-closed family of closed sets.
-
-    The new operator maps A to cl(A) whenever keep(cl(A)) holds and to the
-    full ground set otherwise.  ``keep`` must be downward closed on closed
-    sets; this is not verified here.
-    """
-    full = system.ground.full_mask
-
-    def close(a: int) -> int:
-        c = system.close(a)
-        return c if keep(c) else full
-
-    return ClosureSystem(system.ground, close)
 
 
 def poset_statistics(diagram: HasseDiagram, rank_of: Callable[[int], int]) -> list[int]:

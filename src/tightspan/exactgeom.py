@@ -558,28 +558,3 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
         for local in [(1 << len(cone)) - 1] + facets:
             point_rays.append(mask_of(cone[j] for j in indices(local)))
     return IncidenceClosure(GroundSet(nr + 1), transpose(point_rays, nr + 1), len(point_rays))
-
-
-def normal_fan(config: PointConfig) -> Fan:
-    """Normal fan of conv(config): rays are outward facet normals projected
-    orthogonally to the lineality (= affine hull normals), maximal cones are
-    the vertex normal cones."""
-    hrep, inc, flags = hull(config)
-    lin = tuple(_primitive(e.normal) for e in hrep.equations)
-    ortho = orthogonalize(lin)
-    ray_index: dict[IntVector, int] = {}
-    rays: list[IntVector] = []
-    facet_ray: list[int] = []
-    for f in hrep.facets:
-        outward = project_off([-x for x in f.normal], ortho)
-        if outward not in ray_index:
-            ray_index[outward] = len(rays)
-            rays.append(outward)
-        facet_ray.append(ray_index[outward])
-    facets_through = transpose(inc.rows, inc.n_points)
-    cones = [
-        tuple(sorted({facet_ray[j] for j in indices(facets_through[i])}))
-        for i, is_vertex in enumerate(flags)
-        if is_vertex
-    ]
-    return Fan(rays=tuple(rays), maximal_cones=tuple(cones), lineality=lin)

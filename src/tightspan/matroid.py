@@ -189,9 +189,6 @@ class Valuation:
         if set(self.values) != set(self.owner.bases):
             raise MatroidError("valuation must assign a value to every basis")
 
-    def value(self, basis_mask: int) -> Fraction:
-        return self.values[basis_mask]
-
     def heights(self) -> tuple[Fraction, ...]:
         """Values aligned to the polytope's point order."""
         return tuple(self.values[b] for b in sorted_bases(self.owner))
@@ -265,7 +262,7 @@ def is_hypersimplex_subset(points) -> bool:
 def non_matroidal_witness(sub: Subdivision):
     """Return (cell mask, pts[b] - pts[a]) for an edge a-b of a maximal cell
     not parallel to any e_i - e_j, or None when every cell is a matroid
-    polytope.  Raises ValueError without heights or unless the points pass
+    polytope.  Raises ValueError unless the points pass
     ``is_hypersimplex_subset``.
 
     No hull is built.  Support pass: 0/1 points are vertices, no three
@@ -279,14 +276,11 @@ def non_matroidal_witness(sub: Subdivision):
     lowest diagonal of its octahedron face, an edge of the subdivision.
     """
     pts = sub.config.points
-    if sub.heights is None:
-        raise ValueError("the matroidality gate needs a subdivision with heights")
     if not is_hypersimplex_subset(pts):
         raise ValueError(
             "the matroidality gate needs 0/1 points with a constant coordinate sum"
         )
     bases = [mask_of(i for i, x in enumerate(p) if x == 1) for p in pts]
-    pairs = list(combinations(range(len(bases)), 2))
 
     def witness(a: int, b: int):
         pair = 1 << a | 1 << b
@@ -294,7 +288,7 @@ def non_matroidal_witness(sub: Subdivision):
         return cell, tuple(x - y for x, y in zip(pts[b], pts[a]))
 
     faces = polytope_closure_vertex(sub.base_incidence)
-    for a, b in pairs:
+    for a, b in combinations(range(len(bases)), 2):
         pair = 1 << a | 1 << b
         diagonal = (bases[a] ^ bases[b]).bit_count() > 2
         if diagonal and faces.close_cell(faces.cell(pair)) == pair:
@@ -307,7 +301,7 @@ def non_matroidal_witness(sub: Subdivision):
     def at_most(x: int, y: int, bound) -> bool:
         return x in value and y in value and value[x] + value[y] <= bound
 
-    for a, b in pairs:
+    for a, b in combinations(range(len(bases)), 2):
         B, diff = bases[a], bases[a] ^ bases[b]
         if diff.bit_count() != 4:
             continue

@@ -1,4 +1,5 @@
-"""Independent brute-force reference implementations, used only by tests.
+"""Independent brute-force reference implementations, and the helpers that
+only the tests use.
 
 Nothing here shares logic with the production modules beyond the subset
 encoding (ints as bit vectors) and fractions.  The hull oracle enumerates
@@ -16,16 +17,22 @@ description.  Span cell dimensions are recomputed as ranks of the dual
 generators, where ``coordinatize`` reads them off the lattice grading, and
 dual vertices are solved cell by cell from their defining linear systems,
 where ``coordinatize`` projects the lower-facet slopes of the double
-description off the lineality.  The
-matroidality oracle tests the edges of every maximal cell geometrically,
-where the gate reads the valuation; it takes each cell's facets from
-``exactgeom.hull`` (itself checked against ``brute_hull``) because cells
-are too large for the hyperplane enumeration.  The placing triangulation
+description off the lineality.  The edges of a cell, with which the gate
+tests check the gate's witness, are found geometrically, where the gate
+reads the valuation; they take the cell's facets from ``exactgeom.hull``
+(itself checked against ``brute_hull``) because cells are too large for
+the hyperplane enumeration.  The placing triangulation
 behind ``relative_volume`` takes facets and vertex flags from
 ``exactgeom.hull`` too.  Matroid components, the reference for the
 lineality of tropical linear spaces, are read off the separators.  Basis
 exchange is checked pair by pair on sets, where ``Matroid`` tests single
-swaps on masks.
+swaps on masks; on the points of every maximal cell it gives the gate
+tests their verdict (Gelfand-Goresky-MacPherson-Serganova).
+
+The helpers that no production module calls live here too, each naming
+the production code it calls: lower-set restriction, normal fans,
+subdivisions given by their cells (no heights), a point's minimizer cell
+and its membership in a computed tropical linear space.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
+from types import SimpleNamespace
 
 MAX_GROUND = 15
 MAX_POINTS = 12
@@ -78,6 +86,25 @@ def brute_incidence_close(rows, n_points, forbidden, f) -> int:
         if common <= {p for p in range(n_points) if t >> p & 1}:
             return (1 << len(rows)) - 1
     return sum(1 << j for j, pts in enumerate(points_of) if common <= pts)
+
+
+def restrict_to_lower_set(system, keep):
+    """Restrict a closure system to a downward-closed family of closed sets.
+
+    The new operator maps A to cl(A) whenever keep(cl(A)) holds and to the
+    full ground set otherwise; ``keep`` must be downward closed on closed
+    sets, which is not verified.  The meaning of an incidence closure's
+    ``forbidden`` masks, stated on any ``closure.ClosureSystem``.
+    """
+    from .closure import ClosureSystem  # type construction only, no logic reuse
+
+    full = system.ground.full_mask
+
+    def close(a: int) -> int:
+        c = system.close(a)
+        return c if keep(c) else full
+
+    return ClosureSystem(system.ground, close)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +267,25 @@ def brute_lower_cells(config, heights):
     return cells
 
 
-def two_hull_subdivision(config, heights):
+def _cells_only(config, cells, base_hrep, base_inc) -> SimpleNamespace:
+    """A subdivision by its cells alone, with no heights: the fields of a
+    ``Subdivision`` that ``subdivision.tight_span_closure`` reads, boundary
+    facets and carriers from ``subdivision._boundary``."""
+    from .subdivision import _boundary
+
+    boundary, carriers = _boundary(cells, base_inc)
+    return SimpleNamespace(
+        maximal_cells=tuple(cells), boundary_facets=boundary, carrier_facet=carriers,
+        base_hrep=base_hrep, base_incidence=base_inc, n_points=len(config.points),
+    )
+
+
+def two_hull_subdivision(config, heights) -> SimpleNamespace:
     """Regular subdivision by two hulls: conv(config), then the lifted
     configuration, whose facets with positive last normal coordinate are
     the maximal cells (one cell of every point when the lift is no higher
-    dimensional than the base).  Boundary facets and carriers come from
-    ``subdivision._assemble``."""
+    dimensional than the base).  Both hulls come from ``exactgeom.hull``."""
     from .exactgeom import PointConfig, hull
-    from .subdivision import _assemble
 
     base_hrep, base_inc, _ = hull(config)
     lifted = PointConfig(
@@ -263,7 +301,23 @@ def two_hull_subdivision(config, heights):
             for facet, row in zip(lifted_hrep.facets, lifted_inc.rows)
             if facet.normal[-1] > 0
         )
-    return _assemble(config, heights, cells, base_hrep, base_inc)
+    return _cells_only(config, cells, base_hrep, base_inc)
+
+
+def subdivision_from_cells(config, maximal_cells) -> SimpleNamespace:
+    """Subdivision given combinatorially by its maximal cells (collections
+    of point indices), which need not be regular; the hull comes from
+    ``exactgeom.hull``."""
+    from .exactgeom import hull
+
+    base_hrep, base_inc, _ = hull(config)
+    npts = len(config.points)
+    if any(not c or any(not 0 <= i < npts for i in c) for c in maximal_cells):
+        raise ValueError("cell indices outside the configuration")
+    cells = sorted({sum(1 << i for i in set(c)) for c in maximal_cells})
+    if any(a != b and a & b == a for a in cells for b in cells):
+        raise ValueError("maximal cells must not contain one another")
+    return _cells_only(config, cells, base_hrep, base_inc)
 
 
 def solved_dual_vertices(sub):
@@ -351,19 +405,35 @@ def _cell_edges(dim, cell_pts):
     return tuple(edges)
 
 
-def brute_non_matroidal_edges(sub):
-    """Every (cell mask, direction pts[b] - pts[a]) over the edges (a, b) of
-    the maximal cells that are not parallel to any e_i - e_j; empty iff
-    every cell of a 0/1 subdivision is a matroid polytope."""
-    pts = sub.config.points
-    bad = []
-    for cell in sub.maximal_cells:
-        for a, b in brute_cell_edges(sub.config, cell):
-            direction = tuple(x - y for x, y in zip(pts[b], pts[a]))
-            nonzero = sorted(x for x in direction if x != 0)
-            if not (len(nonzero) == 2 and nonzero[0] == -nonzero[1]):
-                bad.append((cell, direction))
-    return bad
+# ---------------------------------------------------------------------------
+# normal fans
+# ---------------------------------------------------------------------------
+
+def normal_fan(config):
+    """Normal fan of conv(config): rays are outward facet normals projected
+    orthogonally to the lineality (= affine hull normals), maximal cones are
+    the vertex normal cones.  Facets, incidences, vertex flags and the
+    projection come from ``exactgeom``; the fan is built here."""
+    from .exactgeom import Fan, _primitive, hull, orthogonalize, project_off
+
+    hrep, inc, flags = hull(config)
+    lin = tuple(_primitive(e.normal) for e in hrep.equations)
+    ortho = orthogonalize(lin)
+    ray_index: dict[tuple[int, ...], int] = {}
+    rays: list[tuple[int, ...]] = []
+    facet_ray: list[int] = []
+    for f in hrep.facets:
+        outward = project_off([-x for x in f.normal], ortho)
+        if outward not in ray_index:
+            ray_index[outward] = len(rays)
+            rays.append(outward)
+        facet_ray.append(ray_index[outward])
+    cones = [
+        tuple(sorted({facet_ray[j] for j, row in enumerate(inc.rows) if row >> i & 1}))
+        for i, is_vertex in enumerate(flags)
+        if is_vertex
+    ]
+    return Fan(rays=tuple(rays), maximal_cones=tuple(cones), lineality=lin)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +560,38 @@ def connected_components(m) -> list[int]:
     return components
 
 
+def cell_at(vm, x):
+    """Matroid of the bases minimizing value(B) - e_B . x, a cell of the
+    subdivision a valuated matroid induces; exact rational comparison."""
+    from .matroid import Matroid  # type construction only, no logic reuse
+
+    m = vm.matroid
+    xs = [Fraction(v) for v in x]
+    if len(xs) != m.n:
+        raise ValueError("point has wrong length")
+    vals = {
+        b: v - sum(xs[i] for i in range(m.n) if b >> i & 1)
+        for b, v in vm.valuation.values.items()
+    }
+    best = min(vals.values())
+    return Matroid(n=m.n, r=m.r, bases=frozenset(b for b, v in vals.items() if v == best))
+
+
+def covers_point(tls, x) -> bool:
+    """Whether the sum-zero class of x lies in the computed complex of a
+    tropical linear space: x lies in the closed dual cell of a closed set F
+    iff the cell cut out by F lies inside the minimizer set at x.  The
+    cells come from ``subdivision.tight_span_closure``, the point order
+    from ``matroid.sorted_bases``; the minimizer set from ``cell_at``."""
+    from .matroid import sorted_bases
+    from .subdivision import tight_span_closure
+
+    pos = {b: i for i, b in enumerate(sorted_bases(tls.source.matroid))}
+    argmin = sum(1 << pos[b] for b in cell_at(tls.source, x).bases)
+    system = tight_span_closure(tls.source.subdivision)
+    return any(system.cell(c.node) & ~argmin == 0 for c in tls.span.cells)
+
+
 def brute_tls_membership(vm, x) -> bool:
     """Evaluate the defining condition directly: the bases minimizing
     value(B) - e_B . x must jointly cover the ground set."""
@@ -498,7 +600,7 @@ def brute_tls_membership(vm, x) -> bool:
     argmin = []
     for bmask in sorted(m.bases):
         dot = sum(Fraction(x[i]) for i in range(m.n) if bmask >> i & 1)
-        val = vm.valuation.value(bmask) - dot
+        val = vm.valuation.values[bmask] - dot
         if best is None or val < best:
             best = val
             argmin = [bmask]

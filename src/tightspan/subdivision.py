@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import GroundSet, IncidenceClosure, ganter_hasse, indices, mask_of
+from .closure import GroundSet, IncidenceClosure, ganter_hasse, indices
 from .exactgeom import (
     HRep,
     IncidenceMatrix,
@@ -28,7 +28,6 @@ from .exactgeom import (
     parse_rational,
     project,
     project_off,
-    hull,
 )
 
 
@@ -52,22 +51,19 @@ class Subdivision:
 
     ``maximal_cells`` and ``boundary_facets`` are point-index masks;
     ``carrier_facet[i]`` is the index (into ``base_hrep.facets``) of the
-    facet of the hull containing boundary facet i.  ``heights`` is None for
-    subdivisions given combinatorially; those support the closure-system
-    path but cannot be coordinatized.  ``cell_slopes[i]`` is a slope y of
-    maximal cell i, with height(p) - p.y constant on the cell, as integer
-    numerators over a positive integer denominator; it is None unless the
-    cells were read off a double description with the heights.
+    facet of the hull containing boundary facet i.  ``cell_slopes[i]`` is a
+    slope y of maximal cell i, with height(p) - p.y constant on the cell,
+    as integer numerators over a positive integer denominator.
     """
 
     config: PointConfig
-    heights: HeightFunction | None
+    heights: HeightFunction
     maximal_cells: tuple[int, ...]
     boundary_facets: tuple[int, ...]
     carrier_facet: tuple[int, ...]
     base_hrep: HRep
     base_incidence: IncidenceMatrix
-    cell_slopes: tuple[tuple[IntVector, int], ...] | None
+    cell_slopes: tuple[tuple[IntVector, int], ...]
 
     @property
     def n_points(self) -> int:
@@ -85,29 +81,19 @@ class Subdivision:
         }
 
 
-def _assemble(config, heights, cells, base_hrep, base_inc, slopes=None) -> Subdivision:
-    """Attach the boundary data: restrict the cells to every hull facet and
-    keep the inclusion-maximal pieces, remembering their carrier facets."""
+def _boundary(cells, base_inc: IncidenceMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The boundary facets of a subdivision and their carrier facets:
+    restrict the cells to every hull facet and keep the inclusion-maximal
+    pieces."""
     boundary: list[int] = []
     carriers: list[int] = []
     for fi, frow in enumerate(base_inc.rows):
         cands = sorted({c & frow for c in cells if c & frow})
-        maximal = [
-            a for a in cands if not any(b != a and a & b == a for b in cands)
-        ]
-        for b in maximal:
-            boundary.append(b)
-            carriers.append(fi)
-    return Subdivision(
-        config=config,
-        heights=heights,
-        maximal_cells=tuple(cells),
-        boundary_facets=tuple(boundary),
-        carrier_facet=tuple(carriers),
-        base_hrep=base_hrep,
-        base_incidence=base_inc,
-        cell_slopes=slopes,
-    )
+        for a in cands:
+            if not any(b != a and a & b == a for b in cands):
+                boundary.append(a)
+                carriers.append(fi)
+    return tuple(boundary), tuple(carriers)
 
 
 def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivision:
@@ -121,47 +107,19 @@ def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivi
     """
     if len(heights.values) != len(config.points):
         raise ValueError("height function length must match point count")
-    base_hrep, base_inc, cells = _hull_and_lower_cells(config, heights.values)
-    return _assemble(
-        config, heights, [c for c, _ in cells], base_hrep, base_inc,
-        tuple(y for _, y in cells),
+    base_hrep, base_inc, lower = _hull_and_lower_cells(config, heights.values)
+    cells = tuple(c for c, _ in lower)
+    boundary, carriers = _boundary(cells, base_inc)
+    return Subdivision(
+        config=config,
+        heights=heights,
+        maximal_cells=cells,
+        boundary_facets=boundary,
+        carrier_facet=carriers,
+        base_hrep=base_hrep,
+        base_incidence=base_inc,
+        cell_slopes=tuple(y for _, y in lower),
     )
-
-
-def subdivision_from_cells(config: PointConfig, maximal_cells) -> Subdivision:
-    """Subdivision given combinatorially by its maximal cells (point-index
-    collections or masks).  Supports the closure-system path only; without
-    a height function there is nothing to coordinatize."""
-    base_hrep, base_inc, _ = hull(config)
-    npts = len(config.points)
-    cells = []
-    for c in maximal_cells:
-        m = c if isinstance(c, int) else mask_of(c)
-        if m == 0 or m >> npts:
-            raise ValueError("cell indices outside the configuration")
-        cells.append(m)
-    cells = sorted(set(cells))
-    for a in cells:
-        if any(b != a and a & b == a for b in cells):
-            raise ValueError("maximal cells must not contain one another")
-    return _assemble(config, None, cells, base_hrep, base_inc)
-
-
-def _normalize_gamma(sub: Subdivision, gamma) -> list[int]:
-    """Turn gamma members (point-index collections or masks) into point masks
-    and validate each lies in some facet of the hull."""
-    masks = []
-    for g in gamma:
-        m = g if isinstance(g, int) else mask_of(g)
-        if m == 0:
-            continue
-        if not any(m & ~row == 0 for row in sub.base_incidence.rows):
-            raise ValueError(
-                f"gamma member {list(indices(m))} is not contained "
-                "in any facet of the hull"
-            )
-        masks.append(m)
-    return masks
 
 
 def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
@@ -170,12 +128,18 @@ def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
     Ground elements are the maximal cells and the maximal boundary facets,
     each given by its point mask.  For nonempty F the closure collects every
     generator containing the cell cut out by F; closed sets whose cell lies
-    inside a gamma member are collapsed to the full ground set.
+    inside a gamma member (a point mask in some facet of the hull) are
+    collapsed to the full ground set.
     """
+    gamma = tuple(gamma)
+    for m in gamma:
+        if not any(m & ~row == 0 for row in sub.base_incidence.rows):
+            raise ValueError(
+                f"gamma member {list(indices(m))} is not contained "
+                "in any facet of the hull"
+            )
     gens = sub.maximal_cells + sub.boundary_facets
-    return IncidenceClosure(
-        GroundSet(len(gens)), gens, sub.n_points, forbidden=_normalize_gamma(sub, gamma)
-    )
+    return IncidenceClosure(GroundSet(len(gens)), gens, sub.n_points, forbidden=gamma)
 
 
 @dataclass(frozen=True)
@@ -193,7 +157,6 @@ class SpanCell:
 class ExtendedTightSpan:
     """Coordinatized dual complex of the kept cells of a regular subdivision."""
 
-    base: Subdivision
     dual_vertices: tuple[Vector, ...]
     dual_rays: tuple[IntVector, ...]
     lineality: tuple[IntVector, ...]
@@ -243,11 +206,6 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
     normal of its carrier facet, projected orthogonally to the lineality
     and scaled to a primitive integer vector.  Nothing is eliminated here.
     """
-    if sub.cell_slopes is None:
-        raise ValueError(
-            "coordinatization needs a regular subdivision with heights; "
-            "combinatorial subdivisions only expose the closure system"
-        )
     system = tight_span_closure(sub, gamma)
     diagram = ganter_hasse(system, node_cap=node_cap)
 
@@ -285,7 +243,6 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> Exte
         cells.append(SpanCell(node=node, vertices=vs, rays=rs, dim=level - 1))
 
     return ExtendedTightSpan(
-        base=sub,
         dual_vertices=tuple(dual_vertices),
         dual_rays=tuple(dual_rays),
         lineality=lineality,

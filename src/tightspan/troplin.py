@@ -17,26 +17,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
 from .closure import indices, mask_of
 from .exactgeom import _rref, orthogonalize, project_off
-from .matroid import (
-    Matroid,
-    MatroidError,
-    Valuation,
-    non_matroidal_witness,
-    sorted_bases,
-)
+from .matroid import Matroid, MatroidError, Valuation, non_matroidal_witness
 from .subdivision import (
     ExtendedTightSpan,
     HeightFunction,
     Subdivision,
     coordinatize,
     regular_subdivision,
-    tight_span_closure,
 )
 
 
@@ -77,21 +69,6 @@ class ValuatedMatroid:
         config = self.matroid.polytope()
         heights = HeightFunction(values=self.valuation.heights())
         return regular_subdivision(config, heights)
-
-
-def cell_at(vm: ValuatedMatroid, x) -> Matroid:
-    """Matroid of bases minimizing value(B) - e_B . x (a cell of the
-    induced subdivision); exact rational comparison throughout."""
-    m = vm.matroid
-    xs = [Fraction(v) for v in x]
-    if len(xs) != m.n:
-        raise ValueError("point has wrong length")
-    vals = {
-        b: v - sum(xs[i] for i in indices(b)) for b, v in vm.valuation.values.items()
-    }
-    best = min(vals.values())
-    argmin = frozenset(b for b, v in vals.items() if v == best)
-    return Matroid(n=m.n, r=m.r, bases=argmin)
 
 
 @dataclass(frozen=True)
@@ -141,18 +118,6 @@ class TropicalLinearSpace:
         """Top cell dimension inside R^n / R.1."""
         fv = self.f_vector
         return len(fv) - 1 + self.lineality_dim
-
-    def covers_point(self, x) -> bool:
-        """Whether the sum-zero class of x lies in the computed complex.
-
-        x lies in the closed dual cell of a closed set F iff the cell cut
-        out by F is contained in the minimizer set at x.
-        """
-        cell = cell_at(self.source, x)
-        pos = {b: i for i, b in enumerate(sorted_bases(self.source.matroid))}
-        argmin_mask = mask_of(pos[b] for b in cell.bases)
-        system = tight_span_closure(self.span.base)
-        return any(system.cell(c.node) & ~argmin_mask == 0 for c in self.span.cells)
 
     def report(self) -> dict:
         """(n, r), both f-vectors, ``lineality_dim`` and ``dim``, and the

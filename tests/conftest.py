@@ -15,13 +15,12 @@ from tightspan import (
     Valuation,
     fan_closure,
     hull,
-    normal_fan,
     polytope_closure_facet,
     polytope_closure_vertex,
     regular_subdivision,
-    restrict_to_lower_set,
     tight_span_closure,
 )
+from tightspan.oracle import normal_fan, restrict_to_lower_set
 
 
 def square_config() -> PointConfig:

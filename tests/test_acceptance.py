@@ -50,6 +50,7 @@ from tightspan.oracle import (
     brute_closed_sets,
     brute_tls_membership,
     connected_components,
+    covers_point,
 )
 from tightspan.troplin import NonMatroidalValuation
 
@@ -193,7 +194,7 @@ def test_criterion_5_quartet_tree():
         x = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(4)]
         shift = sum(x) / 4
         x = [xi - shift for xi in x]
-        assert tls.covers_point(x) == brute_tls_membership(vm, x)
+        assert covers_point(tls, x) == brute_tls_membership(vm, x)
         checks += 1
     report(5, "quartet tree", True, f"f=(2,5), bounded=(2,1), {checks} membership checks")
 

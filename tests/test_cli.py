@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import square_config, u12_power
-from tightspan import Matroid, PointConfig, bergman_fan, normal_fan
+from tightspan import Matroid, PointConfig, bergman_fan
 from tightspan.cli import main
-from tightspan.oracle import brute_vertex_flags
+from tightspan.oracle import brute_vertex_flags, normal_fan
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -217,6 +217,27 @@ def test_corank_lift_with_a_bad_uniform_path_writes_no_valuation(files, capsys, 
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert not val_path.exists() or val_path.read_text() == ""
+
+
+def test_corank_lift_with_a_bad_uniform_path_keeps_the_old_output(files, capsys, tmp_path):
+    val_path = tmp_path / "v.json"
+    val_path.write_text('{"old": 1}\n')
+    before = sorted(tmp_path.iterdir())
+    argv = ["corank-lift", files["u1212.json"], "-o", str(val_path)]
+    code, out, err = run(capsys, argv + ["--emit-uniform", str(tmp_path / "no" / "u.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert val_path.read_text() == '{"old": 1}\n'
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
+
+
+def test_corank_lift_refuses_one_file_for_both_outputs(files, capsys, tmp_path):
+    path = str(tmp_path / "x.json")
+    argv = ["corank-lift", files["u1212.json"], "-o", path, "--emit-uniform", path]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: -o and --emit-uniform name the same file\n"
+    assert not os.path.exists(path)
 
 
 def test_fvector_scan_pretty_names_node_cap_aborts(files, capsys):

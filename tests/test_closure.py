@@ -15,10 +15,13 @@ from tightspan import (
     corank_valuation,
     ganter_hasse,
     poset_statistics,
-    restrict_to_lower_set,
 )
 from tightspan.closure import HasseDiagram, IncidenceClosure, indices, mask_of
-from tightspan.oracle import brute_closed_sets, brute_incidence_close
+from tightspan.oracle import (
+    brute_closed_sets,
+    brute_incidence_close,
+    restrict_to_lower_set,
+)
 from tightspan.subdivision import tight_span_closure
 from tightspan.troplin import _loop_faces
 

@@ -9,8 +9,9 @@ from itertools import combinations
 import pytest
 
 from conftest import square_config
-from tightspan import Matroid, PointConfig, normal_fan
+from tightspan import Matroid, PointConfig
 from tightspan.cli import main
+from tightspan.oracle import normal_fan
 
 
 def _fan_json(rays, cones) -> str:

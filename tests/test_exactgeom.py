@@ -23,7 +23,6 @@ from tightspan import (
     fan_closure,
     ganter_hasse,
     hull,
-    normal_fan,
 )
 from tightspan.exactgeom import _nullspace, _rref
 from tightspan.oracle import (
@@ -33,6 +32,7 @@ from tightspan.oracle import (
     brute_closed_sets,
     brute_hull,
     brute_vertex_flags,
+    normal_fan,
     relative_volume,
     verify_hrep,
 )

