@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import traceback
 from contextlib import nullcontext
@@ -51,18 +52,28 @@ def _read(path: str) -> str:
 
 def _open_output(path: str | None):
     """Context manager for the output stream: stdout, or ``path`` opened
-    for writing.  A path that cannot be opened is an InputError."""
+    for writing with its old contents still in place (``_emptied`` drops
+    them), so a caller can open every destination before it changes any.
+    A path that cannot be opened is an InputError."""
     if not path:
         return nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _emptied(fh):
+    """``fh`` with the old contents of a regular file dropped, as opening
+    it with mode "w" would; stdout, a device or a pipe is left as it is."""
+    if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
+    return fh
+
+
 def _emit(text: str, out_path: str | None) -> None:
     with _open_output(out_path) as fh:
-        fh.write(text)
+        _emptied(fh).write(text)
 
 
 def _dumps(doc: dict) -> str:
@@ -220,44 +231,16 @@ def cmd_bergman(args) -> int:
     return 0
 
 
-def _emit_all(docs) -> None:
-    """Write each (text, path), stdout for no path: files go to temporary
-    files beside them, renamed once every write has succeeded, so a path
-    that cannot be written (an InputError) leaves every destination as it
-    was.  Only a failing rename can leave some renamed."""
-    staged = []
-    try:
-        for text, path in docs:
-            if path:
-                tmp = f"{path}.{os.getpid()}.tmp"
-                with open(tmp, "x", encoding="utf-8") as fh:
-                    staged.append((tmp, path))
-                    fh.write(text)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except OSError as exc:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        # name the destination, not the temporary file
-        raise InputError(
-            f"cannot write {path}: {OSError(exc.errno, exc.strerror, path)}"
-        ) from exc
-    for text, path in docs:
-        if not path:
-            sys.stdout.write(text)
-
-
 def cmd_corank_lift(args) -> int:
     m = _load("matroid", args.input, Matroid.from_json)
-    docs = [(corank_valuation(m).to_json() + "\n", args.output)]
-    if args.emit_uniform:
-        if args.output and os.path.realpath(args.output) == os.path.realpath(
-            args.emit_uniform
-        ):
-            raise InputError("-o and --emit-uniform name the same file")
-        docs.append((Matroid.uniform(m.r, m.n).to_json() + "\n", args.emit_uniform))
-    _emit_all(docs)
+    v = corank_valuation(m)
+    # both destinations open before either is emptied: a bad path changes none
+    with _open_output(args.output) as out, (
+        _open_output(args.emit_uniform) if args.emit_uniform else nullcontext()
+    ) as fh:
+        _emptied(out).write(v.to_json() + "\n")
+        if fh is not None:
+            _emptied(fh).write(Matroid.uniform(m.r, m.n).to_json() + "\n")
     return 0
 
 
@@ -319,6 +302,7 @@ def cmd_fvector_scan(args) -> int:
     ]
     ok = failed = crashed = 0
     with _open_output(args.output) as out:
+        _emptied(out)
         for rec in _scan_records(tasks, args.jobs):
             out.write(_scan_record_text(rec, args.format))
             out.flush()

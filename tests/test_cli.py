@@ -5,9 +5,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -222,22 +224,36 @@ def test_corank_lift_with_a_bad_uniform_path_writes_no_valuation(files, capsys, 
 def test_corank_lift_with_a_bad_uniform_path_keeps_the_old_output(files, capsys, tmp_path):
     val_path = tmp_path / "v.json"
     val_path.write_text('{"old": 1}\n')
-    before = sorted(tmp_path.iterdir())
     argv = ["corank-lift", files["u1212.json"], "-o", str(val_path)]
     code, out, err = run(capsys, argv + ["--emit-uniform", str(tmp_path / "no" / "u.json")])
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert val_path.read_text() == '{"old": 1}\n'
-    assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
 
 
-def test_corank_lift_refuses_one_file_for_both_outputs(files, capsys, tmp_path):
-    path = str(tmp_path / "x.json")
-    argv = ["corank-lift", files["u1212.json"], "-o", path, "--emit-uniform", path]
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (1, "")
-    assert err == "error: -o and --emit-uniform name the same file\n"
-    assert not os.path.exists(path)
+def test_corank_lift_writes_through_a_symlink(files, capsys, tmp_path):
+    # the link stays a link, and its target's longer old contents are gone
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 10_000)
+    link.symlink_to(target)
+    code, out, _ = run(capsys, ["corank-lift", files["u1212.json"]])
+    assert code == 0
+    assert run(capsys, ["corank-lift", files["u1212.json"], "-o", str(link)])[:2] == (0, "")
+    assert link.is_symlink() and target.read_text() == out
+
+
+def test_corank_lift_writes_into_a_named_pipe(files, capsys, tmp_path):
+    # a destination that is not a regular file is written to, not replaced
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, ["corank-lift", files["u1212.json"], "-o", str(fifo)])
+    reader.join(timeout=30)
+    assert (code, out) == (0, "")
+    assert got and json.loads(got[0])["values"]["0,1"] == "1"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 def test_fvector_scan_pretty_names_node_cap_aborts(files, capsys):
