@@ -529,6 +529,26 @@ def brute_exchange(family) -> bool:
     )
 
 
+def reduced_char_at_zero(n: int, r: int, bases) -> int:
+    """Value at 0 of the reduced characteristic polynomial chi_M(t) / (t - 1)
+    of the rank-r matroid on [n] with the given bases (index collections),
+    that is -chi_M(0): chi_M(0) is the sum of (-1)^|A| over the sets A of
+    rank r, the rank of a set being its largest intersection with a basis."""
+    if n > MAX_GROUND:
+        raise ValueError(f"brute force limited to ground sets of size {MAX_GROUND}")
+    family = [frozenset(b) for b in bases]
+
+    def rank(a: frozenset) -> int:
+        return max(len(a & b) for b in family)
+
+    return -sum(
+        (-1) ** k
+        for k in range(n + 1)
+        for a in combinations(range(n), k)
+        if rank(frozenset(a)) == r
+    )
+
+
 def connected_components(m) -> list[int]:
     """Finest partition of the ground set of ``m`` into separators, as masks.
 

@@ -66,6 +66,11 @@ def u12_power(d: int) -> Matroid:
     return out
 
 
+def alternating_sum(counts) -> int:
+    """Sum of (-1)^d counts[d]: the Euler characteristic of an f-vector."""
+    return sum((-1) ** d * c for d, c in enumerate(counts))
+
+
 def quartet_vm():
     from tightspan import ValuatedMatroid
 

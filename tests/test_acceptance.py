@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    alternating_sum,
     closure_corpus,
     cube_config,
     hypersimplex,
@@ -45,12 +46,14 @@ from tightspan import (
     tight_span_closure,
     tropical_linear_space,
 )
+from tightspan.closure import indices
 from tightspan.matroid import non_matroidal_witness
 from tightspan.oracle import (
     brute_closed_sets,
     brute_tls_membership,
     connected_components,
     covers_point,
+    reduced_char_at_zero,
 )
 from tightspan.troplin import NonMatroidalValuation
 
@@ -227,16 +230,23 @@ def test_corank_lift_ladder(tmp_path):
     from tightspan.cli import main
 
     expected = {2: [2, 1], 3: [6, 6, 1], 4: [14, 24, 12, 1], 5: [30, 70, 60, 20, 1]}
+    # -chi(0) of the owner U(k, 2k), the Euler characteristic of the whole space
+    euler = {2: -3, 3: 10, 4: -35, 5: 126}
     t0 = time.perf_counter()
     for k, bounded in expected.items():
+        owner = Matroid.uniform(k, 2 * k)
         matroid = tmp_path / f"u{k}.json"
-        matroid.write_text(Matroid.uniform(k, 2 * k).to_json())
+        matroid.write_text(owner.to_json())
         valuation = tmp_path / f"v{k}.json"
         valuation.write_text(corank_valuation(u12_power(k)).to_json())
         out = tmp_path / f"tls{k}.json"
         assert main(["tls", str(matroid), str(valuation), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["bounded_f_vector"] == bounded, k
+        assert alternating_sum(data["bounded_f_vector"]) == 1, k
+        assert alternating_sum(data["f_vector"]) == euler[k] == reduced_char_at_zero(
+            2 * k, k, [indices(b) for b in owner.bases]
+        ), k
     assert data["f_vector"] == [30, 220, 675, 1040, 681]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DELTA_5_10_TLS_SHA256
     report(6, "corank lift ladder", True, f"k = 2..5 in {time.perf_counter() - t0:.1f}s")

@@ -97,6 +97,12 @@ def test_face_lattice_dot(files, capsys):
     assert out.count("->") == 16
 
 
+def test_face_lattice_pretty(files, capsys):
+    code, out, _ = run(capsys, ["face-lattice", files["square.json"], "--format", "pretty"])
+    assert code == 0
+    assert out == "nodes: 10\narcs:  16\nf-vector: (4, 4)\n"
+
+
 def test_fan_lattice(files, capsys):
     code, out, _ = run(capsys, ["fan-lattice", files["fan.json"]])
     assert code == 0
@@ -530,6 +536,14 @@ def test_bad_valuation_key_is_input_error(files, capsys, tmp_path, key, text, re
     assert repr(key) in err and reason in err
 
 
+def test_valuation_missing_a_basis_is_input_error(files, capsys, tmp_path):
+    values = {f"{a},{b}": "0" for a, b in combinations(range(4), 2) if (a, b) != (2, 3)}
+    bad = _write_text(tmp_path, "v5.json", json.dumps({"values": values}))
+    code, out, err = run(capsys, ["tls", files["u24.json"], bad])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "must assign a value to every basis" in err
+
+
 def test_too_deeply_nested_json_is_input_error(files, capsys, tmp_path):
     deep = "[" * 100_000 + "]" * 100_000
     bad = _write_text(tmp_path, "deep.json", '{"dim": 2, "points": ' + deep + "}")
@@ -546,6 +560,11 @@ def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     empty = _write_text(tmp_path, "m0.json", '{"n": 0, "bases": [[]]}')
     code, _, err = run(capsys, ["bergman", empty])
     assert code == 1 and "nonempty ground set" in err
+
+    rank0 = _write_text(tmp_path, "r0.json", '{"n": 3, "bases": [[]]}')
+    code, out, err = run(capsys, ["corank-lift", rank0])
+    assert code == 1 and out == ""
+    assert err == "error: uniform matroid needs 1 <= r <= n\n"
 
 
 @pytest.mark.parametrize(
@@ -639,6 +658,25 @@ def test_fan_with_unknown_ray_is_input_error(capsys, tmp_path):
     assert code == 1 and "bad fan" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}', "fan rays must be distinct"),
+        ('{"rays": [[2, 0], [0, 1]], "cones": [[0, 1]]}', "ray (2, 0) is not primitive"),
+        (
+            '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1], [0]]}',
+            "maximal cones must not contain one another",
+        ),
+    ],
+    ids=["repeated-ray", "non-primitive-ray", "nested-cones"],
+)
+def test_fan_breaking_a_rule_is_input_error(capsys, tmp_path, text, reason):
+    bad = _write_text(tmp_path, "fan.json", text)
+    code, out, err = run(capsys, ["fan-lattice", bad])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: bad fan") and reason in err
+
+
 def test_fan_with_non_extreme_ray_is_input_error(capsys, tmp_path):
     bad = _write_text(
         tmp_path, "fan.json", '{"rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1, 2]]}'
@@ -708,6 +746,15 @@ def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypa
     for crashed in records[1:3]:
         assert crashed["ok"] is False and crashed["exception"] == "ZeroDivisionError"
     assert records[-1] == {"summary": {"failed": 2, "ok": 2}}
+
+    code, out, _ = run(
+        capsys,
+        ["fvector-scan", census, "--n", "3", "--r", "1", "--jobs", jobs, "--format", "pretty"],
+    )
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 5
+    assert lines[1:3] == [f"line    {i}  FAILED (ZeroDivisionError): boom" for i in (1, 2)]
+    assert lines[-1] == "summary: 2 ok, 2 failed"
 
 
 @pytest.mark.parametrize(

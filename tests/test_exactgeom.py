@@ -15,14 +15,17 @@ from conftest import (
     hypersimplex,
     pentagon_config,
     square_config,
+    triangle_config,
     vertex_system,
 )
 from tightspan import (
     Fan,
+    HeightFunction,
     PointConfig,
     fan_closure,
     ganter_hasse,
     hull,
+    regular_subdivision,
 )
 from tightspan.exactgeom import _nullspace, _rref
 from tightspan.oracle import (
@@ -177,6 +180,55 @@ def test_random_spatial_hulls_match_brute_force(rows):
     facets, _ = brute_hull(config)
     assert {r for r in inc.rows} == {onset for _, _, onset in facets}
     assert verify_hrep(hrep, config)
+
+
+# -- the hull is the zero-height subdivision ---------------------------------
+
+def assert_hull_is_the_zero_height_subdivision(config):
+    zeros = HeightFunction.from_rows([0] * len(config.points))
+    sub = regular_subdivision(config, zeros)
+    assert hull(config)[:2] == (sub.base_hrep, sub.base_incidence)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        square_config(),
+        triangle_config(),
+        pentagon_config(),
+        cube_config(),
+        hypersimplex(1, 3),
+        hypersimplex(2, 4),
+        hypersimplex(3, 6),
+        PointConfig.from_rows([[3, 4]]),
+    ],
+    ids=["square", "triangle", "pentagon", "cube", "d13", "d24", "d36", "point"],
+)
+def test_hull_is_the_zero_height_subdivision(config):
+    assert_hull_is_the_zero_height_subdivision(config)
+
+
+@st.composite
+def integer_configs(draw):
+    """Distinct integer points in R^1..R^4 with entries -2..2, and some of
+    the integer midpoints of their pairs: points of the hull that are not
+    vertices, inside it or on its faces."""
+    k = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=8, unique=True))
+    mids = sorted({
+        tuple((a + b) // 2 for a, b in zip(p, q))
+        for p, q in combinations(pts, 2)
+        if all((a + b) % 2 == 0 for a, b in zip(p, q))
+    } - set(pts))
+    if mids:
+        pts += draw(st.lists(st.sampled_from(mids), max_size=3, unique=True))
+    return PointConfig.from_rows(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_configs())
+def test_random_hulls_are_zero_height_subdivisions(config):
+    assert_hull_is_the_zero_height_subdivision(config)
 
 
 # -- polytope closure operators ----------------------------------------------

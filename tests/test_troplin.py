@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import fano_matroid, quartet_vm, tropical_minor_valuation, u12_power
+from conftest import (
+    alternating_sum,
+    fano_matroid,
+    quartet_vm,
+    tropical_minor_valuation,
+    u12_power,
+)
 from tightspan import (
     Matroid,
     MatroidError,
@@ -25,6 +31,7 @@ from tightspan import (
     tropical_linear_space,
 )
 from tightspan import troplin
+from tightspan.closure import indices
 from tightspan.matroid import sorted_bases
 from tightspan.oracle import (
     _orank,
@@ -32,6 +39,7 @@ from tightspan.oracle import (
     cell_at,
     connected_components,
     covers_point,
+    reduced_char_at_zero,
     solved_dual_vertices,
     span_cell_rank_dims,
 )
@@ -400,6 +408,23 @@ def test_dual_vertices_are_the_solved_cell_systems(generated_spaces):
     # the oracle solves each maximal cell's linear system
     for tls in generated_spaces:
         assert tls.span.dual_vertices == solved_dual_vertices(tls.source.subdivision)
+
+
+def test_lineality_free_spaces_satisfy_two_euler_identities(generated_spaces):
+    # measured identities, not derived here: the bounded cells have Euler
+    # characteristic 1, and the whole complex has -chi_M(0) for M the
+    # valuation's owner; spaces with lineality are left out
+    checked = 0
+    for tls in generated_spaces:
+        if tls.lineality_dim:
+            continue
+        m = tls.source.matroid
+        assert alternating_sum(tls.bounded_f_vector) == 1, m
+        assert alternating_sum(tls.f_vector) == reduced_char_at_zero(
+            m.n, m.r, [indices(b) for b in m.bases]
+        ), m
+        checked += 1
+    assert checked == 464  # the census spaces, the flagship and the six minors
 
 
 @settings(max_examples=25, deadline=None)
