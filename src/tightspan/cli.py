@@ -17,7 +17,7 @@ import traceback
 from contextlib import nullcontext
 from multiprocessing import Pool
 
-from .closure import HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
+from .closure import NODE_CAP, HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
 from .exactgeom import (
     Fan,
     PointConfig,
@@ -183,12 +183,11 @@ def _gamma_for(sub, mode: str):
         return []
     if mode == "all":
         return list(sub.boundary_facets)
-    if mode == "loops":
-        zero_one = all(x in (0, 1) for p in sub.config.points for x in p)
-        if not zero_one:
-            raise InputError("--gamma loops needs a 0/1 point configuration")
-        return _loop_faces(sub.config)
-    raise InputError(f"unknown gamma mode {mode!r}")
+    # mode == "loops", the last of the parser's choices
+    zero_one = all(x in (0, 1) for p in sub.config.points for x in p)
+    if not zero_one:
+        raise InputError("--gamma loops needs a 0/1 point configuration")
+    return _loop_faces(sub.config)
 
 
 def cmd_tightspan(args) -> int:
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt_choices=("json", "dot", "pretty")):
         p.add_argument("--format", choices=fmt_choices, default="json")
-        p.add_argument("--node-cap", type=_positive_int, default=10_000_000)
+        p.add_argument("--node-cap", type=_positive_int, default=NODE_CAP)
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("face-lattice", help="face lattice of a polytope")
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("heights")
     p.add_argument("--gamma", choices=("all", "loops", "none"), default="none")
     p.add_argument("--quotient", choices=("on", "off"), default="on")
-    p.add_argument("--node-cap", type=_positive_int, default=10_000_000)
+    p.add_argument("--node-cap", type=_positive_int, default=NODE_CAP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_tightspan)
 

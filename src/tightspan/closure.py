@@ -38,6 +38,10 @@ def mask_of(elements) -> int:
     return sum(1 << e for e in set(elements))
 
 
+# the default bound on the closed sets one enumeration may find
+NODE_CAP = 10_000_000
+
+
 class NodeCapExceeded(RuntimeError):
     """Enumeration would exceed the configured node cap."""
 
@@ -118,7 +122,8 @@ class IncidenceClosure(ClosureSystem):
     """Closure system given by an incidence structure between generators
     (the ground elements) and points.
 
-    ``rows[j]`` is the point mask of generator j.  The cell of a set F of
+    ``rows[j]`` is the point mask of generator j; the ground set is
+    {0, ..., len(rows) - 1}.  The cell of a set F of
     generators is the intersection of their rows (all points for F empty),
     and F closes to every generator whose row contains that cell:
     cl(F) = close_cell(cell(F)), with cl(empty set) = empty set.  A cell
@@ -144,10 +149,9 @@ class IncidenceClosure(ClosureSystem):
       drop out at the root.
     """
 
-    def __init__(self, ground: GroundSet, rows, n_points: int, forbidden=()):
+    def __init__(self, rows, n_points: int, forbidden=()):
         rows = tuple(rows)
-        if len(rows) != ground.size:
-            raise ValueError("one incidence row per ground element is required")
+        ground = GroundSet(len(rows))
         all_points = (1 << n_points) - 1
         if any(r & ~all_points for r in rows):
             raise ValueError("incidence row outside the point set")
@@ -270,7 +274,7 @@ class HasseDiagram:
         return "\n".join(lines) + "\n"
 
 
-def ganter_hasse(system: ClosureSystem, node_cap: int = 10_000_000) -> HasseDiagram:
+def ganter_hasse(system: ClosureSystem, node_cap: int = NODE_CAP) -> HasseDiagram:
     """Enumerate all closed sets and their covering arcs.
 
     Breadth-first over a FIFO queue seeded with close(empty set).  For a

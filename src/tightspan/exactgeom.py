@@ -20,12 +20,13 @@ to a full-dimensional coordinate subspace of their affine hull, homogenized
 to cone generators, and inserted one at a time while maintaining the
 extreme rays of the polar cone (= the facet normals).  Vertex flags are
 read off the incidences: a point is a vertex iff the facets through it
-meet in that point alone.  One routine does this for ``hull`` and for
-regular subdivisions; for the latter each generator carries its height and
-the upward ray (0, ..., 0, 1) is inserted first, so that a single run gives
-the facets of the base (the facets through the ray) and the lower facets
-(the maximal cells) and never forms an upper facet (Fukuda and Prodon,
-Double description method revisited, 1996, on insertion order).
+meet in that point alone.  There is one such run, for regular
+subdivisions: each generator carries its height and the upward ray
+(0, ..., 0, 1) is inserted first, so that a single run gives the facets of
+the base (the facets through the ray) and the lower facets (the maximal
+cells) and never forms an upper facet (Fukuda and Prodon, Double
+description method revisited, 1996, on insertion order).  ``hull`` is the
+subdivision of zero heights, whose one lower facet is the floor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .closure import GroundSet, IncidenceClosure, indices, mask_of, transpose
+from .closure import IncidenceClosure, indices, mask_of, transpose
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -290,12 +291,6 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     for t in pending:
         v = gens[t]
         vals = [_dot(r, v) for r, _ in rays]
-        if all(val >= 0 for val in vals):
-            rays = [
-                (r, z | (1 << t) if val == 0 else z)
-                for (r, z), val in zip(rays, vals)
-            ]
-            continue
         pos = [(r, z, val) for (r, z), val in zip(rays, vals) if val > 0]
         zero = [(r, z | (1 << t)) for (r, z), val in zip(rays, vals) if val == 0]
         neg = [(r, z, val) for (r, z), val in zip(rays, vals) if val < 0]
@@ -323,24 +318,22 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
 
 
 def _hull_and_lower_cells(
-    config: PointConfig, heights=None
+    config: PointConfig, heights
 ) -> tuple[HRep, IncidenceMatrix, list[tuple[int, tuple[IntVector, int]]]]:
-    """One double description of the homogenized cone over a configuration.
+    """One double description of the lifted configuration plus the upward ray.
 
-    Points (and heights) are scaled to integers, projected to the pivot
-    coordinates of their affine hull and homogenized to cone generators,
-    sorted by their projections.  Returns the facet description of
-    conv(config), facets sorted by (normal, offset), its incidences, and a
-    list of lower cells sorted by point mask.
-
-    With ``heights`` (one rational per point) each generator carries its
-    height as one more coordinate and the upward ray (0, ..., 0, 1) goes
+    Points and heights (one rational per point) are scaled to integers,
+    the points projected to the pivot coordinates of their affine hull and
+    homogenized to cone generators, sorted by their projections, each with
+    its height as one more coordinate.  The upward ray (0, ..., 0, 1) goes
     first, so it seeds the DD: the cone is over the lifted points plus the
     ray, which has no upper facets.  A facet through the ray is vertical,
     the lift of a facet of conv(config); every other facet is lower, and
-    its point mask is a maximal cell of the regular subdivision.  Affine
-    heights give one lower facet holding every point, and so does a single
-    point, without a DD.  Without ``heights`` the list of cells is empty.
+    its point mask is a maximal cell of the regular subdivision.  Returns
+    the facet description of conv(config), facets sorted by (normal,
+    offset), its incidences, and the lower cells sorted by point mask.
+    Affine heights give one lower facet holding every point, and so does a
+    single point, without a DD.
 
     Each cell comes as (point mask, (numerators, denominator)), the second
     a slope y with height(p) - p.y constant on the cell: a lower facet
@@ -350,9 +343,8 @@ def _hull_and_lower_cells(
     """
     d = config.dim
     npts = len(config.points)
-    lifted = heights is not None
     scale = lcm(*(x.denominator for p in config.points for x in p),
-                *(h.denominator for h in heights or ()))
+                *(h.denominator for h in heights))
     ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
 
     diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
@@ -366,23 +358,20 @@ def _hull_and_lower_cells(
         return (
             HRep(facets=(), equations=equations, ambient_dim=d),
             IncidenceMatrix(rows=(), n_points=npts),
-            [(1, ((0,) * d, 1))] if lifted else [],
+            [(1, ((0,) * d, 1))],
         )
 
     proj = [tuple(p[c] for c in pivots) for p in ipts]
     order = sorted(range(npts), key=lambda i: proj[i])
-    gens = [(1,) + proj[i] for i in order]
-    if lifted:
-        iheights = [h.numerator * (scale // h.denominator) for h in heights]
-        up = (0,) * len(gens[0]) + (1,)
-        gens = [up] + [g + (iheights[i],) for g, i in zip(gens, order)]
-    first = len(gens) - npts  # generator index of the first point
+    iheights = [h.numerator * (scale // h.denominator) for h in heights]
+    up = (0,) * (len(pivots) + 1) + (1,)
+    gens = [up] + [(1,) + proj[i] + (iheights[i],) for i in order]
 
     entries = []
     cells = []
     for ray, zset in _dd_polar_rays(gens):
-        inc = mask_of(order[pos] for pos in indices(zset >> first))
-        if lifted and ray[-1]:
+        inc = mask_of(order[pos] for pos in indices(zset >> 1))  # generator 0 is up
+        if ray[-1]:
             slope = [0] * d
             for val, c in zip(ray[1:-1], pivots):
                 slope[c] = -val
@@ -409,9 +398,10 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     """Exact facet description of conv(config), with incidences and vertex flags.
 
     Returns equations cutting out the affine hull when the configuration is
-    not full-dimensional; a single point yields equations only.
+    not full-dimensional; a single point yields equations only.  The facets
+    are those of the subdivision of zero heights, whose one cell is dropped.
     """
-    hrep, incidence, _ = _hull_and_lower_cells(config)
+    hrep, incidence, _ = _hull_and_lower_cells(config, (0,) * len(config.points))
     # a point is a vertex iff the facets through it meet in it alone
     faces = polytope_closure_vertex(incidence)
     npts = incidence.n_points
@@ -463,18 +453,14 @@ def polytope_closure_vertex(inc: IncidenceMatrix) -> IncidenceClosure:
     """Ground set = vertices; close(A) = vertex set of the smallest face
     containing A.  The incidence matrix must be over the vertex set: a
     vertex's row is the set of facets through it."""
-    nv = inc.n_points
-    return IncidenceClosure(GroundSet(nv), transpose(inc.rows, nv), len(inc.rows))
+    return IncidenceClosure(transpose(inc.rows, inc.n_points), len(inc.rows))
 
 
 def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
     """Ground set = facets; close(F) = all facets containing the face cut
     out by F.  Yields the face lattice with inverted relations; the empty
     face (empty intersection) closes to the full facet set."""
-    nf = len(inc.rows)
-    if nf == 0:
-        raise ValueError("facet closure needs at least one facet")
-    return IncidenceClosure(GroundSet(nf), inc.rows, inc.n_points)
+    return IncidenceClosure(inc.rows, inc.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +492,6 @@ class Fan:
             for j, b in enumerate(masks):
                 if i != j and a & b == a:
                     raise ValueError("maximal cones must not contain one another")
-
-    @property
-    def lineality_dim(self) -> int:
-        return len(self.lineality)
 
     @staticmethod
     def from_json(text: str) -> "Fan":
@@ -557,4 +539,4 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
         # the cone, then its facets, remapped from local order to ray indices
         for local in [(1 << len(cone)) - 1] + facets:
             point_rays.append(mask_of(cone[j] for j in indices(local)))
-    return IncidenceClosure(GroundSet(nr + 1), transpose(point_rays, nr + 1), len(point_rays))
+    return IncidenceClosure(transpose(point_rays, nr + 1), len(point_rays))

@@ -11,12 +11,14 @@ The membership oracle evaluates the argmin definition directly.  The
 reference regular subdivision hulls the base and the lifted configuration
 separately and keeps the lifted facets that face down, where
 ``regular_subdivision`` reads both off one double description with the
-upward ray; both hulls come from ``exactgeom.hull`` and the boundary
-assembly is the production one, so it checks the split of that one
-description.  Span cell dimensions are recomputed as ranks of the dual
-generators, where ``coordinatize`` reads them off the lattice grading, and
-dual vertices are solved cell by cell from their defining linear systems,
-where ``coordinatize`` projects the lower-facet slopes of the double
+upward ray; both hulls come from ``exactgeom.hull``, which runs that same
+lifted double description with zero heights (``brute_hull`` checks it),
+and the boundary assembly is the production one, so it checks the split
+of that one description into base facets and cells.  Span cell
+dimensions are recomputed as ranks of the dual generators, where
+``coordinatize`` reads them off the lattice grading, and dual vertices
+are solved cell by cell from their defining linear systems, where
+``coordinatize`` projects the lower-facet slopes of the double
 description off the lineality.  The edges of a cell, with which the gate
 tests check the gate's witness, are found geometrically, where the gate
 reads the valuation; they take the cell's facets from ``exactgeom.hull``
@@ -27,7 +29,9 @@ behind ``relative_volume`` takes facets and vertex flags from
 lineality of tropical linear spaces, are read off the separators.  Basis
 exchange is checked pair by pair on sets, where ``Matroid`` tests single
 swaps on masks; on the points of every maximal cell it gives the gate
-tests their verdict (Gelfand-Goresky-MacPherson-Serganova).
+tests their verdict (Gelfand-Goresky-MacPherson-Serganova).  The
+characteristic polynomial's value at zero, against which the tests check
+whole f-vectors, is summed over all subsets with a rank of its own.
 
 The helpers that no production module calls live here too, each naming
 the production code it calls: lower-set restriction, normal fans,

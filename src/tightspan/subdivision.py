@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import GroundSet, IncidenceClosure, ganter_hasse, indices
+from .closure import NODE_CAP, IncidenceClosure, ganter_hasse, indices
 from .exactgeom import (
     HRep,
     IncidenceMatrix,
@@ -139,7 +139,7 @@ def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
                 "in any facet of the hull"
             )
     gens = sub.maximal_cells + sub.boundary_facets
-    return IncidenceClosure(GroundSet(len(gens)), gens, sub.n_points, forbidden=gamma)
+    return IncidenceClosure(gens, sub.n_points, forbidden=gamma)
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class ExtendedTightSpan:
         }
 
 
-def coordinatize(sub: Subdivision, gamma=(), node_cap: int = 10_000_000) -> ExtendedTightSpan:
+def coordinatize(sub: Subdivision, gamma=(), node_cap: int = NODE_CAP) -> ExtendedTightSpan:
     """Enumerate the kept closed sets and attach dual coordinates.
 
     The dual vertex of a maximal cell is the slope of its lower facet

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .closure import indices, mask_of
+from .closure import NODE_CAP, indices, mask_of
 from .exactgeom import _rref, orthogonalize, project_off
 from .matroid import Matroid, MatroidError, Valuation, non_matroidal_witness
 from .subdivision import (
@@ -157,7 +157,7 @@ def _loop_faces(config) -> list[int]:
 
 
 def tropical_linear_space(
-    vm: ValuatedMatroid, node_cap: int = 10_000_000
+    vm: ValuatedMatroid, node_cap: int = NODE_CAP
 ) -> TropicalLinearSpace:
     """Build the tropical linear space of a valuated matroid.
 
@@ -179,7 +179,7 @@ def tropical_linear_space(
     return tls
 
 
-def bergman_fan(m: Matroid, node_cap: int = 10_000_000) -> TropicalLinearSpace:
+def bergman_fan(m: Matroid, node_cap: int = NODE_CAP) -> TropicalLinearSpace:
     """Tropical linear space of the zero valuation: the loop-free part of
     the normal fan of the matroid polytope, in its coarsest structure."""
     if m.loops():

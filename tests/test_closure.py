@@ -251,7 +251,7 @@ def incidence_closure(draw):
     full = (1 << n_points) - 1
     rows = draw(st.lists(st.integers(0, full), min_size=n_gens, max_size=n_gens))
     forbidden = draw(st.lists(st.integers(0, full), max_size=3))
-    return IncidenceClosure(GroundSet(n_gens), rows, n_points, forbidden=forbidden)
+    return IncidenceClosure(rows, n_points, forbidden=forbidden)
 
 
 @st.composite
@@ -268,7 +268,7 @@ def dead_generator_closure(draw):
     )
     forbidden = [rows[j] | draw(st.integers(0, full)) for j in dead]
     forbidden += draw(st.lists(st.integers(0, full), max_size=2))
-    return IncidenceClosure(GroundSet(n_gens), rows, n_points, forbidden=forbidden)
+    return IncidenceClosure(rows, n_points, forbidden=forbidden)
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,10 +299,11 @@ def test_random_incidence_closures_match_oracle(system):
 
 
 def test_incidence_closure_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        IncidenceClosure(GroundSet(2), [0b1], 1)
-    with pytest.raises(ValueError):
-        IncidenceClosure(GroundSet(1), [0b100], 2)
+    with pytest.raises(ValueError, match="outside the point set"):
+        IncidenceClosure([0b100], 2)
+    # no rows, no ground set: a polytope without facets has no facet closure
+    with pytest.raises(ValueError, match="at least one element"):
+        IncidenceClosure([], 1)
 
 
 def test_incidence_closure_closes_through_the_base_class():
