@@ -130,33 +130,41 @@ def public_definitions(source: str) -> list[str]:
     return out
 
 
-def names_read(source: str) -> set[str]:
-    """Names a source reads: as a name, as an attribute, or as a string
-    (an attribute looked up by name)."""
-    out = set()
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """Names a source reads: as a bare name, and as an attribute or a
+    string (an attribute looked up by name)."""
+    bare, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            attributes.add(node.value)
+    return bare, attributes
 
 
 def unread_public_names(modules: dict[str, str], drivers: list[str]) -> list[str]:
     """Public definitions of ``modules`` (name -> source) that neither the
     modules nor the drivers read: names kept for the tests alone.  A method
-    counts as read when any attribute of its name is; a function that only
-    calls itself counts as read."""
-    read = set()
+    counts as read when any attribute or string of its name is, not a bare
+    name such as a local variable; a function or class counts as read when
+    its name is read in any of the three ways, even if only by itself."""
+    bare, attributes = set(), set()
     for text in [*modules.values(), *drivers]:
-        read |= names_read(text)
+        b, a = names_read(text)
+        bare |= b
+        attributes |= a
+
+    def read(qualified: str) -> bool:
+        owner, _, name = qualified.rpartition(".")
+        return name in attributes or (not owner and name in bare)
+
     return [
         f"{name}: {qualified}"
         for name, source in modules.items()
         for qualified in public_definitions(source)
-        if qualified.rsplit(".", 1)[-1] not in read
+        if not read(qualified)
     ]
 
 
@@ -169,6 +177,11 @@ def test_the_check_sees_a_name_only_tests_read():
     ]
     assert unread_public_names({"lib.py": lib}, ["unused(); x.m()\n"]) == ["lib.py: C"]
     assert unread_public_names({"lib.py": lib}, ["getattr(lib, 'C')\n"]) == [
+        "lib.py: unused",
+        "lib.py: C.m",
+    ]
+    # a local variable named like a method does not read the method
+    assert unread_public_names({"lib.py": lib}, ["m = C()\nprint(m)\n"]) == [
         "lib.py: unused",
         "lib.py: C.m",
     ]
