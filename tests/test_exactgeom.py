@@ -214,7 +214,8 @@ def integer_configs(draw):
     the integer midpoints of their pairs: points of the hull that are not
     vertices, inside it or on its faces."""
     k = draw(st.integers(1, 4))
-    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=8, unique=True))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=8, unique=True))
     mids = sorted({
         tuple((a + b) // 2 for a, b in zip(p, q))
         for p, q in combinations(pts, 2)
