@@ -36,7 +36,6 @@ from .matroid import (
 )
 from .subdivision import (
     ExtendedTightSpan,
-    HeightFunction,
     Subdivision,
     coordinatize,
     regular_subdivision,

@@ -23,6 +23,7 @@ from .exactgeom import (
     PointConfig,
     fan_closure,
     hull,
+    parse_rational,
     polytope_closure_facet,
     polytope_closure_vertex,
 )
@@ -34,7 +35,7 @@ from .matroid import (
     non_matroidal_witness,
     parse_census_line,
 )
-from .subdivision import HeightFunction, coordinatize, regular_subdivision
+from .subdivision import coordinatize, regular_subdivision
 from .troplin import ValuatedMatroid, _loop_faces, bergman_fan, tropical_linear_space
 
 
@@ -170,10 +171,20 @@ def _subdivision_payload(sub) -> dict:
     return payload
 
 
-def cmd_subdivide(args) -> int:
+def _lifted_subdivision(args):
+    """The regular subdivision of the points file lifted by the heights
+    file, ``{"values": [...]}`` with one rational per point."""
     config = _load("point configuration", args.points, PointConfig.from_json)
-    heights = _load("height function", args.heights, HeightFunction.from_json)
-    sub = regular_subdivision(config, heights)
+    heights = _load(
+        "height function",
+        args.heights,
+        lambda text: [parse_rational(x) for x in json.loads(text)["values"]],
+    )
+    return regular_subdivision(config, heights)
+
+
+def cmd_subdivide(args) -> int:
+    sub = _lifted_subdivision(args)
     _emit(_dumps(_subdivision_payload(sub)), args.output)
     return 0
 
@@ -191,9 +202,7 @@ def _gamma_for(sub, mode: str):
 
 
 def cmd_tightspan(args) -> int:
-    config = _load("point configuration", args.points, PointConfig.from_json)
-    heights = _load("height function", args.heights, HeightFunction.from_json)
-    sub = regular_subdivision(config, heights)
+    sub = _lifted_subdivision(args)
     span = coordinatize(sub, _gamma_for(sub, args.gamma), node_cap=args.node_cap)
     _emit(_dumps(span.as_dict(quotient=args.quotient == "on")), args.output)
     return 0

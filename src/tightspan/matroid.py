@@ -296,7 +296,7 @@ def non_matroidal_witness(sub: Subdivision):
 
     # the exchange inequalities are invariant under positive scaling, so
     # they are decided on the heights scaled to a primitive integer vector
-    value = dict(zip(bases, _primitive(sub.heights.values)))
+    value = dict(zip(bases, _primitive(sub.heights)))
 
     def at_most(x: int, y: int, bound) -> bool:
         return x in value and y in value and value[x] + value[y] <= bound

@@ -294,7 +294,7 @@ def two_hull_subdivision(config, heights) -> SimpleNamespace:
     base_hrep, base_inc, _ = hull(config)
     lifted = PointConfig(
         dim=config.dim + 1,
-        points=tuple(p + (h,) for p, h in zip(config.points, heights.values)),
+        points=tuple(p + (h,) for p, h in zip(config.points, heights)),
     )
     lifted_hrep, lifted_inc, _ = hull(lifted)
     if lifted_hrep.dim == base_hrep.dim:
@@ -330,7 +330,7 @@ def solved_dual_vertices(sub):
     cell's points, and x orthogonal to the null space of all the points'
     differences (the lineality).  Raises ValueError unless the solution is
     unique."""
-    pts, heights, d = sub.config.points, sub.heights.values, sub.config.dim
+    pts, heights, d = sub.config.points, sub.heights, sub.config.dim
     diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     lineality = [v + [Fraction(0)] for v in _onullspace(diffs, d)]
     out = []

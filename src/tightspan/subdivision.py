@@ -12,7 +12,6 @@ as JSON-ready dicts; the command line serializes them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,24 +24,9 @@ from .exactgeom import (
     Vector,
     _hull_and_lower_cells,
     orthogonalize,
-    parse_rational,
     project,
     project_off,
 )
-
-
-@dataclass(frozen=True)
-class HeightFunction:
-    values: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_rows(rows) -> "HeightFunction":
-        return HeightFunction(values=tuple(Fraction(x) for x in rows))
-
-    @staticmethod
-    def from_json(text: str) -> "HeightFunction":
-        data = json.loads(text)
-        return HeightFunction(values=tuple(parse_rational(x) for x in data["values"]))
 
 
 @dataclass(frozen=True)
@@ -57,7 +41,7 @@ class Subdivision:
     """
 
     config: PointConfig
-    heights: HeightFunction
+    heights: tuple[int | Fraction, ...]
     maximal_cells: tuple[int, ...]
     boundary_facets: tuple[int, ...]
     carrier_facet: tuple[int, ...]
@@ -96,8 +80,9 @@ def _boundary(cells, base_inc: IncidenceMatrix) -> tuple[tuple[int, ...], tuple[
     return tuple(boundary), tuple(carriers)
 
 
-def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivision:
-    """Subdivision induced by lifting each point to its height.
+def regular_subdivision(config: PointConfig, heights) -> Subdivision:
+    """Subdivision induced by lifting each point to its height, one int or
+    ``Fraction`` per point.
 
     Maximal cells are the point sets of the lower facets of the lifted
     configuration (the minimizer sets of height(p) - p.x).  One double
@@ -105,9 +90,10 @@ def regular_subdivision(config: PointConfig, heights: HeightFunction) -> Subdivi
     hull of the base together, and a slope of every lower facet; affine
     heights give the trivial subdivision.
     """
-    if len(heights.values) != len(config.points):
+    heights = tuple(heights)
+    if len(heights) != len(config.points):
         raise ValueError("height function length must match point count")
-    base_hrep, base_inc, lower = _hull_and_lower_cells(config, heights.values)
+    base_hrep, base_inc, lower = _hull_and_lower_cells(config, heights)
     cells = tuple(c for c, _ in lower)
     boundary, carriers = _boundary(cells, base_inc)
     return Subdivision(

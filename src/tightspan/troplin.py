@@ -23,13 +23,7 @@ from math import comb
 from .closure import NODE_CAP, indices, mask_of
 from .exactgeom import _rref, orthogonalize, project_off
 from .matroid import Matroid, MatroidError, Valuation, non_matroidal_witness
-from .subdivision import (
-    ExtendedTightSpan,
-    HeightFunction,
-    Subdivision,
-    coordinatize,
-    regular_subdivision,
-)
+from .subdivision import ExtendedTightSpan, Subdivision, coordinatize, regular_subdivision
 
 
 class SpeyerBoundWarning(UserWarning):
@@ -66,9 +60,7 @@ class ValuatedMatroid:
 
     @cached_property
     def subdivision(self) -> Subdivision:
-        config = self.matroid.polytope()
-        heights = HeightFunction(values=self.valuation.heights())
-        return regular_subdivision(config, heights)
+        return regular_subdivision(self.matroid.polytope(), self.valuation.heights())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from itertools import combinations, permutations
 from tightspan import (
     ClosureSystem,
     GroundSet,
-    HeightFunction,
     Matroid,
     PointConfig,
     Valuation,
@@ -104,17 +103,17 @@ def tropical_minor_valuation(matrix) -> Valuation | None:
 
 def interval_subdivision():
     cfg = PointConfig.from_rows([[-1], [0], [1]])
-    return regular_subdivision(cfg, HeightFunction.from_rows([1, 0, 1]))
+    return regular_subdivision(cfg, (1, 0, 1))
 
 
 def three_path_subdivision():
     cfg = PointConfig.from_rows([[0], [1], [2], [3]])
-    return regular_subdivision(cfg, HeightFunction.from_rows([3, 1, 1, 3]))
+    return regular_subdivision(cfg, (3, 1, 1, 3))
 
 
 def two_pyramid_subdivision():
     cfg = hypersimplex(2, 4)
-    return regular_subdivision(cfg, HeightFunction.from_rows([1, 0, 0, 0, 0, 1]))
+    return regular_subdivision(cfg, (1, 0, 0, 0, 0, 1))
 
 
 def identity_system(n: int) -> ClosureSystem:
@@ -191,7 +190,7 @@ def closure_corpus() -> list[tuple[str, ClosureSystem]]:
     corpus.append(
         ("span-interval-tight", tight_span_closure(fig1, list(fig1.boundary_facets)))
     )
-    sq_triv = regular_subdivision(square_config(), HeightFunction.from_rows([0] * 4))
+    sq_triv = regular_subdivision(square_config(), (0,) * 4)
     corpus.append(("span-square-trivial", tight_span_closure(sq_triv, [])))
     pyr = two_pyramid_subdivision()
     corpus.append(("span-two-pyramids", tight_span_closure(pyr, [])))

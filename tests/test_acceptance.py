@@ -29,7 +29,6 @@ from conftest import (
 from tightspan import (
     ClosureSystem,
     GroundSet,
-    HeightFunction,
     Matroid,
     ValuatedMatroid,
     bergman_fan,
@@ -314,7 +313,7 @@ def test_criterion_8_bergman_census_invariants():
 def test_criterion_9_matroidality_gate():
     cfg = hypersimplex(2, 4)
     # heights raising the two bases {0,2} and {0,3} produce a diagonal edge
-    bad = regular_subdivision(cfg, HeightFunction.from_rows([0, 1, 1, 0, 0, 0]))
+    bad = regular_subdivision(cfg, (0, 1, 1, 0, 0, 0))
     witness = non_matroidal_witness(bad)
     assert witness is not None
     nonzero = sorted(x for x in witness[1] if x != 0)

@@ -20,7 +20,6 @@ from conftest import (
 )
 from tightspan import (
     Fan,
-    HeightFunction,
     PointConfig,
     fan_closure,
     ganter_hasse,
@@ -185,7 +184,7 @@ def test_random_spatial_hulls_match_brute_force(rows):
 # -- the hull is the zero-height subdivision ---------------------------------
 
 def assert_hull_is_the_zero_height_subdivision(config):
-    zeros = HeightFunction.from_rows([0] * len(config.points))
+    zeros = (0,) * len(config.points)
     sub = regular_subdivision(config, zeros)
     assert hull(config)[:2] == (sub.base_hrep, sub.base_incidence)
 

@@ -17,7 +17,6 @@ from conftest import (
     u12_power,
 )
 from tightspan import (
-    HeightFunction,
     Matroid,
     ValuatedMatroid,
     non_matroidal_witness,
@@ -35,7 +34,7 @@ NO_EXPLAIN = [p for p in Phase if p is not Phase.explain]
 
 
 def lifted(m: Matroid, heights):
-    return regular_subdivision(m.polytope(), HeightFunction.from_rows(heights))
+    return regular_subdivision(m.polytope(), heights)
 
 
 def cells_pass_exchange(sub) -> bool:
@@ -190,12 +189,12 @@ def test_gate_builds_no_hull_and_computes_no_rank(monkeypatch):
 
 def test_gate_preconditions_are_value_errors():
     # not 0/1
-    tri = regular_subdivision(triangle_config(), HeightFunction.from_rows([0, 0, 0]))
+    tri = regular_subdivision(triangle_config(), (0, 0, 0))
     assert not is_hypersimplex_subset(tri.config.points)
     with pytest.raises(ValueError, match="0/1"):
         non_matroidal_witness(tri)
     # 0/1 but with coordinate sums 0, 1 and 2
-    square = regular_subdivision(square_config(), HeightFunction.from_rows([0, 0, 0, 1]))
+    square = regular_subdivision(square_config(), (0, 0, 0, 1))
     assert not is_hypersimplex_subset(square.config.points)
     with pytest.raises(ValueError, match="coordinate sum"):
         non_matroidal_witness(square)

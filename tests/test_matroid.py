@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fano_lines, fano_matroid, hypersimplex, u12_power
 from tightspan import (
-    HeightFunction,
     Matroid,
     MatroidError,
     corank_valuation,
@@ -110,7 +109,7 @@ def test_matroid_polytopes():
 
 
 def _polytope_is_matroidal(m):
-    zero = HeightFunction.from_rows([0] * len(m.bases))
+    zero = (0,) * len(m.bases)
     return non_matroidal_witness(regular_subdivision(m.polytope(), zero)) is None
 
 
@@ -125,15 +124,15 @@ def test_polytope_vertices_biject_with_bases_and_pass_edge_test():
 
 def test_is_matroidal_examples():
     cfg = hypersimplex(2, 4)
-    trivial = regular_subdivision(cfg, HeightFunction.from_rows([0] * 6))
+    trivial = regular_subdivision(cfg, (0,) * 6)
     assert non_matroidal_witness(trivial) is None
 
     # lift one vertex: the octahedron splits into two matroid pyramids
-    single = regular_subdivision(cfg, HeightFunction.from_rows([0, 0, 0, 0, 0, 1]))
+    single = regular_subdivision(cfg, (0, 0, 0, 0, 0, 1))
     assert non_matroidal_witness(single) is None
 
     # lifting two vertices sharing element 0 creates a diagonal edge
-    bad = regular_subdivision(cfg, HeightFunction.from_rows([0, 1, 1, 0, 0, 0]))
+    bad = regular_subdivision(cfg, (0, 1, 1, 0, 0, 0))
     witness = non_matroidal_witness(bad)
     assert witness is not None
     cell, edge = witness
@@ -144,7 +143,7 @@ def test_is_matroidal_examples():
 
 def test_cell_matroid_on_coordinate_face_has_loop():
     cfg = hypersimplex(2, 4)
-    sub = regular_subdivision(cfg, HeightFunction.from_rows([0] * 6))
+    sub = regular_subdivision(cfg, (0,) * 6)
     face0 = sum(
         1 << i for i, p in enumerate(cfg.points) if p[0] == 0
     )
@@ -183,7 +182,7 @@ def test_corank_subdivision_is_matroidal_and_contains_polytope():
     for m in [u12_power(2), Matroid.from_bases(4, [[0, 1], [0, 2], [0, 3]])]:
         v = corank_valuation(m)
         cfg = v.owner.polytope()
-        sub = regular_subdivision(cfg, HeightFunction(values=v.heights()))
+        sub = regular_subdivision(cfg, v.heights())
         assert non_matroidal_witness(sub) is None
         base_mask = sum(
             1 << i for i, b in enumerate(sorted_bases(v.owner)) if b in m.bases

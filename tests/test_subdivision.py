@@ -15,7 +15,6 @@ from conftest import (
     two_pyramid_subdivision,
 )
 from tightspan import (
-    HeightFunction,
     PointConfig,
     coordinatize,
     ganter_hasse,
@@ -54,16 +53,16 @@ def test_interval_subdivision_cells():
 def test_flat_heights_give_trivial_subdivision():
     for cfg in [square_config(), hypersimplex(2, 4)]:
         npts = len(cfg.points)
-        sub = regular_subdivision(cfg, HeightFunction.from_rows([0] * npts))
+        sub = regular_subdivision(cfg, (0,) * npts)
         assert sub.maximal_cells == ((1 << npts) - 1,)
         # affine but nonconstant heights are still trivial
-        aff = HeightFunction.from_rows([p[0] + 2 * p[1] for p in cfg.points])
+        aff = tuple(p[0] + 2 * p[1] for p in cfg.points)
         sub2 = regular_subdivision(cfg, aff)
         assert sub2.maximal_cells == ((1 << npts) - 1,)
 
 
 def test_trivial_square_boundary_is_edge_set():
-    sub = regular_subdivision(square_config(), HeightFunction.from_rows([0] * 4))
+    sub = regular_subdivision(square_config(), (0,) * 4)
     assert set(sub.boundary_facets) == {0b0011, 0b0101, 0b1010, 0b1100}
 
 
@@ -80,13 +79,13 @@ def test_two_pyramids():
 )
 def test_cells_match_lower_hull_oracle(builder):
     sub = builder()
-    assert set(sub.maximal_cells) == brute_lower_cells(sub.config, sub.heights.values)
+    assert set(sub.maximal_cells) == brute_lower_cells(sub.config, sub.heights)
 
 
 def test_octahedron_single_lift_cells():
     cfg = hypersimplex(2, 4)
-    sub = regular_subdivision(cfg, HeightFunction.from_rows([0, 0, 0, 0, 0, 1]))
-    assert set(sub.maximal_cells) == brute_lower_cells(cfg, sub.heights.values)
+    sub = regular_subdivision(cfg, (0, 0, 0, 0, 0, 1))
+    assert set(sub.maximal_cells) == brute_lower_cells(cfg, sub.heights)
     assert len(sub.maximal_cells) == 2
 
 
@@ -144,7 +143,7 @@ def test_interval_tight_span_gamma_all():
 
 
 def test_trivial_square_tight_span_structure():
-    sub = regular_subdivision(square_config(), HeightFunction.from_rows([0] * 4))
+    sub = regular_subdivision(square_config(), (0,) * 4)
     span = coordinatize(sub, [])
     # dual complex is the normal fan: one vertex, four rays, four 2-cones
     assert span.f_vector() == (1, 4, 4)
@@ -176,7 +175,7 @@ def test_interval_coordinates():
 
 
 def test_simplex_trivial_span_quotient():
-    sub = regular_subdivision(hypersimplex(1, 3), HeightFunction.from_rows([0, 0, 0]))
+    sub = regular_subdivision(hypersimplex(1, 3), (0, 0, 0))
     span = coordinatize(sub, [])
     assert span.f_vector() == (1, 3, 3)
     assert span.bounded_f_vector() == (1,)
@@ -203,7 +202,7 @@ def test_dual_vertex_minimizers():
         for cell_mask, x in zip(sub.maximal_cells, span.dual_vertices):
             vals = [
                 h - sum(a * b for a, b in zip(p, x))
-                for p, h in zip(sub.config.points, sub.heights.values)
+                for p, h in zip(sub.config.points, sub.heights)
             ]
             best = min(vals)
             argmin = sum(1 << i for i, v in enumerate(vals) if v == best)
@@ -231,14 +230,14 @@ def test_dual_ray_minimizers():
                 proj = sum(a * b for a, b in zip(p, ray))
                 if proj < best_ray:
                     gap = (
-                        sub.heights.values[i]
+                        sub.heights[i]
                         - sum(a * b for a, b in zip(p, x0))
                     )
                     t0 = max(t0, (1 - gap) / (best_ray - proj) + 1)
             x = tuple(a + t0 * r for a, r in zip(x0, ray))
             vals = [
                 h - sum(a * b for a, b in zip(p, x))
-                for p, h in zip(sub.config.points, sub.heights.values)
+                for p, h in zip(sub.config.points, sub.heights)
             ]
             best = min(vals)
             argmin = sum(1 << i for i, v in enumerate(vals) if v == best)
@@ -316,7 +315,7 @@ def test_span_json_round_trip_fields():
 def test_nonconvex_break_height_derived():
     # any strictly convexity-breaking lift at the middle point splits the segment
     cfg = PointConfig.from_rows([[-1], [0], [1]])
-    sub = regular_subdivision(cfg, HeightFunction.from_rows([0, Fraction(-1, 7), 0]))
+    sub = regular_subdivision(cfg, (0, Fraction(-1, 7), 0))
     assert set(sub.maximal_cells) == {0b011, 0b110}
 
 
@@ -368,7 +367,7 @@ def lifted_configuration(draw):
         heights = [sum((a * x for a, x in zip(slope, p)), c) for p in points]
         if kind == "affine plus one":
             heights[draw(st.integers(0, len(points) - 1))] += draw(small_rational)
-    return PointConfig(dim=dim, points=tuple(points)), HeightFunction(tuple(heights))
+    return PointConfig(dim=dim, points=tuple(points)), tuple(heights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,7 +382,7 @@ def test_one_double_description_matches_two_hulls(case):
     assert sub.base_hrep == ref.base_hrep
     assert sub.base_incidence == ref.base_incidence
     if len(config.points) <= 8 and config.dim <= 4:
-        assert set(sub.maximal_cells) == brute_lower_cells(config, heights.values)
+        assert set(sub.maximal_cells) == brute_lower_cells(config, heights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,7 +400,7 @@ def test_coordinatize_eliminates_nothing(monkeypatch):
     plane = PointConfig.from_rows([[half, 0, 1], [1, 1, 0], [3 * half, 2, -1], [2, 0, 0]])
     subs = [
         two_pyramid_subdivision(),
-        regular_subdivision(plane, HeightFunction.from_rows([0, Fraction(1, 3), 0, 2])),
+        regular_subdivision(plane, (0, Fraction(1, 3), 0, 2)),
     ]
 
     def forbidden(*args, **kwargs):
@@ -423,12 +422,12 @@ def test_regular_subdivision_runs_one_double_description(monkeypatch):
 
     monkeypatch.setattr(exactgeom, "_dd_polar_rays", counted)
     cfg = hypersimplex(2, 4)
-    sub = regular_subdivision(cfg, HeightFunction.from_rows([1, 0, 0, 0, 0, 1]))
+    sub = regular_subdivision(cfg, (1, 0, 0, 0, 0, 1))
     assert len(sub.maximal_cells) == 2
     # the upward ray is the first generator, so it seeds the DD
     assert calls == [(0, 0, 0, 0, 1)]
     calls.clear()
-    regular_subdivision(PointConfig.from_rows([[1, 2]]), HeightFunction.from_rows([5]))
+    regular_subdivision(PointConfig.from_rows([[1, 2]]), (5,))
     assert calls == []
 
 
@@ -442,8 +441,8 @@ def test_cell_dimensions_match_ranks_on_small_spans():
         (three_path_subdivision(), [0b0001]),
         (two_pyramid_subdivision(), []),
         (two_pyramid_subdivision(), list(two_pyramid_subdivision().boundary_facets)),
-        (regular_subdivision(point, HeightFunction.from_rows([7])), []),
-        (regular_subdivision(square_config(), HeightFunction.from_rows([0, 1, 1, 0])), []),
+        (regular_subdivision(point, (7,)), []),
+        (regular_subdivision(square_config(), (0, 1, 1, 0)), []),
     ]:
         span = coordinatize(sub, gamma)
         assert [c.dim for c in span.cells] == span_cell_rank_dims(span)
