@@ -23,6 +23,7 @@ from .exactgeom import (
     PointConfig,
     fan_closure,
     hull,
+    parse_list,
     parse_rational,
     polytope_closure_facet,
     polytope_closure_vertex,
@@ -171,15 +172,20 @@ def _subdivision_payload(sub) -> dict:
     return payload
 
 
+def _heights(text: str) -> list:
+    return [parse_rational(x) for x in parse_list(json.loads(text)["values"], "values")]
+
+
 def _lifted_subdivision(args):
     """The regular subdivision of the points file lifted by the heights
     file, ``{"values": [...]}`` with one rational per point."""
     config = _load("point configuration", args.points, PointConfig.from_json)
-    heights = _load(
-        "height function",
-        args.heights,
-        lambda text: [parse_rational(x) for x in json.loads(text)["values"]],
-    )
+    heights = _load("height function", args.heights, _heights)
+    if len(heights) != len(config.points):
+        raise InputError(
+            f"bad height function in {args.heights}: its length {len(heights)} "
+            f"does not match the {len(config.points)} points of {args.points}"
+        )
     return regular_subdivision(config, heights)
 
 
@@ -241,6 +247,10 @@ def cmd_bergman(args) -> int:
 
 def cmd_corank_lift(args) -> int:
     m = _load("matroid", args.input, Matroid.from_json)
+    if m.r == 0:
+        raise InputError(
+            f"bad matroid in {args.input}: it has rank 0, and a corank lift needs rank 1 or more"
+        )
     v = corank_valuation(m)
     # both destinations open before either is emptied: a bad path changes none
     with _open_output(args.output) as out, (
@@ -248,7 +258,7 @@ def cmd_corank_lift(args) -> int:
     ) as fh:
         _emptied(out).write(v.to_json() + "\n")
         if fh is not None:
-            _emptied(fh).write(Matroid.uniform(m.r, m.n).to_json() + "\n")
+            _emptied(fh).write(v.owner.to_json() + "\n")
     return 0
 
 

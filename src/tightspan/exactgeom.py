@@ -70,6 +70,14 @@ def parse_int(x, field: str) -> int:
     return x
 
 
+def parse_list(x, field: str) -> list:
+    """A JSON array; a string, an object or a scalar raises ValueError
+    naming ``field`` (iterating them would read made-up entries)."""
+    if type(x) is not list:
+        raise ValueError(f"{field} must be an array, got {json.dumps(x)}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
@@ -204,7 +212,10 @@ class PointConfig:
     @staticmethod
     def from_json(text: str) -> "PointConfig":
         data = json.loads(text)
-        pts = tuple(tuple(parse_rational(x) for x in row) for row in data["points"])
+        pts = tuple(
+            tuple(parse_rational(x) for x in parse_list(row, "point"))
+            for row in parse_list(data["points"], "points")
+        )
         return PointConfig(dim=parse_int(data["dim"], "dim"), points=pts)
 
     def to_json(self) -> str:

@@ -497,6 +497,35 @@ def test_heights_of_wrong_length_is_input_error(files, capsys, command):
     code, out, err = run(capsys, [command, files["fig1.json"], files["h_sq.json"]])
     assert code == 1 and out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "length" in err
+    # both files are named, as in every other input error
+    assert f"{files['h_sq.json']}: its length 4" in err
+    assert f"the 3 points of {files['fig1.json']}" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("face-lattice", '{"dim": 1, "points": "012"}', "points must be an array"),
+        (
+            "face-lattice",
+            '{"dim": 2, "points": [{"0": 9, "1": 9}, {"1": 9, "0": 9}, [1, 1]]}',
+            "point must be an array",
+        ),
+        ("subdivide", '{"values": "102"}', "values must be an array"),
+        ("subdivide", '{"values": {"1": "a", "0": "b", "5": "c"}}', "values must be an array"),
+    ],
+    ids=["points-string", "point-objects", "values-string", "values-object"],
+)
+def test_array_fields_take_json_arrays_only(files, capsys, tmp_path, command, text, field):
+    # iterating a string or an object read its characters or its keys as
+    # entries ("012" gave three points, {"0": 9, "1": 9} the point (0, 1)),
+    # and the command ran on that made-up geometry with exit 0
+    bad = _write_text(tmp_path, "in.json", text)
+    argv = [command, bad] if command == "face-lattice" else [command, files["fig1.json"], bad]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad ") and field in err
+    assert bad in err
 
 
 def test_top_level_array_is_input_error(capsys, tmp_path):
@@ -564,7 +593,11 @@ def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     rank0 = _write_text(tmp_path, "r0.json", '{"n": 3, "bases": [[]]}')
     code, out, err = run(capsys, ["corank-lift", rank0])
     assert code == 1 and out == ""
-    assert err == "error: uniform matroid needs 1 <= r <= n\n"
+    # the message names the input and its fault, not an internal step
+    assert err == (
+        f"error: bad matroid in {rank0}: it has rank 0, "
+        "and a corank lift needs rank 1 or more\n"
+    )
 
 
 @pytest.mark.parametrize(

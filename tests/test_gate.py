@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
+    alternating_sum,
     square_config,
     triangle_config,
     tropical_minor_valuation,
@@ -22,10 +23,11 @@ from tightspan import (
     non_matroidal_witness,
     parse_census_line,
     regular_subdivision,
+    tropical_linear_space,
 )
 from tightspan.closure import indices, mask_of
 from tightspan.matroid import is_hypersimplex_subset
-from tightspan.oracle import brute_cell_edges, brute_exchange
+from tightspan.oracle import brute_cell_edges, brute_exchange, reduced_char_at_zero
 
 
 # hypothesis's explain phase only annotates a failure report, yet it took
@@ -151,6 +153,18 @@ def test_tropical_minors_pass_the_gate(rn, blanks, data):
         return
     vm = ValuatedMatroid(valuation=valuation)
     assert non_matroidal_witness(vm.subdivision) is None
+    # the two Euler identities of the lineality-free census spaces, here on
+    # transversal supports: Euler characteristic 1 on the bounded cells and
+    # -chi_M(0) on the whole complex, M the owner
+    m = valuation.owner
+    if m.loops():
+        return
+    tls = tropical_linear_space(vm)
+    if tls.lineality_dim == 0:
+        assert alternating_sum(tls.bounded_f_vector) == 1, matrix
+        assert alternating_sum(tls.f_vector) == reduced_char_at_zero(
+            m.n, m.r, [indices(b) for b in m.bases]
+        ), matrix
 
 
 @settings(max_examples=25, deadline=None, phases=NO_EXPLAIN)

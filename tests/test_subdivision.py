@@ -13,10 +13,12 @@ from conftest import (
     square_config,
     three_path_subdivision,
     two_pyramid_subdivision,
+    u12_power,
 )
 from tightspan import (
     PointConfig,
     coordinatize,
+    corank_valuation,
     ganter_hasse,
     regular_subdivision,
     tight_span_closure,
@@ -429,6 +431,34 @@ def test_regular_subdivision_runs_one_double_description(monkeypatch):
     calls.clear()
     regular_subdivision(PointConfig.from_rows([[1, 2]]), (5,))
     assert calls == []
+
+
+def test_double_description_inserts_the_points_in_order(monkeypatch):
+    # the insertion order sets the DD's work, not its output: on Delta(5,10)
+    # a random order is about 900 times slower than the sorted one, so a
+    # change of order would show as time alone, never as a wrong answer
+    recorded = []
+    dd = exactgeom._dd_polar_rays
+
+    def recording(gens):
+        recorded.append(list(gens))
+        return dd(gens)
+
+    monkeypatch.setattr(exactgeom, "_dd_polar_rays", recording)
+    v = corank_valuation(u12_power(5))
+    regular_subdivision(v.owner.polytope(), v.heights())
+    [gens] = recorded
+    up, points = gens[0], gens[1:]
+    assert up == (0,) * (len(up) - 1) + (1,)
+    assert len(points) == 252 and all(g[0] == 1 for g in points)
+    # each point is (1, its projection, its height)
+    projections = [g[1:-1] for g in points]
+    assert all(a < b for a, b in zip(projections, projections[1:]))
+
+
+def test_heights_of_wrong_length_are_a_value_error():
+    with pytest.raises(ValueError, match="length must match point count"):
+        regular_subdivision(square_config(), (0, 0, 0))
 
 
 # -- cell dimensions from the lattice grading -----------------------------------
