@@ -456,7 +456,9 @@ def test_double_description_inserts_the_points_in_order(monkeypatch):
     assert all(a < b for a, b in zip(projections, projections[1:]))
 
 
-def test_heights_of_wrong_length_are_a_value_error():
+def test_heights_are_a_tuple_of_one_value_per_point():
+    sub = regular_subdivision(square_config(), [0, Fraction(1, 2), 0, 0])
+    assert sub.heights == (0, Fraction(1, 2), 0, 0)
     with pytest.raises(ValueError, match="length must match point count"):
         regular_subdivision(square_config(), (0, 0, 0))
 
