@@ -89,9 +89,14 @@ def _load(what: str, path: str, parse):
     the decoder is an InputError."""
     text = _read(path)
     try:
-        if not isinstance(json.loads(text), dict):
-            raise ValueError("expected a JSON object")
-        return parse(text)
+        try:
+            return parse(text)
+        except Exception:
+            # decode again, on failure only, so that a text that is no JSON
+            # object is reported as such before any fault of its fields
+            if not isinstance(json.loads(text), dict):
+                raise ValueError("expected a JSON object") from None
+            raise
     except ZeroDivisionError as exc:
         raise InputError(f"bad {what} in {path}: a fraction has denominator 0") from exc
     except KeyError as exc:

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .closure import IncidenceClosure, indices, mask_of, transpose
 
@@ -152,7 +153,7 @@ def _nullspace(rr: list[IntVector], pivots: list[int], ncols: int) -> list[IntVe
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def orthogonalize(vecs) -> list[IntVector]:

@@ -4,11 +4,12 @@ Bases are stored as bit masks over the ground set [n].  The rank of a set A
 is the maximum intersection size with a basis; flats are the closed sets of
 the induced closure operator.  Basis exchange is tested one swap at a time:
 for a basis B and b in B, the b' with B - b + b' a basis (b among them) must
-meet every basis.  Matroid polytopes are the convex hulls of
-the characteristic vectors of the bases; by the exchange characterization,
-their edges are parallel to differences of two unit vectors.  Whether a
-regular subdivision is matroidal is decided on its heights, see
-``non_matroidal_witness``.
+meet every basis, which needs no scan on U(r, n) and on small swap
+complements.  Matroid polytopes are the convex hulls of the characteristic
+vectors of the bases; by the exchange characterization, their edges are
+parallel to differences of two unit vectors.  Whether a regular subdivision
+is matroidal is decided on bases: its support by basis exchange, its cells
+by the exchange inequalities of its heights, see ``non_matroidal_witness``.
 """
 
 from __future__ import annotations
@@ -120,18 +121,8 @@ class Matroid:
     # -- axioms -----------------------------------------------------------
 
     def satisfies_exchange(self) -> bool:
-        """Basis exchange: for B, B' and b in B - B' there is b' in B' - B
-        with B - b + b' a basis.  For each B and b in B this says that every
-        basis meets the swaps S = {b' : B - b + b' a basis}, which hold b."""
-        bases = self.bases
-        full = (1 << self.n) - 1
-        for basis in bases:
-            for b in indices(basis):
-                rest = basis ^ 1 << b
-                swaps = mask_of(c for c in indices(full ^ rest) if rest | 1 << c in bases)
-                if not all(other & swaps for other in bases):
-                    return False
-        return True
+        """Whether the bases satisfy the basis exchange axiom."""
+        return _passes_exchange(self.bases, self.n, self.r)
 
     # -- rank and flats ----------------------------------------------------
 
@@ -171,6 +162,28 @@ class Matroid:
             b1 | (b2 << self.n) for b1 in self.bases for b2 in other.bases
         )
         return Matroid(n=self.n + other.n, r=self.r + other.r, bases=bases)
+
+
+def _passes_exchange(bases, n: int, r: int) -> bool:
+    """Basis exchange on a set of r-subsets of [n] (masks): for B, B' and b
+    in B - B' there is b' in B' - B with B - b + b' a basis.  For each B and
+    b in B this says that every basis meets the swaps S = {b' : B - b + b'
+    a basis}, which hold b.  A basis missing S lies in the complement of S,
+    which holds B - b and the c with B - b + c no basis; so it takes two
+    such c, and a complement of r or fewer elements needs no scan.  All
+    C(n, r) r-sets form U(r, n)."""
+    if len(bases) == comb(n, r):
+        return True
+    full = (1 << n) - 1
+    for basis in bases:
+        for b in indices(basis):
+            rest = basis ^ 1 << b
+            swaps = mask_of(c for c in indices(full ^ rest) if rest | 1 << c in bases)
+            if (full ^ swaps).bit_count() > r and not all(
+                other & swaps for other in bases
+            ):
+                return False
+    return True
 
 
 def sorted_bases(m: Matroid) -> list[int]:
@@ -265,11 +278,14 @@ def non_matroidal_witness(sub: Subdivision):
     polytope.  Raises ValueError unless the points pass
     ``is_hypersimplex_subset``.
 
-    No hull is built.  Support pass: 0/1 points are vertices, no three
-    collinear, so a-b is an edge of conv(points) iff its smallest face is
-    {a, b}; one not parallel to any e_i - e_j (the support is no matroid,
-    by Gelfand-Goresky-MacPherson-Serganova) is an edge of every maximal
-    cell holding a and b.  Exchange pass, deciding on a matroid support
+    No hull is built.  Support pass: by Gelfand-Goresky-MacPherson-
+    Serganova, every edge of conv(points) is parallel to some e_i - e_j iff
+    the points' supports pass basis exchange, which decides the pass.  Only
+    when they fail are the point pairs walked, to name the first edge in
+    (a, b) order that is parallel to none: 0/1 points are vertices, no
+    three collinear, so a-b is an edge iff its smallest face is {a, b}, and
+    such an edge is an edge of every maximal cell holding a and b.
+    Exchange pass, deciding on a matroid support
     (Dress-Wenzel; Murota, Thm 5.2.25; Speyer, Prop. 2.2): B = S+i+j and
     B' = S+k+l need v(B) + v(B') >= min(v(S+i+k) + v(S+j+l), v(S+i+l) +
     v(S+j+k)), a missing basis counting as +infinity; otherwise B-B' is the
@@ -287,12 +303,13 @@ def non_matroidal_witness(sub: Subdivision):
         cell = next(c for c in sub.maximal_cells if c & pair == pair)
         return cell, tuple(x - y for x, y in zip(pts[b], pts[a]))
 
-    faces = polytope_closure_vertex(sub.base_incidence)
-    for a, b in combinations(range(len(bases)), 2):
-        pair = 1 << a | 1 << b
-        diagonal = (bases[a] ^ bases[b]).bit_count() > 2
-        if diagonal and faces.close_cell(faces.cell(pair)) == pair:
-            return witness(a, b)
+    if not _passes_exchange(frozenset(bases), sub.config.dim, pts[0].count(1)):
+        faces = polytope_closure_vertex(sub.base_incidence)
+        for a, b in combinations(range(len(bases)), 2):
+            pair = 1 << a | 1 << b
+            diagonal = (bases[a] ^ bases[b]).bit_count() > 2
+            if diagonal and faces.close_cell(faces.cell(pair)) == pair:
+                return witness(a, b)
 
     # the exchange inequalities are invariant under positive scaling, so
     # they are decided on the heights scaled to a primitive integer vector

@@ -138,6 +138,20 @@ def test_subdivide_matroidal_verdicts(files, capsys):
     assert data["matroidal"] is None and data["witness_edge"] is None
 
 
+def test_subdivide_on_a_single_point_is_matroidal(capsys, tmp_path):
+    # a 0-dimensional point is the one basis of the rank-0 matroid on no
+    # elements: the gate decides it without the rule that a Matroid needs
+    # a nonempty ground set
+    points, heights = tmp_path / "p.json", tmp_path / "h.json"
+    points.write_text('{"dim": 0, "points": [[]]}')
+    heights.write_text('{"values": [0]}')
+    code, out, err = run(capsys, ["subdivide", str(points), str(heights)])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["matroidal"] is True and data["witness_edge"] is None
+    assert data["maximal_cells"] == [[0]]
+
+
 def test_tightspan_gammas(files, capsys):
     code, out, _ = run(
         capsys, ["tightspan", files["fig1.json"], files["fig1h.json"], "--gamma", "none"]
@@ -492,6 +506,21 @@ def test_huge_decimal_exponent_is_input_error(files, capsys, tmp_path, entry):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "exponent" in err
 
 
+def test_each_input_file_is_decoded_once(files, capsys, monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    code, _, _ = run(capsys, ["tls", files["u24.json"], files["v34.json"]])
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("command", ["subdivide", "tightspan"])
 def test_heights_of_wrong_length_is_input_error(files, capsys, command):
     code, out, err = run(capsys, [command, files["fig1.json"], files["h_sq.json"]])
@@ -563,6 +592,19 @@ def test_bad_valuation_key_is_input_error(files, capsys, tmp_path, key, text, re
     assert code == 1 and out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert repr(key) in err and reason in err
+
+
+def test_a_text_that_is_no_json_is_reported_before_a_repeated_key(files, capsys, tmp_path):
+    # the valuation decoder refuses the repeated key as soon as its object
+    # closes, before it reaches the syntax error after it; a text that is
+    # no JSON is reported as such before any fault of its fields
+    bad = _write_text(tmp_path, "v.json", '{"values": {"0,1": "1", "0,1": "2"}, ')
+    code, out, err = run(capsys, ["tls", files["u24.json"], bad])
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: bad valuation in {bad}: Expecting property name enclosed in "
+        "double quotes: line 1 column 38 (char 37)\n"
+    )
 
 
 def test_valuation_missing_a_basis_is_input_error(files, capsys, tmp_path):

@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from conftest import (
     alternating_sum,
@@ -109,6 +109,32 @@ def test_gate_matches_oracle_on_arbitrary_supports(rn, data):
     family = data.draw(st.lists(subsets, min_size=1, max_size=8, unique=True))
     m = Matroid(n=n, r=r, bases=frozenset(mask_of(b) for b in family))
     check_against_oracle(lifted(m, data.draw(heights_for(m))))
+
+
+@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_failing_support_names_its_first_diagonal_edge(rn, data):
+    # the gate decides the support by basis exchange and walks the point
+    # pairs only to name the witness: the first (a, b) in combinations
+    # order whose difference is no e_i - e_j and which is an edge of the
+    # hull of all points, in the first maximal cell holding both
+    r, n = rn
+    subsets = st.sampled_from(list(combinations(range(n), r)))
+    family = data.draw(st.lists(subsets, min_size=2, max_size=8, unique=True))
+    assume(not brute_exchange(family))
+    m = Matroid(n=n, r=r, bases=frozenset(mask_of(b) for b in family))
+    sub = lifted(m, data.draw(heights_for(m)))
+    pts = sub.config.points
+    edges = set(brute_cell_edges(sub.config, (1 << len(pts)) - 1))
+    a, b = next(
+        (a, b)
+        for a, b in combinations(range(len(pts)), 2)
+        if sum(x != y for x, y in zip(pts[a], pts[b])) > 2 and (a, b) in edges
+    )
+    pair = 1 << a | 1 << b
+    cell = next(c for c in sub.maximal_cells if c & pair == pair)
+    direction = tuple(x - y for x, y in zip(pts[b], pts[a]))
+    assert non_matroidal_witness(sub) == (cell, direction)
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,34 @@ def test_non_matroidal_valuation_rejected_with_witness():
     assert "edge direction (-1, -1, 1, 1)" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "n, family, heights, cell, edge",
+    [
+        (4, [[0, 1], [0, 2], [2, 3]], (0, 0, 0), (0, 1, 2), (-1, -1, 1, 1)),
+        (
+            5,
+            [[0, 1], [0, 3], [1, 2], [1, 3], [2, 3], [2, 4], [3, 4]],
+            (2, 0, 1, 0, 0, 1, 0),
+            (0, 1, 2, 3, 5, 6),
+            (-1, -1, 1, 0, 1),
+        ),
+    ],
+)
+def test_support_failing_exchange_is_rejected_with_its_witness(
+    n, family, heights, cell, edge
+):
+    # the constructor does not check exchange; the gate finds the failing
+    # support and names its first diagonal edge in point-pair order, in the
+    # first maximal cell holding it (family in basis order, one height each)
+    m = Matroid(n=n, r=len(family[0]), bases=frozenset(mask(b) for b in family))
+    assert not m.satisfies_exchange()
+    values = dict(zip(sorted_bases(m), map(Fraction, heights)))
+    with pytest.raises(NonMatroidalValuation) as exc:
+        ValuatedMatroid(valuation=Valuation(owner=m, values=values))
+    assert exc.value.cell_points == cell
+    assert exc.value.edge == edge
+
+
 def test_cell_at_examples():
     vm = quartet_vm()
     at_zero = cell_at(vm, [0, 0, 0, 0])
