@@ -27,6 +27,15 @@ the base (the facets through the ray) and the lower facets (the maximal
 cells) and never forms an upper facet (Fukuda and Prodon, Double
 description method revisited, 1996, on insertion order).  ``hull`` is the
 subdivision of zero heights, whose one lower facet is the floor.
+
+What depends on the configuration alone is computed once per
+configuration and kept in a small ``lru_cache`` (``_frame``): the integer
+scale, the affine hull's pivots and equations, the sorted projections and
+the DD seed.  The upward ray spans the height axis, so the seed's choice
+of points and their seed facets do not depend on the heights; each run
+adds only the upward ray's own seed facet.  A scan of many valuations on
+one configuration (a census scan under the corank lift) so pays for the
+configuration once.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .closure import IncidenceClosure, indices, mask_of, transpose
 
@@ -275,31 +286,23 @@ class IncidenceMatrix:
 # double description core
 # ---------------------------------------------------------------------------
 
-def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
+def _dd_polar_rays(
+    gens: list[IntVector], seed: int, rays: list[tuple[IntVector, int]]
+) -> list[tuple[IntVector, int]]:
     """Extreme rays of the polar of a full-dimensional pointed cone.
 
     ``gens`` must linearly span the space and admit a strictly positive
-    functional (both hold for homogenized point configurations).  Returns
-    (ray, zeroset) pairs where the zeroset is a bit mask over ``gens``
-    marking the generators the ray vanishes on; these are exactly the
-    facet normals of cone(gens) with their generator incidences.
+    functional (both hold for homogenized point configurations).  ``seed``
+    masks a basis among ``gens`` and ``rays`` are its cone's facets, one
+    per seed generator: (ray, zeroset) with the ray positive on that
+    generator and zero on the other seed generators.  The other generators
+    are inserted in order.  Returns (ray, zeroset) pairs where the zeroset
+    is a bit mask over ``gens`` marking the generators the ray vanishes on;
+    these are exactly the facet normals of cone(gens) with their generator
+    incidences.
     """
     m = len(gens[0])
-    ngens = len(gens)
-    # one reduction of [G^T | I]: its pivot columns in the left block are
-    # the seed, each generator independent of those before it, and row t
-    # of the right block pairs positively with seed[t] and to zero with the
-    # other seed generators, so it is the seed cone's facet opposite seed[t]
-    rr, seed = _rref([
-        [g[j] for g in gens] + [int(j == t) for t in range(m)] for j in range(m)
-    ])
-    if seed[-1] >= ngens:
-        raise ValueError("generators do not span the space")
-
-    seed_mask = mask_of(seed)
-    rays = [(_content_free(rr[t][ngens:]), seed_mask ^ 1 << seed[t]) for t in range(m)]
-
-    pending = [i for i in range(ngens) if i not in seed]
+    pending = [i for i in range(len(gens)) if not seed >> i & 1]
     for t in pending:
         v = gens[t]
         vals = [_dot(r, v) for r, _ in rays]
@@ -329,23 +332,87 @@ def _dd_polar_rays(gens: list[IntVector]) -> list[tuple[IntVector, int]]:
     return rays
 
 
+class _Frame(NamedTuple):
+    """What a point configuration fixes before any height is read.
+
+    ``scale`` is the lcm of the coordinates' denominators.  ``pivots`` are
+    the pivot coordinates of the affine hull, cut out by ``equations``;
+    ``order`` lists the points sorted by their integer projections onto the
+    pivot coordinates, ``proj`` those projections in that order.  ``seed``
+    holds the positions in that order of the first affinely independent
+    points, and ``seed_rays[t]`` is the primitive w with w.(1, q) > 0 for
+    the projection q of seed point t and 0 for the other seed points.
+    """
+
+    scale: int
+    equations: tuple[Facet, ...]
+    pivots: tuple[int, ...]
+    order: tuple[int, ...]
+    proj: tuple[IntVector, ...]
+    seed: tuple[int, ...]
+    seed_rays: tuple[IntVector, ...]
+
+
+@lru_cache(maxsize=8)
+def _frame(config: PointConfig) -> _Frame:
+    """The affine frame and the DD seed of a configuration: one ``_rref``
+    of the differences to the first point, and one of [Q^T | I] over the
+    homogenized sorted projections Q, whose pivot columns in the left block
+    are the seed and whose right block's row t, made content-free, is
+    seed_rays[t]."""
+    d = config.dim
+    npts = len(config.points)
+    scale = lcm(*(x.denominator for p in config.points for x in p))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
+
+    diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
+    rr, pivots = _rref(diffs)
+    equations = tuple(
+        Facet(normal=nvec, offset=Fraction(-_dot(nvec, ipts[0]), scale))
+        for nvec in _nullspace(rr, pivots, d)
+    )
+    proj = [tuple(p[c] for c in pivots) for p in ipts]
+    order = sorted(range(npts), key=proj.__getitem__)
+    proj = [proj[i] for i in order]
+    if not pivots:
+        return _Frame(scale, equations, (), tuple(order), tuple(proj), (), ())
+
+    m = len(pivots) + 1
+    homogenized = [(1,) + q for q in proj]
+    rr, seed = _rref([
+        [g[j] for g in homogenized] + [int(j == t) for t in range(m)] for j in range(m)
+    ])
+    seed_rays = tuple(_content_free(row[npts:]) for row in rr)
+    return _Frame(scale, equations, tuple(pivots), tuple(order), tuple(proj), tuple(seed),
+                  seed_rays)
+
+
 def _hull_and_lower_cells(
     config: PointConfig, heights
 ) -> tuple[HRep, IncidenceMatrix, list[tuple[int, tuple[IntVector, int]]]]:
     """One double description of the lifted configuration plus the upward ray.
 
-    Points and heights (one rational per point) are scaled to integers,
-    the points projected to the pivot coordinates of their affine hull and
-    homogenized to cone generators, sorted by their projections, each with
-    its height as one more coordinate.  The upward ray (0, ..., 0, 1) goes
-    first, so it seeds the DD: the cone is over the lifted points plus the
-    ray, which has no upper facets.  A facet through the ray is vertical,
-    the lift of a facet of conv(config); every other facet is lower, and
-    its point mask is a maximal cell of the regular subdivision.  Returns
-    the facet description of conv(config), facets sorted by (normal,
-    offset), its incidences, and the lower cells sorted by point mask.
-    Affine heights give one lower facet holding every point, and so does a
-    single point, without a DD.
+    The configuration's ``_frame`` gives its affine hull and its points
+    projected to the pivot coordinates, sorted.  Points and heights (one
+    rational per point) are scaled to integers by one lcm s of their
+    denominators, and each point becomes the cone generator (1, its
+    projection, its height).  The upward ray (0, ..., 0, 1) goes first, so
+    it seeds the DD: the cone is over the lifted points plus the ray, which
+    has no upper facets.  A facet through the ray is vertical, the lift of
+    a facet of conv(config); every other facet is lower, and its point
+    mask is a maximal cell of the regular subdivision.  Returns the facet
+    description of conv(config), facets sorted by (normal, offset), its
+    incidences, and the lower cells sorted by point mask.  Affine heights
+    give one lower facet holding every point, and so does a single point,
+    without a DD.
+
+    The seed is read off the frame.  With s = k * scale, the seed ray w of
+    a seed point becomes the content-free (k w_0, w', 0), and the upward
+    ray's own seed facet is u = L e_last - sum_t (L h_t / c_t) (w_t, 0),
+    over the seed points' heights h_t and pairings c_t = w_t.(1, k q_t),
+    with L = lcm(c_t), made content-free.  Each seed facet is unique up to
+    a positive factor, so these are the rays one elimination of the
+    generators would give.
 
     Each cell comes as (point mask, (numerators, denominator)), the second
     a slope y with height(p) - p.y constant on the cell: a lower facet
@@ -355,42 +422,48 @@ def _hull_and_lower_cells(
     """
     d = config.dim
     npts = len(config.points)
-    scale = lcm(*(x.denominator for p in config.points for x in p),
-                *(h.denominator for h in heights))
-    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in config.points]
-
-    diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
-    rr, pivots = _rref(diffs)
-    equations = tuple(
-        Facet(normal=nvec, offset=Fraction(-_dot(nvec, ipts[0]), scale))
-        for nvec in _nullspace(rr, pivots, d)
-    )
-
-    if not pivots:
+    frame = _frame(config)
+    if not frame.pivots:
         return (
-            HRep(facets=(), equations=equations, ambient_dim=d),
+            HRep(facets=(), equations=frame.equations, ambient_dim=d),
             IncidenceMatrix(rows=(), n_points=npts),
             [(1, ((0,) * d, 1))],
         )
 
-    proj = [tuple(p[c] for c in pivots) for p in ipts]
-    order = sorted(range(npts), key=lambda i: proj[i])
+    scale = lcm(frame.scale, *(h.denominator for h in heights))
+    k = scale // frame.scale
     iheights = [h.numerator * (scale // h.denominator) for h in heights]
-    up = (0,) * (len(pivots) + 1) + (1,)
-    gens = [up] + [(1,) + proj[i] + (iheights[i],) for i in order]
+    up = (0,) * (len(frame.pivots) + 1) + (1,)
+    proj = frame.proj if k == 1 else [tuple(k * x for x in q) for q in frame.proj]
+    gens = [up] + [(1,) + q + (iheights[i],) for i, q in zip(frame.order, proj)]
+
+    seed = [1 + pos for pos in frame.seed]  # generator 0 is up
+    seed_mask = 1 | mask_of(seed)
+    ws = [_content_free((k * w[0],) + w[1:]) for w in frame.seed_rays]
+    pairings = [_dot(w, gens[g]) for w, g in zip(ws, seed)]  # w has no height entry
+    big = lcm(*pairings)
+    u = [0] * len(up)
+    u[-1] = big
+    for w, c, g in zip(ws, pairings, seed):
+        f = big // c * gens[g][-1]
+        for j, x in enumerate(w):
+            u[j] -= f * x
+    rays = [(_content_free(u), seed_mask ^ 1)] + [
+        (w + (0,), seed_mask ^ 1 << g) for w, g in zip(ws, seed)
+    ]
 
     entries = []
     cells = []
-    for ray, zset in _dd_polar_rays(gens):
-        inc = mask_of(order[pos] for pos in indices(zset >> 1))  # generator 0 is up
+    for ray, zset in _dd_polar_rays(gens, seed_mask, rays):
+        inc = mask_of(frame.order[pos] for pos in indices(zset >> 1))
         if ray[-1]:
             slope = [0] * d
-            for val, c in zip(ray[1:-1], pivots):
+            for val, c in zip(ray[1:-1], frame.pivots):
                 slope[c] = -val
             cells.append((inc, (tuple(slope), ray[-1])))
             continue
         normal = [0] * d
-        for val, c in zip(ray[1:], pivots):
+        for val, c in zip(ray[1:], frame.pivots):
             normal[c] = val
         entries.append((tuple(normal), Fraction(ray[0], scale), inc))
     entries.sort(key=lambda e: (e[0], e[1]))
@@ -398,7 +471,7 @@ def _hull_and_lower_cells(
     return (
         HRep(
             facets=tuple(Facet(normal=n, offset=o) for n, o, _ in entries),
-            equations=equations,
+            equations=frame.equations,
             ambient_dim=d,
         ),
         IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts),

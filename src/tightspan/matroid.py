@@ -89,6 +89,7 @@ class Matroid:
         return m
 
     @staticmethod
+    @lru_cache(maxsize=8)
     def uniform(r: int, n: int) -> "Matroid":
         if not 1 <= r <= n:
             raise MatroidError("uniform matroid needs 1 <= r <= n")
@@ -147,6 +148,7 @@ class Matroid:
 
     # -- geometry ------------------------------------------------------------
 
+    @lru_cache(maxsize=8)
     def polytope(self) -> PointConfig:
         """Convex hull of the characteristic vectors of the bases, with the
         points listed in lexicographic basis order."""
@@ -164,14 +166,16 @@ class Matroid:
         return Matroid(n=self.n + other.n, r=self.r + other.r, bases=bases)
 
 
-def _passes_exchange(bases, n: int, r: int) -> bool:
+@lru_cache(maxsize=8)
+def _passes_exchange(bases: frozenset[int], n: int, r: int) -> bool:
     """Basis exchange on a set of r-subsets of [n] (masks): for B, B' and b
     in B - B' there is b' in B' - B with B - b + b' a basis.  For each B and
     b in B this says that every basis meets the swaps S = {b' : B - b + b'
     a basis}, which hold b.  A basis missing S lies in the complement of S,
     which holds B - b and the c with B - b + c no basis; so it takes two
     such c, and a complement of r or fewer elements needs no scan.  All
-    C(n, r) r-sets form U(r, n)."""
+    C(n, r) r-sets form U(r, n).  The answer is kept per basis family, so a
+    family read from a file and then gated is decided once."""
     if len(bases) == comb(n, r):
         return True
     full = (1 << n) - 1
@@ -186,9 +190,10 @@ def _passes_exchange(bases, n: int, r: int) -> bool:
     return True
 
 
-def sorted_bases(m: Matroid) -> list[int]:
+@lru_cache(maxsize=8)
+def sorted_bases(m: Matroid) -> tuple[int, ...]:
     """Bases in lexicographic order of their sorted index tuples."""
-    return sorted(m.bases, key=indices)
+    return tuple(sorted(m.bases, key=indices))
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,43 @@ def is_hypersimplex_subset(points) -> bool:
     )
 
 
+@lru_cache(maxsize=8)
+def _supports(config: PointConfig) -> tuple[int, ...] | None:
+    """The points' supports as masks, or None unless the points pass
+    ``is_hypersimplex_subset``."""
+    if not is_hypersimplex_subset(config.points):
+        return None
+    return tuple(mask_of(i for i, x in enumerate(p) if x == 1) for p in config.points)
+
+
+@lru_cache(maxsize=8)
+def _exchange_pairs(config: PointConfig) -> tuple[tuple, ...]:
+    """The exchange pass's point pairs of a 0/1 configuration, in (a, b)
+    order: each a < b whose supports B = S+i+j and B' = S+k+l differ in
+    four elements, as (a, b, p1, q1, p2, q2) with p1, q1 the points of
+    S+j+k and S+i+l and p2, q2 those of S+j+l and S+i+k; a cross pair with
+    a point missing is (None, None)."""
+    bases = _supports(config)
+    point = {B: a for a, B in enumerate(bases)}.get
+    pairs = []
+    for a, B in enumerate(bases):
+        for b in range(a + 1, len(bases)):
+            diff = B ^ bases[b]
+            if diff.bit_count() != 4:
+                continue
+            out = B & diff
+            inn = diff ^ out
+            i, k = out & -out, inn & -inn
+            j, l = out ^ i, inn ^ k
+            p1, q1, p2, q2 = point(B ^ j ^ k), point(B ^ i ^ l), point(B ^ j ^ l), point(B ^ i ^ k)
+            if p1 is None or q1 is None:
+                p1 = q1 = None
+            if p2 is None or q2 is None:
+                p2 = q2 = None
+            pairs.append((a, b, p1, q1, p2, q2))
+    return tuple(pairs)
+
+
 def non_matroidal_witness(sub: Subdivision):
     """Return (cell mask, pts[b] - pts[a]) for an edge a-b of a maximal cell
     not parallel to any e_i - e_j, or None when every cell is a matroid
@@ -290,13 +332,15 @@ def non_matroidal_witness(sub: Subdivision):
     B' = S+k+l need v(B) + v(B') >= min(v(S+i+k) + v(S+j+l), v(S+i+l) +
     v(S+j+k)), a missing basis counting as +infinity; otherwise B-B' is the
     lowest diagonal of its octahedron face, an edge of the subdivision.
+    The supports and the exchange pass's pairs depend on the configuration
+    alone and are computed once per configuration.
     """
     pts = sub.config.points
-    if not is_hypersimplex_subset(pts):
+    bases = _supports(sub.config)
+    if bases is None:
         raise ValueError(
             "the matroidality gate needs 0/1 points with a constant coordinate sum"
         )
-    bases = [mask_of(i for i, x in enumerate(p) if x == 1) for p in pts]
 
     def witness(a: int, b: int):
         pair = 1 << a | 1 << b
@@ -313,21 +357,11 @@ def non_matroidal_witness(sub: Subdivision):
 
     # the exchange inequalities are invariant under positive scaling, so
     # they are decided on the heights scaled to a primitive integer vector
-    value = dict(zip(bases, _primitive(sub.heights)))
-
-    def at_most(x: int, y: int, bound) -> bool:
-        return x in value and y in value and value[x] + value[y] <= bound
-
-    for a, b in combinations(range(len(bases)), 2):
-        B, diff = bases[a], bases[a] ^ bases[b]
-        if diff.bit_count() != 4:
-            continue
-        out, inn = B & diff, diff & ~B
-        i, k = out & -out, inn & -inn
-        j, l = out ^ i, inn ^ k
-        total = value[B] + value[bases[b]]
-        if not at_most(B ^ j ^ k, B ^ i ^ l, total) and not at_most(
-            B ^ j ^ l, B ^ i ^ k, total
+    value = _primitive(sub.heights)
+    for a, b, p1, q1, p2, q2 in _exchange_pairs(sub.config):
+        total = value[a] + value[b]
+        if (p1 is None or value[p1] + value[q1] > total) and (
+            p2 is None or value[p2] + value[q2] > total
         ):
             return witness(a, b)
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .closure import NODE_CAP, IncidenceClosure, ganter_hasse, indices
 from .exactgeom import (
@@ -182,6 +183,19 @@ class ExtendedTightSpan:
         }
 
 
+@lru_cache(maxsize=8)
+def _dual_frame(
+    lineality: tuple[IntVector, ...], normals: tuple[IntVector, ...]
+) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
+    """What the dual coordinates read off the hull alone, from the normals
+    of its equations (the lineality basis) and of its facets: the
+    lineality's exact Gram-Schmidt basis, and each facet's outward normal
+    projected orthogonally to the lineality, as a primitive integer
+    vector."""
+    lin_ortho = tuple(orthogonalize(lineality))
+    return lin_ortho, tuple(project_off([-x for x in n], lin_ortho) for n in normals)
+
+
 def coordinatize(sub: Subdivision, gamma=(), node_cap: int = NODE_CAP) -> ExtendedTightSpan:
     """Enumerate the kept closed sets and attach dual coordinates.
 
@@ -190,24 +204,22 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = NODE_CAP) -> Extend
     projected orthogonally off the lineality space, the one such x
     orthogonal to it.  The dual ray of a boundary facet is the outward
     normal of its carrier facet, projected orthogonally to the lineality
-    and scaled to a primitive integer vector.  Nothing is eliminated here.
+    and scaled to a primitive integer vector; both projections read the
+    hull's ``_dual_frame``, computed once per hull.  Nothing is eliminated
+    here.
     """
     system = tight_span_closure(sub, gamma)
     diagram = ganter_hasse(system, node_cap=node_cap)
 
     # the lineality space is spanned by the normals of the affine hull's equations
     lineality = tuple(e.normal for e in sub.base_hrep.equations)
-    lin_ortho = orthogonalize(lineality)
+    lin_ortho, outward = _dual_frame(lineality, tuple(f.normal for f in sub.base_hrep.facets))
 
     dual_vertices = []
     for num, den in sub.cell_slopes:
         num, den = project(num, den, lin_ortho)
         dual_vertices.append(tuple(Fraction(a, den) for a in num))
 
-    outward = {
-        carrier: project_off([-x for x in sub.base_hrep.facets[carrier].normal], lin_ortho)
-        for carrier in set(sub.carrier_facet)
-    }
     dual_rays = [outward[carrier] for carrier in sub.carrier_facet]
 
     n_max = len(sub.maximal_cells)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 from .closure import NODE_CAP, indices, mask_of
@@ -137,7 +137,8 @@ class TropicalLinearSpace:
         return doc
 
 
-def _loop_faces(config) -> list[int]:
+@lru_cache(maxsize=8)
+def _loop_faces(config) -> tuple[int, ...]:
     """Point masks of the coordinate-zero faces: for each ground element i,
     the points with i-th coordinate zero (the maximal boundary face whose
     cells all have i as a loop).  Empty faces are dropped."""
@@ -145,7 +146,7 @@ def _loop_faces(config) -> list[int]:
         mask_of(j for j, p in enumerate(config.points) if p[i] == 0)
         for i in range(config.dim)
     ]
-    return [f for f in faces if f]
+    return tuple(f for f in faces if f)
 
 
 def tropical_linear_space(

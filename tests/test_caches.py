@@ -1,0 +1,160 @@
+"""The per-configuration caches: every one bounded, none seen in an output.
+
+What depends on the point configuration alone (its affine frame and DD
+seed, the gate's supports and pairs, the loop faces, the hull's dual
+frame, the uniform owner and its polytope) is kept in small
+``functools.lru_cache``s.  Each output below is compared byte for byte
+with every cache cleared, on a warm second run in the same process and,
+for scans, with ``--jobs 2``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import inspect
+import json
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import tightspan
+from conftest import u12_power
+from tightspan import Matroid, corank_valuation, exactgeom, matroid, subdivision, troplin
+from tightspan.cli import main
+
+CENSUS = Path(__file__).resolve().parents[1] / "data" / "census"
+# sha256 of `fvector-scan <file> --n 5 --r R --lift corank`, the digests the
+# benchmark checks its census scans against
+CENSUS_DIGESTS = {
+    "census_n5_r2.txt": (2, "c0691a7426b3e5c0baaad48d71169b0e1c24ece800bd13b67636ce9b534184e4"),
+    "census_n5_r3.txt": (3, "0a8ccc14e366c61321c9135c3fe9242921ae39a9265a9708acc5381d72fbed67"),
+}
+
+
+def program_caches() -> dict:
+    """Every lru_cache of the program, at module level or on a class, by
+    qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(tightspan.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"tightspan.{info.name}")
+        for name, obj in vars(module).items():
+            members = [(name, obj)]
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)]
+            for qualname, member in members:
+                if hasattr(member, "cache_info") and member.__module__ == module.__name__:
+                    found[f"{module.__name__}.{qualname}"] = member
+    return found
+
+
+def clear_caches() -> None:
+    for cache in program_caches().values():
+        cache.cache_clear()
+
+
+def test_every_cache_is_bounded():
+    caches = program_caches()
+    for name in (
+        "tightspan.exactgeom._frame",
+        "tightspan.matroid.Matroid.uniform",
+        "tightspan.matroid.Matroid.polytope",
+        "tightspan.matroid._passes_exchange",
+        "tightspan.matroid._exchange_pairs",
+        "tightspan.troplin._loop_faces",
+        "tightspan.subdivision._dual_frame",
+    ):
+        assert name in caches
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def run(argv, out: Path) -> bytes:
+    assert main(argv + ["-o", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("census", sorted(CENSUS_DIGESTS))
+def test_census_scans_are_the_same_cold_warm_and_in_workers(tmp_path, census):
+    r, digest = CENSUS_DIGESTS[census]
+    argv = ["fvector-scan", str(CENSUS / census), "--n", "5", "--r", str(r),
+            "--lift", "corank"]
+    clear_caches()
+    cold = run(argv, tmp_path / "cold.jsonl")
+    assert hashlib.sha256(cold).hexdigest() == digest
+    assert run(argv, tmp_path / "warm.jsonl") == cold
+    clear_caches()
+    assert run(argv + ["--jobs", "2"], tmp_path / "jobs.jsonl") == cold
+
+
+def test_a_census_scan_computes_each_configuration_fact_once(tmp_path):
+    # every corank line of a file lifts onto U(3, 5), one configuration
+    clear_caches()
+    argv = ["fvector-scan", str(CENSUS / "census_n5_r3.txt"), "--n", "5", "--r", "3",
+            "--lift", "corank"]
+    run(argv, tmp_path / "scan.jsonl")
+    for cache in (
+        exactgeom._frame,
+        Matroid.uniform,
+        Matroid.polytope,
+        matroid._supports,
+        matroid._exchange_pairs,
+        troplin._loop_faces,
+        subdivision._dual_frame,
+    ):
+        info = cache.cache_info()
+        assert info.misses == 1 and info.hits >= 170, cache
+
+
+def test_flagship_tls_is_the_same_cold_and_warm(tmp_path):
+    (tmp_path / "m.json").write_text(Matroid.uniform(4, 8).to_json())
+    (tmp_path / "v.json").write_text(corank_valuation(u12_power(4)).to_json())
+    argv = ["tls", str(tmp_path / "m.json"), str(tmp_path / "v.json")]
+    clear_caches()
+    cold = run(argv, tmp_path / "cold.json")
+    assert json.loads(cold)["bounded_f_vector"] == [14, 24, 12, 1]
+    assert run(argv, tmp_path / "warm.json") == cold
+
+
+@pytest.mark.parametrize("command", ["subdivide", "tightspan"])
+def test_fractional_heights_rescale_the_cached_frame(tmp_path, command):
+    # the points' denominators give the frame's scale 4; heights in thirds
+    # make the generators' scale 12, so the cached seed rays are rescaled
+    points = {"dim": 2, "points": [["0", "0"], ["1/2", "0"], ["0", "1/2"], ["1/2", "1/2"],
+                                   ["1/4", "1/4"]]}
+    (tmp_path / "p.json").write_text(json.dumps(points))
+    (tmp_path / "thirds.json").write_text(json.dumps({"values": ["1/3", "0", "2/3", "0", "-1/3"]}))
+    (tmp_path / "ints.json").write_text(json.dumps({"values": ["1", "0", "0", "1", "0"]}))
+    lifted = [command, str(tmp_path / "p.json")]
+    clear_caches()
+    cold = run(lifted + [str(tmp_path / "thirds.json")], tmp_path / "cold.json")
+    other = run(lifted + [str(tmp_path / "ints.json")], tmp_path / "other.json")
+    assert other != cold
+    assert run(lifted + [str(tmp_path / "thirds.json")], tmp_path / "warm.json") == cold
+    clear_caches()
+    assert run(lifted + [str(tmp_path / "ints.json")], tmp_path / "other_cold.json") == other
+
+
+@pytest.mark.parametrize("command", ["subdivide", "tightspan"])
+def test_the_zero_dimensional_point_is_the_same_cold_and_warm(tmp_path, command):
+    (tmp_path / "p.json").write_text(json.dumps({"dim": 0, "points": [[]]}))
+    (tmp_path / "h.json").write_text(json.dumps({"values": ["0"]}))
+    argv = [command, str(tmp_path / "p.json"), str(tmp_path / "h.json")]
+    clear_caches()
+    cold = run(argv, tmp_path / "cold.json")
+    if command == "subdivide":
+        assert json.loads(cold)["matroidal"] is True
+    assert run(argv, tmp_path / "warm.json") == cold
+
+
+def test_a_read_matroid_is_exchange_checked_once(tmp_path):
+    # U(1,2) + U(1,2) has 4 of the 6 2-subsets: the exchange test scans
+    (tmp_path / "m.json").write_text(u12_power(2).to_json())
+    clear_caches()
+    assert main(["bergman", str(tmp_path / "m.json"), "-o", str(tmp_path / "b.json")]) == 0
+    info = matroid._passes_exchange.cache_info()
+    assert info.misses == 1  # the read; the gate's support pass asks again
+    assert info.hits == 1

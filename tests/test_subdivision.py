@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from tightspan import (
     coordinatize,
     corank_valuation,
     ganter_hasse,
+    hull,
     regular_subdivision,
     tight_span_closure,
 )
@@ -27,6 +29,7 @@ from tightspan.closure import indices
 from tightspan import exactgeom
 from tightspan.oracle import (
     _orank,
+    brute_hull,
     brute_lower_cells,
     relative_volume,
     solved_dual_vertices,
@@ -395,6 +398,57 @@ def test_dual_vertices_match_solved_systems(case):
     assert coordinatize(sub).dual_vertices == solved_dual_vertices(sub)
 
 
+def _ints_where_integral(values) -> tuple:
+    return tuple(int(x) if x.denominator == 1 else x for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration(), st.booleans())
+def test_the_frames_seed_rays_are_a_dual_basis_of_the_seed_generators(case, as_ints):
+    # the DD seed is read off the configuration's cached frame; the heights
+    # enter only the upward ray's seed facet and the rescaling of the others
+    # to the heights' denominators, so both are checked on the generators
+    # the DD is actually given, cold or warm
+    config, heights = case
+    if as_ints:
+        config = PointConfig(config.dim, tuple(map(_ints_where_integral, config.points)))
+        heights = _ints_where_integral(heights)
+    recorded = []
+    dd = exactgeom._dd_polar_rays
+
+    def recording(gens, seed, rays):
+        recorded.append((gens, seed, rays))
+        return dd(gens, seed, rays)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactgeom, "_dd_polar_rays", recording)
+        sub = regular_subdivision(config, heights)
+    if len(config.points) == 1:
+        assert recorded == []
+    else:
+        [(gens, seed, rays)] = recorded
+        # the seed is the greedy basis: each generator independent of those before it
+        kept = []
+        for i, g in enumerate(gens):
+            if _orank([gens[j] for j in kept] + [g]) > len(kept):
+                kept.append(i)
+        chosen = list(indices(seed))
+        assert chosen == kept and kept[0] == 0
+        assert len(rays) == len(chosen) == len(gens[0])
+        for (ray, zeros), t in zip(rays, chosen):
+            assert gcd(*ray) == 1
+            assert zeros == seed ^ 1 << t
+            for s in chosen:
+                pairing = sum(a * b for a, b in zip(ray, gens[s]))
+                assert pairing > 0 if s == t else pairing == 0
+    if len(config.points) <= 8 and config.dim <= 4:
+        assert set(sub.maximal_cells) == brute_lower_cells(config, heights)
+        hrep, incidence, _ = hull(config)
+        facets, equations = brute_hull(config)
+        assert set(incidence.rows) == {onset for _, _, onset in facets}
+        assert len(hrep.equations) == len(equations)
+
+
 def test_coordinatize_eliminates_nothing(monkeypatch):
     # dual vertices are projected lower-facet slopes of the one DD that
     # built the subdivision: coordinatize neither solves nor hulls
@@ -418,9 +472,9 @@ def test_regular_subdivision_runs_one_double_description(monkeypatch):
     calls = []
     dd = exactgeom._dd_polar_rays
 
-    def counted(gens):
+    def counted(gens, *seed):
         calls.append(gens[0])
-        return dd(gens)
+        return dd(gens, *seed)
 
     monkeypatch.setattr(exactgeom, "_dd_polar_rays", counted)
     cfg = hypersimplex(2, 4)
@@ -440,9 +494,9 @@ def test_double_description_inserts_the_points_in_order(monkeypatch):
     recorded = []
     dd = exactgeom._dd_polar_rays
 
-    def recording(gens):
+    def recording(gens, *seed):
         recorded.append(list(gens))
-        return dd(gens)
+        return dd(gens, *seed)
 
     monkeypatch.setattr(exactgeom, "_dd_polar_rays", recording)
     v = corank_valuation(u12_power(5))
