@@ -13,9 +13,7 @@ import json
 import os
 import stat
 import sys
-import traceback
 from contextlib import nullcontext
-from multiprocessing import Pool
 
 from .closure import NODE_CAP, HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
 from .exactgeom import (
@@ -37,7 +35,14 @@ from .matroid import (
     parse_census_line,
 )
 from .subdivision import coordinatize, regular_subdivision
-from .troplin import ValuatedMatroid, _loop_faces, bergman_fan, tropical_linear_space
+from .troplin import (
+    ValuatedMatroid,
+    _check_speyer,
+    _loop_faces,
+    bergman_fan,
+    bergman_source,
+    tropical_linear_space,
+)
 
 
 class InputError(ValueError):
@@ -267,24 +272,42 @@ def cmd_corank_lift(args) -> int:
     return 0
 
 
+# The line reports of the scan command running in this process, keyed by
+# (configuration, maximal cells, boundary facets), which fix a report:
+# gamma, n, r and the lineality follow from the configuration.  A census
+# file holds few distinct subdivisions (26 among the 171 lines of
+# census_n5_r3.txt under the corank lift).  Emptied when a scan starts and
+# ends, so no command reuses another's work; each worker keeps its own.
+_line_reports: dict = {}
+
+
 def _scan_line(task) -> dict:
     lineno, line, n, r, order, lift, node_cap = task
     record = {"line": lineno}
     try:
         m = parse_census_line(line, n, r, order=order)
         if lift == "corank":
-            v = corank_valuation(m)
-            vm = ValuatedMatroid(valuation=v)
-            tls = tropical_linear_space(vm, node_cap=node_cap)
+            vm = ValuatedMatroid(valuation=corank_valuation(m))
         else:
-            tls = bergman_fan(m, node_cap=node_cap)
-        record.update(tls.report())
+            vm = bergman_source(m)
+        # a key fixes the owner's loops, the coordinates zero on every
+        # point, so a hit has passed tropical_linear_space's loop check
+        sub = vm.subdivision
+        key = (sub.config, sub.maximal_cells, sub.boundary_facets)
+        rep = _line_reports.get(key)
+        if rep is None:
+            rep = _line_reports[key] = tropical_linear_space(vm, node_cap=node_cap).report()
+        else:
+            _check_speyer(rep)  # tropical_linear_space checks the first line
+        record.update(rep)
         record["ok"] = True
     except NodeCapExceeded as exc:
         record.update(ok=False, error=str(exc), node_cap=True)
     except ValueError as exc:  # MatroidError among them
         record.update(ok=False, error=str(exc))
     except Exception as exc:  # a fault on one line must not lose the others
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         record.update(ok=False, error=str(exc), exception=type(exc).__name__)
     return record
@@ -310,6 +333,8 @@ def _scan_records(tasks, jobs: int):
     what it has already written.  At most one worker per line starts."""
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from multiprocessing import Pool  # 4.5 ms to import, for a pool only
+
         with Pool(workers) as pool:
             yield from pool.imap(_scan_line, tasks)
     else:
@@ -326,14 +351,18 @@ def cmd_fvector_scan(args) -> int:
     ok = failed = crashed = 0
     with _open_output(args.output) as out:
         _emptied(out)
-        for rec in _scan_records(tasks, args.jobs):
-            out.write(_scan_record_text(rec, args.format))
-            out.flush()
-            if rec.get("ok"):
-                ok += 1
-            else:
-                failed += 1
-                crashed += "exception" in rec
+        _line_reports.clear()
+        try:
+            for rec in _scan_records(tasks, args.jobs):
+                out.write(_scan_record_text(rec, args.format))
+                out.flush()
+                if rec.get("ok"):
+                    ok += 1
+                else:
+                    failed += 1
+                    crashed += "exception" in rec
+        finally:
+            _line_reports.clear()
         if args.format == "pretty":
             out.write(f"summary: {ok} ok, {failed} failed\n")
         else:

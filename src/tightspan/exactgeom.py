@@ -30,12 +30,12 @@ subdivision of zero heights, whose one lower facet is the floor.
 
 What depends on the configuration alone is computed once per
 configuration and kept in a small ``lru_cache`` (``_frame``): the integer
-scale, the affine hull's pivots and equations, the sorted projections and
-the DD seed.  The upward ray spans the height axis, so the seed's choice
-of points and their seed facets do not depend on the heights; each run
-adds only the upward ray's own seed facet.  A scan of many valuations on
-one configuration (a census scan under the corank lift) so pays for the
-configuration once.
+scale, the affine hull's pivots and equations, the sorted projections,
+the DD seed and, once a run has found it, the hull of the base.  The
+upward ray spans the height axis, so the seed's choice of points and their
+seed facets do not depend on the heights; each run adds only the upward
+ray's own seed facet.  A scan of many valuations on one configuration (a
+census scan under the corank lift) so pays for the configuration once.
 """
 
 from __future__ import annotations
@@ -342,6 +342,8 @@ class _Frame(NamedTuple):
     holds the positions in that order of the first affinely independent
     points, and ``seed_rays[t]`` is the primitive w with w.(1, q) > 0 for
     the projection q of seed point t and 0 for the other seed points.
+    ``base`` is empty until the first run puts the assembled (HRep,
+    IncidenceMatrix) of conv(config) in it, for every later run to return.
     """
 
     scale: int
@@ -351,6 +353,7 @@ class _Frame(NamedTuple):
     proj: tuple[IntVector, ...]
     seed: tuple[int, ...]
     seed_rays: tuple[IntVector, ...]
+    base: list
 
 
 @lru_cache(maxsize=8)
@@ -375,7 +378,7 @@ def _frame(config: PointConfig) -> _Frame:
     order = sorted(range(npts), key=proj.__getitem__)
     proj = [proj[i] for i in order]
     if not pivots:
-        return _Frame(scale, equations, (), tuple(order), tuple(proj), (), ())
+        return _Frame(scale, equations, (), tuple(order), tuple(proj), (), (), [])
 
     m = len(pivots) + 1
     homogenized = [(1,) + q for q in proj]
@@ -384,7 +387,7 @@ def _frame(config: PointConfig) -> _Frame:
     ])
     seed_rays = tuple(_content_free(row[npts:]) for row in rr)
     return _Frame(scale, equations, tuple(pivots), tuple(order), tuple(proj), tuple(seed),
-                  seed_rays)
+                  seed_rays, [])
 
 
 def _hull_and_lower_cells(
@@ -452,9 +455,15 @@ def _hull_and_lower_cells(
         (w + (0,), seed_mask ^ 1 << g) for w, g in zip(ws, seed)
     ]
 
+    # a vertical ray is (k c0, c, 0) for a facet c0 + c.q >= 0 of the
+    # projections q, and c is primitive as the facet holds some q: its
+    # normal c and offset k c0 / scale do not depend on the heights
+    base = frame.base
     entries = []
     cells = []
     for ray, zset in _dd_polar_rays(gens, seed_mask, rays):
+        if base and not ray[-1]:
+            continue
         inc = mask_of(frame.order[pos] for pos in indices(zset >> 1))
         if ray[-1]:
             slope = [0] * d
@@ -466,17 +475,17 @@ def _hull_and_lower_cells(
         for val, c in zip(ray[1:], frame.pivots):
             normal[c] = val
         entries.append((tuple(normal), Fraction(ray[0], scale), inc))
-    entries.sort(key=lambda e: (e[0], e[1]))
-
-    return (
-        HRep(
-            facets=tuple(Facet(normal=n, offset=o) for n, o, _ in entries),
-            equations=frame.equations,
-            ambient_dim=d,
-        ),
-        IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts),
-        sorted(cells),
-    )
+    if not base:
+        entries.sort(key=lambda e: (e[0], e[1]))
+        base.append((
+            HRep(
+                facets=tuple(Facet(normal=n, offset=o) for n, o, _ in entries),
+                equations=frame.equations,
+                ambient_dim=d,
+            ),
+            IncidenceMatrix(rows=tuple(e[2] for e in entries), n_points=npts),
+        ))
+    return (*base[0], sorted(cells))
 
 
 def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:

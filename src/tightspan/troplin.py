@@ -114,7 +114,12 @@ class TropicalLinearSpace:
     def report(self) -> dict:
         """(n, r), both f-vectors, ``lineality_dim`` and ``dim``, and the
         conjectured bound per bounded dimension; ``within_bound`` compares
-        the bounded f-vector, padded with zeros, entry by entry with it."""
+        the bounded f-vector, padded with zeros, entry by entry with it.
+        Built once per space: every call returns the same dict."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> dict:
         bounds = speyer_bounds(self.n, self.r)
         bounded = list(self.bounded_f_vector)
         padded = bounded + [0] * (len(bounds) - len(bounded))
@@ -168,17 +173,21 @@ def tropical_linear_space(
     gamma = _loop_faces(sub.config)
     span = coordinatize(sub, gamma, node_cap=node_cap)
     tls = TropicalLinearSpace(source=vm, span=span)
-    _check_speyer(tls)
+    _check_speyer(tls.report())
     return tls
+
+
+def bergman_source(m: Matroid) -> ValuatedMatroid:
+    """The zero valuation on a loop-free matroid, gated."""
+    if m.loops():
+        raise MatroidError("matroid with loops has no Bergman fan")
+    return ValuatedMatroid(valuation=Valuation.zero(m))
 
 
 def bergman_fan(m: Matroid, node_cap: int = NODE_CAP) -> TropicalLinearSpace:
     """Tropical linear space of the zero valuation: the loop-free part of
     the normal fan of the matroid polytope, in its coarsest structure."""
-    if m.loops():
-        raise MatroidError("matroid with loops has no Bergman fan")
-    vm = ValuatedMatroid(valuation=Valuation.zero(m))
-    return tropical_linear_space(vm, node_cap=node_cap)
+    return tropical_linear_space(bergman_source(m), node_cap=node_cap)
 
 
 def speyer_bound(n: int, r: int, i: int) -> int:
@@ -200,20 +209,20 @@ def speyer_bounds(n: int, r: int) -> tuple[int, ...]:
     return tuple(speyer_bound(n, r, i) for i in range(1, r + 1))
 
 
-def _check_speyer(tls: TropicalLinearSpace) -> None:
-    """Warn loudly when a bounded f-vector exceeds the conjectured bound.
+def _check_speyer(rep: dict) -> None:
+    """Warn loudly when the bounded f-vector of a space's ``report``
+    exceeds the conjectured bound.
 
     Skipped when the complex has extra lineality (where cells are never
     geometrically bounded) and for the degenerate single-element ground set.
     """
-    if tls.lineality_dim > 0 or tls.n < 2:
+    if rep["lineality_dim"] > 0 or rep["n"] < 2:
         return
-    rep = tls.report()
     bounded, bounds = rep["bounded_f_vector"], rep["speyer_bounds"]
     if len(bounded) > len(bounds) or not all(rep["within_bound"]):
         warnings.warn(
             f"bounded f-vector {tuple(bounded)} exceeds the conjectured "
-            f"bound {tuple(bounds)} for (n, r) = ({tls.n}, {tls.r})",
+            f"bound {tuple(bounds)} for (n, r) = ({rep['n']}, {rep['r']})",
             SpeyerBoundWarning,
             stacklevel=2,
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 from tightspan import (
     ClosureSystem,
@@ -20,6 +21,14 @@ from tightspan import (
     tight_span_closure,
 )
 from tightspan.oracle import normal_fan, restrict_to_lower_set
+
+CENSUS = Path(__file__).resolve().parents[1] / "data" / "census"
+# sha256 of `fvector-scan <file> --n 5 --r R --lift corank`, the digests the
+# benchmark checks its census scans against
+CENSUS_DIGESTS = {
+    "census_n5_r2.txt": (2, "c0691a7426b3e5c0baaad48d71169b0e1c24ece800bd13b67636ce9b534184e4"),
+    "census_n5_r3.txt": (3, "0a8ccc14e366c61321c9135c3fe9242921ae39a9265a9708acc5381d72fbed67"),
+}
 
 
 def square_config() -> PointConfig:

@@ -15,22 +15,25 @@ import importlib
 import inspect
 import json
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tightspan
-from conftest import u12_power
-from tightspan import Matroid, corank_valuation, exactgeom, matroid, subdivision, troplin
+from conftest import CENSUS, CENSUS_DIGESTS, u12_power
+from tightspan import (
+    Matroid,
+    PointConfig,
+    corank_valuation,
+    exactgeom,
+    matroid,
+    regular_subdivision,
+    subdivision,
+    troplin,
+)
 from tightspan.cli import main
-
-CENSUS = Path(__file__).resolve().parents[1] / "data" / "census"
-# sha256 of `fvector-scan <file> --n 5 --r R --lift corank`, the digests the
-# benchmark checks its census scans against
-CENSUS_DIGESTS = {
-    "census_n5_r2.txt": (2, "c0691a7426b3e5c0baaad48d71169b0e1c24ece800bd13b67636ce9b534184e4"),
-    "census_n5_r3.txt": (3, "0a8ccc14e366c61321c9135c3fe9242921ae39a9265a9708acc5381d72fbed67"),
-}
 
 
 def program_caches() -> dict:
@@ -91,7 +94,9 @@ def test_census_scans_are_the_same_cold_warm_and_in_workers(tmp_path, census):
 
 
 def test_a_census_scan_computes_each_configuration_fact_once(tmp_path):
-    # every corank line of a file lifts onto U(3, 5), one configuration
+    # every corank line of a file lifts onto U(3, 5), one configuration;
+    # the 171 lines are gated one by one, and their 26 distinct
+    # subdivisions are enumerated once each
     clear_caches()
     argv = ["fvector-scan", str(CENSUS / "census_n5_r3.txt"), "--n", "5", "--r", "3",
             "--lift", "corank"]
@@ -102,11 +107,12 @@ def test_a_census_scan_computes_each_configuration_fact_once(tmp_path):
         Matroid.polytope,
         matroid._supports,
         matroid._exchange_pairs,
-        troplin._loop_faces,
-        subdivision._dual_frame,
     ):
         info = cache.cache_info()
         assert info.misses == 1 and info.hits >= 170, cache
+    for cache in (troplin._loop_faces, subdivision._dual_frame):
+        info = cache.cache_info()
+        assert info.misses == 1 and info.hits == 25, cache
 
 
 def test_flagship_tls_is_the_same_cold_and_warm(tmp_path):
@@ -136,6 +142,39 @@ def test_fractional_heights_rescale_the_cached_frame(tmp_path, command):
     assert run(lifted + [str(tmp_path / "thirds.json")], tmp_path / "warm.json") == cold
     clear_caches()
     assert run(lifted + [str(tmp_path / "ints.json")], tmp_path / "other_cold.json") == other
+
+
+_quarter = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[_quarter] * d), min_size=2, max_size=7, unique=True)
+    ),
+    st.data(),
+)
+def test_the_kept_base_hull_is_the_one_every_height_scale_builds(points, data):
+    # heights in thirds or fifths rescale the points by another k than
+    # integer heights do; the base each run would build is the kept one
+    config = PointConfig(dim=len(points[0]), points=tuple(points))
+    scales = [1, 3, 5]
+    runs = [
+        [Fraction(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from(scales)))
+         for _ in points]
+        for _ in range(2)
+    ]
+    runs.append([data.draw(st.integers(-3, 3)) for _ in points])
+    cold = []
+    for heights in runs:
+        clear_caches()
+        cold.append(repr(regular_subdivision(config, heights)))
+    clear_caches()
+    warm = [regular_subdivision(config, heights) for heights in runs]
+    assert [repr(sub) for sub in warm] == cold
+    if exactgeom._frame(config).pivots:
+        assert all(sub.base_hrep is warm[0].base_hrep for sub in warm)
+        assert all(sub.base_incidence is warm[0].base_incidence for sub in warm)
 
 
 @pytest.mark.parametrize("command", ["subdivide", "tightspan"])

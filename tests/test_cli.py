@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import square_config, u12_power
+from conftest import CENSUS, CENSUS_DIGESTS, square_config, u12_power
 from tightspan import Matroid, PointConfig, bergman_fan
 from tightspan.cli import main
 from tightspan.oracle import brute_vertex_flags, normal_fan
@@ -799,14 +800,14 @@ def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypa
     # to raise an exception that no input error explains
     from tightspan import cli
 
-    real = cli.bergman_fan
+    real = cli.bergman_source
 
-    def flaky(m, node_cap):
+    def flaky(m):
         if len(m.bases) == 2:
             raise ZeroDivisionError("boom")
-        return real(m, node_cap=node_cap)
+        return real(m)
 
-    monkeypatch.setattr(cli, "bergman_fan", flaky)
+    monkeypatch.setattr(cli, "bergman_source", flaky)
     census = files["dir"] + "/census.txt"
     with open(census, "w") as fh:
         fh.write("111\n011\n110\n111\n")
@@ -839,7 +840,7 @@ def test_fvector_scan_keeps_results_past_a_crashing_line(files, capsys, monkeypa
 def test_fvector_scan_starts_at_most_one_worker_per_line(
     tmp_path, capsys, monkeypatch, census, jobs, sizes
 ):
-    from tightspan import cli
+    import multiprocessing
 
     started = []
 
@@ -858,7 +859,7 @@ def test_fvector_scan_starts_at_most_one_worker_per_line(
         def imap(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     path = _write_text(tmp_path, "c31.txt", census)
     code, out, _ = run(capsys, ["fvector-scan", path, "--n", "3", "--r", "1", "--jobs", jobs])
     assert code == 0 and started == sizes
@@ -872,6 +873,96 @@ def test_fvector_scan_checks_the_line_length_before_listing_the_bases(tmp_path, 
     record, summary = map(json.loads, out.splitlines())
     assert code == 0 and summary == {"summary": {"failed": 1, "ok": 0}}
     assert record["error"] == "census line has 10 characters, expected 137846528820"
+
+
+# -- the scan's line reports, kept per command ----------------------------------
+
+@pytest.mark.parametrize("census", sorted(CENSUS_DIGESTS))
+def test_each_scan_enumerates_each_distinct_subdivision_once(capsys, monkeypatch, census):
+    # 171 lines, 26 distinct (maximal cells, boundary facets) in each file;
+    # a second command in the same process enumerates them all again
+    from tightspan import troplin
+
+    calls = []
+    real = troplin.coordinatize
+
+    def counting(sub, gamma, node_cap):
+        calls.append(sub.maximal_cells)
+        return real(sub, gamma, node_cap=node_cap)
+
+    monkeypatch.setattr(troplin, "coordinatize", counting)
+    r, _ = CENSUS_DIGESTS[census]
+    argv = ["fvector-scan", str(CENSUS / census), "--n", "5", "--r", str(r), "--lift", "corank"]
+    outputs = []
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(calls) == len(set(calls)) == 26
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("lift", ["trivial", "corank"])
+def test_each_scan_record_is_its_own_lines_report(capsys, lift):
+    # each record is the report of its own line built without the scan; on
+    # this file, two pairs of lines with different polytopes under the
+    # trivial lift share their cell and facet masks
+    from tightspan import ValuatedMatroid, corank_valuation, parse_census_line
+    from tightspan import tropical_linear_space
+
+    lines = (CENSUS / "census_n4_r2.txt").read_text().split()
+    code, out, _ = run(capsys, ["fvector-scan", str(CENSUS / "census_n4_r2.txt"),
+                                "--n", "4", "--r", "2", "--lift", lift])
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and len(records) == len(lines)
+    for line, record in zip(lines, records):
+        m = parse_census_line(line, 4, 2)
+        if lift == "corank":
+            tls = tropical_linear_space(ValuatedMatroid(valuation=corank_valuation(m)))
+        elif m.loops():
+            continue
+        else:
+            tls = bergman_fan(m)
+        assert record == {"line": record["line"], "ok": True, **tls.report()}
+
+
+def test_lines_sharing_a_subdivision_are_capped_alike(tmp_path, capsys):
+    # U(2,4) twice: one subdivision under either lift, and no report to keep
+    path = _write_text(tmp_path, "c42.txt", "111111\n111111\n")
+    capped = ("CAPPED: closed-set enumeration exceeded node cap 3 "
+              "(3 closed sets found before aborting)")
+    for lift in ("trivial", "corank"):
+        code, out, _ = run(capsys, ["fvector-scan", path, "--n", "4", "--r", "2", "--lift", lift,
+                                    "--node-cap", "3", "--format", "pretty"])
+        assert code == 0
+        assert out.splitlines() == [f"line    {i}  {capped}" for i in (0, 1)] + [
+            "summary: 0 ok, 2 failed"
+        ]
+
+
+def test_every_line_sharing_a_subdivision_is_checked_against_the_bound(
+    tmp_path, capsys, monkeypatch
+):
+    # U(2,4) three times: bounded f-vector (1,), above bounds of zeros
+    from tightspan import troplin
+
+    monkeypatch.setattr(troplin, "speyer_bounds", lambda n, r: (0,) * r)
+    path = _write_text(tmp_path, "c42.txt", "111111\n" * 3)
+    argv = ["fvector-scan", path, "--n", "4", "--r", "2", "--lift", "corank"]
+    # the suite makes the warning an error: every line fails on it
+    code, out, _ = run(capsys, argv)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert [r.get("exception") for r in records[:-1]] == ["SpeyerBoundWarning"] * 3
+    assert {r["error"] for r in records[:-1]} == {
+        "bounded f-vector (1,) exceeds the conjectured bound (0, 0) for (n, r) = (4, 2)"
+    }
+    # a plain warning: every line warns, and every record is reported
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and out.count('"ok": true') == 3
+    assert [str(w.message) for w in seen] == [records[0]["error"]] * 3
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

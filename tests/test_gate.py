@@ -111,6 +111,27 @@ def test_gate_matches_oracle_on_arbitrary_supports(rn, data):
     check_against_oracle(lifted(m, data.draw(heights_for(m))))
 
 
+def has_an_octahedron(m: Matroid) -> bool:
+    """Whether two bases differ in four elements, so that the exchange pass
+    has an inequality to decide."""
+    return any((a ^ b).bit_count() == 4 for a, b in combinations(m.bases, 2))
+
+
+MATROID_SUPPORTS = {
+    (r, n): [m for m in census_matroids(f"census_n{n}_r{r}.txt", n, r) if has_an_octahedron(m)]
+    for r, n in [(2, 4), (2, 5), (3, 6)]
+}
+
+
+@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
+def test_gate_matches_oracle_on_arbitrary_heights_over_matroid_supports(rn, data):
+    # the shapes above, with supports that pass basis exchange and hold an
+    # octahedron face, so that the exchange pass decides every example
+    m = data.draw(st.sampled_from(MATROID_SUPPORTS[rn]))
+    check_against_oracle(lifted(m, data.draw(heights_for(m))))
+
+
 @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
 @given(st.sampled_from([(2, 4), (2, 5), (3, 6)]), st.data())
 def test_failing_support_names_its_first_diagonal_edge(rn, data):
