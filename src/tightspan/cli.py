@@ -272,12 +272,13 @@ def cmd_corank_lift(args) -> int:
     return 0
 
 
-# The line reports of the scan command running in this process, keyed by
-# (configuration, maximal cells, boundary facets), which fix a report:
-# gamma, n, r and the lineality follow from the configuration.  A census
-# file holds few distinct subdivisions (26 among the 171 lines of
-# census_n5_r3.txt under the corank lift).  Emptied when a scan starts and
-# ends, so no command reuses another's work; each worker keeps its own.
+# The line outcomes of the scan command running in this process, each a
+# report or a node-cap abort, keyed by (configuration, maximal cells,
+# boundary facets), which fix a report: gamma, n, r and the lineality
+# follow from the configuration.  A census file holds few distinct
+# subdivisions (26 among the 171 lines of census_n5_r3.txt under the
+# corank lift).  Emptied when a scan starts and ends, so no command reuses
+# another's work; each worker keeps its own.
 _line_reports: dict = {}
 
 
@@ -294,15 +295,16 @@ def _scan_line(task) -> dict:
         # point, so a hit has passed tropical_linear_space's loop check
         sub = vm.subdivision
         key = (sub.config, sub.maximal_cells, sub.boundary_facets)
-        rep = _line_reports.get(key)
-        if rep is None:
-            rep = _line_reports[key] = tropical_linear_space(vm, node_cap=node_cap).report()
-        else:
-            _check_speyer(rep)  # tropical_linear_space checks the first line
-        record.update(rep)
-        record["ok"] = True
-    except NodeCapExceeded as exc:
-        record.update(ok=False, error=str(exc), node_cap=True)
+        outcome = _line_reports.get(key)
+        if outcome is None:
+            try:
+                outcome = dict(tropical_linear_space(vm, node_cap=node_cap).report(), ok=True)
+            except NodeCapExceeded as exc:
+                outcome = {"ok": False, "error": str(exc), "node_cap": True}
+            _line_reports[key] = outcome
+        elif outcome["ok"]:
+            _check_speyer(outcome)  # tropical_linear_space checks the first line
+        record.update(outcome)
     except ValueError as exc:  # MatroidError among them
         record.update(ok=False, error=str(exc))
     except Exception as exc:  # a fault on one line must not lose the others

@@ -18,9 +18,8 @@ mask comparison per candidate: H covers N iff the i that give H are H - N.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from collections import deque, namedtuple
+from typing import Callable, NamedTuple
 
 
 def indices(mask: int) -> tuple[int, ...]:
@@ -54,15 +53,15 @@ class NodeCapExceeded(RuntimeError):
         self.partial_count = partial_count
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(namedtuple("GroundSet", "size")):
     """Finite ground set with elements 0..size-1, subsets of it as masks."""
 
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __new__(cls, size: int):
+        if size < 1:
             raise ValueError("ground set must contain at least one element")
+        return super().__new__(cls, size)
 
     @property
     def full_mask(self) -> int:
@@ -87,6 +86,7 @@ class ClosureSystem:
     def __init__(self, ground: GroundSet, close_fn: Callable[[int], int]):
         self.ground = ground
         self._close_fn = close_fn
+        self._full = ground.full_mask
 
     def close(self, subset: int) -> int:
         return self._close_fn(subset)
@@ -99,7 +99,7 @@ class ClosureSystem:
         is called directly, not through :meth:`close`."""
         close = self._close_fn
         out: dict[int, int] = {}
-        m = self.ground.full_mask & ~nmask
+        m = self._full & ~nmask
         while m:
             low = m & -m
             c = close(nmask | low)
@@ -161,7 +161,6 @@ class IncidenceClosure(ClosureSystem):
         self.containing = transpose(rows, n_points)
         self.forbidden = tuple(forbidden)
         self._all_points = all_points
-        self._full = ground.full_mask
         self._closed: dict[int, int] = {}  # cell -> close_cell(cell)
         self._alive: dict[int, int] = {}  # closed set -> i not known to give full
 
@@ -225,8 +224,7 @@ class IncidenceClosure(ClosureSystem):
         return by_closure
 
 
-@dataclass
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """Covering-relation digraph of the closed sets, arcs directed upward.
 
     ``nodes`` holds each closed set exactly once as a mask, in discovery

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -200,21 +200,20 @@ def project_off(vec, ortho_basis) -> IntVector:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(namedtuple("PointConfig", "dim points")):
     """Finite configuration of pairwise distinct rational points."""
 
-    dim: int
-    points: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, dim: int, points: tuple[Vector, ...]):
+        if not points:
             raise ValueError("point configuration must be nonempty")
-        for p in self.points:
-            if len(p) != self.dim:
+        for p in points:
+            if len(p) != dim:
                 raise ValueError("point has wrong dimension")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
+        return super().__new__(cls, dim, points)
 
     @staticmethod
     def from_rows(rows) -> "PointConfig":
@@ -240,8 +239,7 @@ class PointConfig:
         )
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting halfspace normal.x >= -offset (normal points inward).
 
     With offset zero on both sides, equations are stored the same way and
@@ -252,8 +250,7 @@ class Facet:
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(NamedTuple):
     """Exact facet/equation description of a convex hull."""
 
     facets: tuple[Facet, ...]
@@ -265,8 +262,7 @@ class HRep:
         return self.ambient_dim - len(self.equations)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     """Facet-point incidences. Row r is a bit mask over points: bit c set
     iff point c satisfies facet r with equality."""
 
@@ -561,31 +557,29 @@ def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
 # polyhedral fans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
     """Rays (primitive integer directions), maximal cones as ray-index sets,
     and an explicit basis of the lineality space."""
 
-    rays: tuple[IntVector, ...]
-    maximal_cones: tuple[tuple[int, ...], ...]
-    lineality: tuple[IntVector, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.rays)) != len(self.rays):
+    def __new__(cls, rays, maximal_cones, lineality=()):
+        if len(set(rays)) != len(rays):
             raise ValueError("fan rays must be distinct")
-        for r in self.rays:
+        for r in rays:
             if r != _primitive(r):
                 raise ValueError(f"ray {r} is not primitive")
-        if any(not 0 <= i < len(self.rays) for c in self.maximal_cones for i in c):
+        if any(not 0 <= i < len(rays) for c in maximal_cones for i in c):
             raise ValueError("cone refers to a ray index outside the ray list")
-        for c in self.maximal_cones:
+        for c in maximal_cones:
             if len(set(c)) != len(c):
                 raise ValueError(f"cone {list(c)} repeats an element")
-        masks = [mask_of(c) for c in self.maximal_cones]
+        masks = [mask_of(c) for c in maximal_cones]
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 if i != j and a & b == a:
                     raise ValueError("maximal cones must not contain one another")
+        return super().__new__(cls, rays, maximal_cones, lineality)
 
     @staticmethod
     def from_json(text: str) -> "Fan":

@@ -15,7 +15,7 @@ by the exchange inequalities of its heights, see ``non_matroidal_witness``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -46,24 +46,22 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(namedtuple("Matroid", "n r bases")):
     """Matroid on [n] given by its bases (bit masks of cardinality r)."""
 
-    n: int
-    r: int
-    bases: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, r: int, bases: frozenset[int]):
+        if n < 1:
             raise MatroidError("a matroid needs a nonempty ground set")
-        if not self.bases:
+        if not bases:
             raise MatroidError("a matroid needs at least one basis")
-        for b in self.bases:
-            if b.bit_count() != self.r:
+        for b in bases:
+            if b.bit_count() != r:
                 raise MatroidError("all bases must have the same cardinality")
-            if b >> self.n:
+            if b >> n:
                 raise MatroidError("basis element outside the ground set")
+        return super().__new__(cls, n, r, bases)
 
     # -- construction -----------------------------------------------------
 
@@ -196,16 +194,15 @@ def sorted_bases(m: Matroid) -> tuple[int, ...]:
     return tuple(sorted(m.bases, key=indices))
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(namedtuple("Valuation", "owner values")):
     """Rational value per basis of an owner matroid."""
 
-    owner: Matroid
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if set(self.values) != set(self.owner.bases):
+    def __new__(cls, owner: Matroid, values: dict):
+        if set(values) != set(owner.bases):
             raise MatroidError("valuation must assign a value to every basis")
+        return super().__new__(cls, owner, values)
 
     def heights(self) -> tuple[Fraction, ...]:
         """Values aligned to the polytope's point order."""

@@ -12,9 +12,9 @@ as JSON-ready dicts; the command line serializes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .closure import NODE_CAP, IncidenceClosure, ganter_hasse, indices
 from .exactgeom import (
@@ -30,8 +30,7 @@ from .exactgeom import (
 )
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """Subdivision of a point configuration into cells given as point masks.
 
     ``maximal_cells`` and ``boundary_facets`` are point-index masks;
@@ -129,8 +128,7 @@ def tight_span_closure(sub: Subdivision, gamma=()) -> IncidenceClosure:
     return IncidenceClosure(gens, sub.n_points, forbidden=gamma)
 
 
-@dataclass(frozen=True)
-class SpanCell:
+class SpanCell(NamedTuple):
     """Dual cell of a closed set: convex hull of the listed dual vertices
     plus the cone of the listed dual rays (plus lineality)."""
 
@@ -140,8 +138,7 @@ class SpanCell:
     dim: int
 
 
-@dataclass(frozen=True)
-class ExtendedTightSpan:
+class ExtendedTightSpan(NamedTuple):
     """Coordinatized dual complex of the kept cells of a regular subdivision."""
 
     dual_vertices: tuple[Vector, ...]

@@ -16,7 +16,6 @@ commands print: the span's dual complex, the report and the lineality basis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -42,17 +41,19 @@ class NonMatroidalValuation(MatroidError):
         self.edge = tuple(edge)
 
 
-@dataclass(frozen=True)
 class ValuatedMatroid:
     """A valuation whose subdivision is matroidal, on its owner matroid."""
 
-    valuation: Valuation
-
-    def __post_init__(self):
+    def __init__(self, valuation: Valuation):
+        self._valuation = valuation
         witness = non_matroidal_witness(self.subdivision)
         if witness is not None:
             cell, edge = witness
             raise NonMatroidalValuation(indices(cell), edge)
+
+    @property
+    def valuation(self) -> Valuation:
+        return self._valuation
 
     @property
     def matroid(self) -> Matroid:
@@ -63,7 +64,6 @@ class ValuatedMatroid:
         return regular_subdivision(self.matroid.polytope(), self.valuation.heights())
 
 
-@dataclass(frozen=True)
 class TropicalLinearSpace:
     """Dual complex of the loop-free cells, modulo the all-ones direction.
 
@@ -72,8 +72,17 @@ class TropicalLinearSpace:
     reported as a basis, not quotiented away.
     """
 
-    source: ValuatedMatroid
-    span: ExtendedTightSpan
+    def __init__(self, source: ValuatedMatroid, span: ExtendedTightSpan):
+        self._source = source
+        self._span = span
+
+    @property
+    def source(self) -> ValuatedMatroid:
+        return self._source
+
+    @property
+    def span(self) -> ExtendedTightSpan:
+        return self._span
 
     @property
     def n(self) -> int:

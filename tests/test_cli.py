@@ -339,6 +339,23 @@ def test_python_dash_m_matches_main(files, capsys):
     assert code == 0 and proc.stderr == ""
 
 
+def test_start_up_imports_no_module_it_does_not_need():
+    # dataclasses pulls in inspect, ast, dis and tokenize; multiprocessing is
+    # only for --jobs above 1, traceback only for a scan line that crashes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    unneeded = ("dataclasses", "inspect", "multiprocessing", "traceback")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tightspan, tightspan.cli\n"
+         f"print(sorted(set({unneeded!r}) & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_byte_identical_reruns(files, capsys):
     for argv in (
         ["face-lattice", files["square.json"]],
@@ -926,15 +943,27 @@ def test_each_scan_record_is_its_own_lines_report(capsys, lift):
         assert record == {"line": record["line"], "ok": True, **tls.report()}
 
 
-def test_lines_sharing_a_subdivision_are_capped_alike(tmp_path, capsys):
-    # U(2,4) twice: one subdivision under either lift, and no report to keep
+def test_lines_sharing_a_subdivision_are_capped_alike(tmp_path, capsys, monkeypatch):
+    # U(2,4) twice: one subdivision under either lift, whose enumeration
+    # aborts once and gives both lines its message
+    from tightspan import subdivision
+
+    calls = []
+    real = subdivision.ganter_hasse
+
+    def counting(system, node_cap):
+        calls.append(node_cap)
+        return real(system, node_cap=node_cap)
+
+    monkeypatch.setattr(subdivision, "ganter_hasse", counting)
     path = _write_text(tmp_path, "c42.txt", "111111\n111111\n")
     capped = ("CAPPED: closed-set enumeration exceeded node cap 3 "
               "(3 closed sets found before aborting)")
     for lift in ("trivial", "corank"):
+        calls.clear()
         code, out, _ = run(capsys, ["fvector-scan", path, "--n", "4", "--r", "2", "--lift", lift,
                                     "--node-cap", "3", "--format", "pretty"])
-        assert code == 0
+        assert code == 0 and calls == [3]
         assert out.splitlines() == [f"line    {i}  {capped}" for i in (0, 1)] + [
             "summary: 0 ok, 2 failed"
         ]

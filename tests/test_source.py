@@ -106,6 +106,28 @@ def test_subsets_are_listed_through_closure(path):
     assert hand_written_indices(path.read_text()) == []
 
 
+def unchecked_tuple_builds(source: str) -> list[int]:
+    """Lines that call a ``_make`` or ``_replace``: both build a named tuple
+    without calling its class, so they would skip a record's checks."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_make", "_replace")
+    )
+
+
+def test_the_check_sees_an_unchecked_tuple_build():
+    assert unchecked_tuple_builds("m = Matroid._make(t)\nm._replace(r=2)\n") == [1, 2]
+    assert unchecked_tuple_builds("Matroid(*t)\nmake(t)\nx = m._replace\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_builds_a_record_around_its_checks(path):
+    assert unchecked_tuple_builds(path.read_text()) == []
+
+
 # the modules the pipeline runs, and the places outside the package that drive it
 PRODUCTION = [p for p in MODULES if p.name != "oracle.py"]
 ROOT = Path(tightspan.__file__).parents[2]

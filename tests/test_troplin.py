@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -185,6 +185,17 @@ def test_bergman_rank_one_is_a_point():
         assert tls.f_vector == (1,)
         assert tls.dim == 0
         assert tls.lineality_dim == 0
+
+
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 6), (4, 7), (3, 8), (5, 9)])
+def test_bergman_fan_of_a_uniform_matroid_has_binomial_f_vector(r, n):
+    # in its coarsest structure the fan is the union of the cones spanned by
+    # at most r - 1 of the unit vectors e_i: its cells of dimension d are
+    # the d-subsets of [n], and its one bounded cell is the origin; the
+    # binomials are computed here, not read off the program
+    tls = bergman_fan(Matroid.uniform(r, n))
+    assert tls.f_vector == tuple(comb(n, d) for d in range(r))
+    assert tls.bounded_f_vector == (1,)
 
 
 def test_bergman_disconnected_lineality():
