@@ -52,8 +52,8 @@ def hand_listed_n6():
     return uniforms + sums
 
 
-def main() -> int:
-    os.makedirs(OUT_DIR, exist_ok=True)
+def census_texts() -> dict[str, str]:
+    """File name -> contents of every census file, in (n, r) order."""
     buckets: dict[tuple[int, int], list[str]] = {}
 
     for n in range(1, MAX_EXHAUSTIVE_N + 1):
@@ -64,12 +64,19 @@ def main() -> int:
     for m in hand_listed_n6():
         buckets.setdefault((m.n, m.r), []).append(format_census_line(m))
 
-    for (n, r), lines in sorted(buckets.items()):
-        lines = sorted(set(lines))
-        path = os.path.join(OUT_DIR, f"census_n{n}_r{r}.txt")
+    return {
+        f"census_n{n}_r{r}.txt": "\n".join(sorted(set(lines))) + "\n"
+        for (n, r), lines in sorted(buckets.items())
+    }
+
+
+def main() -> int:
+    os.makedirs(OUT_DIR, exist_ok=True)
+    for name, text in census_texts().items():
+        path = os.path.join(OUT_DIR, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"{path}: {len(lines)} matroids")
+            fh.write(text)
+        print(f"{path}: {len(text.splitlines())} matroids")
     return 0
 
 

@@ -226,7 +226,7 @@ def cmd_tightspan(args) -> int:
 
 def _tls_output(tls, fmt: str) -> str:
     if fmt == "pretty":
-        rep = tls.report()
+        rep = tls.report
         lines = [
             f"(n, r) = ({rep['n']}, {rep['r']})",
             f"dim: {rep['dim']}   lineality dim: {rep['lineality_dim']}",
@@ -298,7 +298,7 @@ def _scan_line(task) -> dict:
         outcome = _line_reports.get(key)
         if outcome is None:
             try:
-                outcome = dict(tropical_linear_space(vm, node_cap=node_cap).report(), ok=True)
+                outcome = dict(tropical_linear_space(vm, node_cap=node_cap).report, ok=True)
             except NodeCapExceeded as exc:
                 outcome = {"ok": False, "error": str(exc), "node_cap": True}
             _line_reports[key] = outcome

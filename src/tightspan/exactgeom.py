@@ -30,12 +30,13 @@ subdivision of zero heights, whose one lower facet is the floor.
 
 What depends on the configuration alone is computed once per
 configuration and kept in a small ``lru_cache`` (``_frame``): the integer
-scale, the affine hull's pivots and equations, the sorted projections,
-the DD seed and, once a run has found it, the hull of the base.  The
-upward ray spans the height axis, so the seed's choice of points and their
-seed facets do not depend on the heights; each run adds only the upward
-ray's own seed facet.  A scan of many valuations on one configuration (a
-census scan under the corank lift) so pays for the configuration once.
+scale, the affine hull's pivots and equations, the sorted integer
+projections, the DD seed and, once a run has found it, the hull of the
+base.  The upward ray spans the height axis, so the seed's points and
+their seed facets do not depend on the heights; a run scales only its
+heights, by their own denominators, and adds only the upward ray's own
+seed facet.  A scan of many valuations on one configuration (a census
+scan under the corank lift) so pays for the configuration once.
 """
 
 from __future__ import annotations
@@ -391,9 +392,9 @@ def _hull_and_lower_cells(
 ) -> tuple[HRep, IncidenceMatrix, list[tuple[int, tuple[IntVector, int]]]]:
     """One double description of the lifted configuration plus the upward ray.
 
-    The configuration's ``_frame`` gives its affine hull and its points
-    projected to the pivot coordinates, sorted.  Points and heights (one
-    rational per point) are scaled to integers by one lcm s of their
+    The configuration's ``_frame`` gives its affine hull and its points'
+    integer projections to the pivot coordinates, sorted.  The heights (one
+    rational per point) are scaled to integers by the lcm s of their own
     denominators, and each point becomes the cone generator (1, its
     projection, its height).  The upward ray (0, ..., 0, 1) goes first, so
     it seeds the DD: the cone is over the lifted points plus the ray, which
@@ -405,19 +406,19 @@ def _hull_and_lower_cells(
     give one lower facet holding every point, and so does a single point,
     without a DD.
 
-    The seed is read off the frame.  With s = k * scale, the seed ray w of
-    a seed point becomes the content-free (k w_0, w', 0), and the upward
-    ray's own seed facet is u = L e_last - sum_t (L h_t / c_t) (w_t, 0),
-    over the seed points' heights h_t and pairings c_t = w_t.(1, k q_t),
-    with L = lcm(c_t), made content-free.  Each seed facet is unique up to
-    a positive factor, so these are the rays one elimination of the
-    generators would give.
+    The seed is the frame's: its seed rays have no height entry, and the
+    upward ray's own seed facet is u = L e_last - sum_t (L h_t / c_t)
+    (w_t, 0), over the seed points' heights h_t and pairings
+    c_t = w_t.(1, q_t), with L = lcm(c_t), made content-free.  Each seed
+    facet is unique up to a positive factor, so these are the rays one
+    elimination of the generators would give.  A vertical ray is a facet
+    of the projections alone, so the first run's base serves every later
+    one.
 
     Each cell comes as (point mask, (numerators, denominator)), the second
     a slope y with height(p) - p.y constant on the cell: a lower facet
-    c0 + c.p + c_h height(p) >= 0, c_h > 0, over the pivot coordinates
-    gives y = -c / c_h there and 0 elsewhere.  Scaling the points and
-    heights by one integer leaves y unchanged.
+    c0 + c.q + c_h s height(p) >= 0, c_h > 0, over the projections
+    q = scale p gives y = -scale c / (s c_h) there and 0 elsewhere.
     """
     d = config.dim
     npts = len(config.points)
@@ -429,16 +430,14 @@ def _hull_and_lower_cells(
             [(1, ((0,) * d, 1))],
         )
 
-    scale = lcm(frame.scale, *(h.denominator for h in heights))
-    k = scale // frame.scale
-    iheights = [h.numerator * (scale // h.denominator) for h in heights]
+    hscale = lcm(*(h.denominator for h in heights))
+    iheights = [h.numerator * (hscale // h.denominator) for h in heights]
     up = (0,) * (len(frame.pivots) + 1) + (1,)
-    proj = frame.proj if k == 1 else [tuple(k * x for x in q) for q in frame.proj]
-    gens = [up] + [(1,) + q + (iheights[i],) for i, q in zip(frame.order, proj)]
+    gens = [up] + [(1,) + q + (iheights[i],) for i, q in zip(frame.order, frame.proj)]
 
     seed = [1 + pos for pos in frame.seed]  # generator 0 is up
     seed_mask = 1 | mask_of(seed)
-    ws = [_content_free((k * w[0],) + w[1:]) for w in frame.seed_rays]
+    ws = frame.seed_rays
     pairings = [_dot(w, gens[g]) for w, g in zip(ws, seed)]  # w has no height entry
     big = lcm(*pairings)
     u = [0] * len(up)
@@ -451,9 +450,6 @@ def _hull_and_lower_cells(
         (w + (0,), seed_mask ^ 1 << g) for w, g in zip(ws, seed)
     ]
 
-    # a vertical ray is (k c0, c, 0) for a facet c0 + c.q >= 0 of the
-    # projections q, and c is primitive as the facet holds some q: its
-    # normal c and offset k c0 / scale do not depend on the heights
     base = frame.base
     entries = []
     cells = []
@@ -464,13 +460,13 @@ def _hull_and_lower_cells(
         if ray[-1]:
             slope = [0] * d
             for val, c in zip(ray[1:-1], frame.pivots):
-                slope[c] = -val
-            cells.append((inc, (tuple(slope), ray[-1])))
+                slope[c] = -frame.scale * val
+            cells.append((inc, (tuple(slope), hscale * ray[-1])))
             continue
         normal = [0] * d
         for val, c in zip(ray[1:], frame.pivots):
             normal[c] = val
-        entries.append((tuple(normal), Fraction(ray[0], scale), inc))
+        entries.append((tuple(normal), Fraction(ray[0], frame.scale), inc))
     if not base:
         entries.sort(key=lambda e: (e[0], e[1]))
         base.append((

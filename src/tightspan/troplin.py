@@ -3,26 +3,29 @@
 A valuation on a matroid induces a regular subdivision of the matroid
 polytope; the pair is a valuated matroid when every cell of that
 subdivision is again a matroid polytope (decided on the valuation by
-``matroid.non_matroidal_witness``).  ``ValuatedMatroid`` holds the
-valuation alone; its matroid is the valuation's owner.  The tropical
-linear space is the dual complex restricted to the cells whose matroids are
-loop-free, modulo the all-ones direction; equivalently the extended tight
-span with respect to the boundary faces lying in the coordinate
-hyperplanes x_i = 0.
-``TropicalLinearSpace.as_dict`` is the document the ``tls`` and ``bergman``
-commands print: the span's dual complex, the report and the lineality basis.
+``matroid.non_matroidal_witness``).  The tropical linear space is the dual
+complex restricted to the cells whose matroids are loop-free, modulo the
+all-ones direction; equivalently the extended tight span with respect to
+the boundary faces lying in the coordinate hyperplanes x_i = 0.
+
+Both types are named tuples built once, from fewer arguments than they
+hold: ``ValuatedMatroid(valuation)`` gates the valuation's subdivision,
+and ``TropicalLinearSpace(source, span)`` forms the report, which
+``as_dict`` joins to the span's document for the ``tls`` and ``bergman``
+commands.  Each pickles and copies through its constructor's arguments.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
 from .closure import NODE_CAP, indices, mask_of
 from .exactgeom import _rref, orthogonalize, project_off
 from .matroid import Matroid, MatroidError, Valuation, non_matroidal_witness
-from .subdivision import ExtendedTightSpan, Subdivision, coordinatize, regular_subdivision
+from .subdivision import ExtendedTightSpan, coordinatize, regular_subdivision
 
 
 class SpeyerBoundWarning(UserWarning):
@@ -41,70 +44,77 @@ class NonMatroidalValuation(MatroidError):
         self.edge = tuple(edge)
 
 
-class ValuatedMatroid:
+class ValuatedMatroid(namedtuple("ValuatedMatroid", "valuation subdivision")):
     """A valuation whose subdivision is matroidal, on its owner matroid."""
 
-    def __init__(self, valuation: Valuation):
-        self._valuation = valuation
-        witness = non_matroidal_witness(self.subdivision)
+    __slots__ = ()
+
+    def __new__(cls, valuation: Valuation):
+        sub = regular_subdivision(valuation.owner.polytope(), valuation.heights())
+        witness = non_matroidal_witness(sub)
         if witness is not None:
             cell, edge = witness
             raise NonMatroidalValuation(indices(cell), edge)
+        return super().__new__(cls, valuation, sub)
 
-    @property
-    def valuation(self) -> Valuation:
-        return self._valuation
+    def __getnewargs__(self) -> tuple:
+        return (self.valuation,)
 
     @property
     def matroid(self) -> Matroid:
         return self.valuation.owner
 
-    @cached_property
-    def subdivision(self) -> Subdivision:
-        return regular_subdivision(self.matroid.polytope(), self.valuation.heights())
 
-
-class TropicalLinearSpace:
+class TropicalLinearSpace(namedtuple("TropicalLinearSpace", "source span report")):
     """Dual complex of the loop-free cells, modulo the all-ones direction.
 
     Coordinates are sum-zero representatives of R^n / R.1; lineality beyond
     the all-ones direction (present exactly for disconnected matroids) is
-    reported as a basis, not quotiented away.
+    reported as a basis, not quotiented away.  ``report`` is built once
+    from the source and the span: (n, r), both f-vectors, ``lineality_dim``
+    and ``dim`` (the top cell's) inside R^n / R.1, and the conjectured
+    bound per bounded dimension; ``within_bound`` compares the bounded
+    f-vector, padded with zeros, entry by entry with it.
     """
 
-    def __init__(self, source: ValuatedMatroid, span: ExtendedTightSpan):
-        self._source = source
-        self._span = span
+    __slots__ = ()
 
-    @property
-    def source(self) -> ValuatedMatroid:
-        return self._source
+    def __new__(cls, source: ValuatedMatroid, span: ExtendedTightSpan):
+        n, r = source.matroid.n, source.matroid.r
+        f_vector, bounded = span.f_vector(), span.bounded_f_vector()
+        bounds = speyer_bounds(n, r)
+        padded = bounded + (0,) * (len(bounds) - len(bounded))
+        lineality_dim = span.lineality_dim - 1
+        report = {
+            "n": n,
+            "r": r,
+            "f_vector": list(f_vector),
+            "bounded_f_vector": list(bounded),
+            "speyer_bounds": list(bounds),
+            "within_bound": [a <= b for a, b in zip(padded, bounds)],
+            "lineality_dim": lineality_dim,
+            "dim": len(f_vector) - 1 + lineality_dim,
+        }
+        return super().__new__(cls, source, span, report)
 
-    @property
-    def span(self) -> ExtendedTightSpan:
-        return self._span
+    def __getnewargs__(self) -> tuple:
+        return self.source, self.span
 
     @property
     def n(self) -> int:
-        return self.source.matroid.n
+        return self.report["n"]
 
     @property
     def r(self) -> int:
-        return self.source.matroid.r
+        return self.report["r"]
 
     @property
     def lineality_dim(self) -> int:
-        """Dimension of the lineality space inside R^n / R.1."""
-        return self.span.lineality_dim - 1
+        return self.report["lineality_dim"]
 
-    @cached_property
-    def lineality_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Sum-zero primitive representatives of the extra lineality: the
-        projections off the all-ones direction independent of those before."""
-        ortho = orthogonalize([(1,) * self.n])
-        out = [project_off(vec, ortho) for vec in self.span.lineality]
-        _, pivots = _rref(list(zip(*out)))
-        return tuple(out[p] for p in pivots)
+    @property
+    def dim(self) -> int:
+        return self.report["dim"]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -115,39 +125,19 @@ class TropicalLinearSpace:
         return self.span.bounded_f_vector()
 
     @property
-    def dim(self) -> int:
-        """Top cell dimension inside R^n / R.1."""
-        fv = self.f_vector
-        return len(fv) - 1 + self.lineality_dim
-
-    def report(self) -> dict:
-        """(n, r), both f-vectors, ``lineality_dim`` and ``dim``, and the
-        conjectured bound per bounded dimension; ``within_bound`` compares
-        the bounded f-vector, padded with zeros, entry by entry with it.
-        Built once per space: every call returns the same dict."""
-        return self._report
-
-    @cached_property
-    def _report(self) -> dict:
-        bounds = speyer_bounds(self.n, self.r)
-        bounded = list(self.bounded_f_vector)
-        padded = bounded + [0] * (len(bounds) - len(bounded))
-        return {
-            "n": self.n,
-            "r": self.r,
-            "f_vector": list(self.f_vector),
-            "bounded_f_vector": bounded,
-            "speyer_bounds": list(bounds),
-            "within_bound": [a <= b for a, b in zip(padded, bounds)],
-            "lineality_dim": self.lineality_dim,
-            "dim": self.dim,
-        }
+    def lineality_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Sum-zero primitive representatives of the extra lineality: the
+        projections off the all-ones direction independent of those before."""
+        ortho = orthogonalize([(1,) * self.n])
+        out = [project_off(vec, ortho) for vec in self.span.lineality]
+        _, pivots = _rref(list(zip(*out)))
+        return tuple(out[p] for p in pivots)
 
     def as_dict(self) -> dict:
         """The span's document with the report's keys and the lineality
         basis in place of the span's own lineality and its dimension."""
         doc = self.span.as_dict()
-        doc.update(self.report(), lineality=[list(v) for v in self.lineality_basis])
+        doc.update(self.report, lineality=[list(v) for v in self.lineality_basis])
         return doc
 
 
@@ -182,7 +172,7 @@ def tropical_linear_space(
     gamma = _loop_faces(sub.config)
     span = coordinatize(sub, gamma, node_cap=node_cap)
     tls = TropicalLinearSpace(source=vm, span=span)
-    _check_speyer(tls.report())
+    _check_speyer(tls.report)
     return tls
 
 

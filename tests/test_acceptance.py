@@ -256,7 +256,7 @@ def test_criterion_7_speyer_bounds(flagship):
     assert speyer_bounds(8, 3) == (15, 20, 6)
 
     def within(tls):
-        rep = tls.report()
+        rep = tls.report
         padded = rep["bounded_f_vector"] + [0] * (
             len(rep["speyer_bounds"]) - len(rep["bounded_f_vector"])
         )
@@ -284,8 +284,11 @@ def test_criterion_7_speyer_bounds(flagship):
 
 
 def test_criterion_8_bergman_census_invariants():
+    # besides the dimensions, two measured Euler identities: the bounded
+    # cells have alternating sum 1, and the whole complex, its lineality
+    # of dimension l quotiented away, (-1)^l (-chi_M(0))
     t0 = time.perf_counter()
-    total = 0
+    total = with_lineality = 0
     for path in sorted(glob.glob("data/census/census_n*_r*.txt")):
         n, r = map(int, re.search(r"census_n(\d+)_r(\d+)", path).groups())
         if n > 6:
@@ -300,13 +303,19 @@ def test_criterion_8_bergman_census_invariants():
             tls = bergman_fan(m)
             assert tls.dim + 1 == m.r, (path, line)
             assert tls.lineality_dim + 1 == len(connected_components(m)), (path, line)
+            assert alternating_sum(tls.bounded_f_vector) == 1, (path, line)
+            assert alternating_sum(tls.f_vector) == (-1) ** tls.lineality_dim * (
+                reduced_char_at_zero(m.n, m.r, [indices(b) for b in m.bases])
+            ), (path, line)
             total += 1
+            with_lineality += tls.lineality_dim > 0
     elapsed = time.perf_counter() - t0
+    assert (total, with_lineality) == (238, 146)
     report(
         8,
         "Bergman invariants",
         elapsed < 300,
-        f"{total} loop-free matroids, {elapsed:.1f}s",
+        f"{total} loop-free matroids, {with_lineality} with lineality, {elapsed:.1f}s",
     )
 
 
@@ -356,7 +365,7 @@ def test_user_supplied_valuation_path():
     tls = tropical_linear_space(
         ValuatedMatroid(valuation=v)
     )
-    rep = tls.report()
+    rep = tls.report
     # one of the two generic bounded classes for this parameter pair
     assert rep["bounded_f_vector"] == [5, 4]
     padded = rep["bounded_f_vector"] + [0] * (

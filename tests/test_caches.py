@@ -125,23 +125,43 @@ def test_flagship_tls_is_the_same_cold_and_warm(tmp_path):
     assert run(argv, tmp_path / "warm.json") == cold
 
 
-@pytest.mark.parametrize("command", ["subdivide", "tightspan"])
+# sha256 of each output, heights in thirds and in integers
+FRACTIONAL_DIGESTS = {
+    "subdivide": (
+        "b726523dcd6463d68bf3816d0b59e4fca214df77ac49692439fb4f79669b3b6a",
+        "2bcaa97137a6d3d8f3da046b326cdd5b9d1a08b306979bab756343ed9eb909af",
+    ),
+    "tightspan": (
+        "1c8d5c23c1aba4a52869340a73566737ffcb058bfa7553dd1727a1eb595c193d",
+        "254cd1d559e5db7e07205bb87b40eafe873c01cc8e2adb4d3d4f7482317c8328",
+    ),
+    "tightspan --gamma all --quotient off": (
+        "63ded5a49ce302aece602c8bf26853475a053a99bc3c882372e0e5c4d6fc5592",
+        "42b524ec00e404bd98209f5803a3a623c6ea1d8e2bc1cf79aa227fbf9b40d9d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FRACTIONAL_DIGESTS))
 def test_fractional_heights_rescale_the_cached_frame(tmp_path, command):
     # the points' denominators give the frame's scale 4; heights in thirds
-    # make the generators' scale 12, so the cached seed rays are rescaled
+    # are scaled to integers by 3 on their own, so both runs read the
+    # cached projections and seed rays as they are
     points = {"dim": 2, "points": [["0", "0"], ["1/2", "0"], ["0", "1/2"], ["1/2", "1/2"],
                                    ["1/4", "1/4"]]}
     (tmp_path / "p.json").write_text(json.dumps(points))
     (tmp_path / "thirds.json").write_text(json.dumps({"values": ["1/3", "0", "2/3", "0", "-1/3"]}))
     (tmp_path / "ints.json").write_text(json.dumps({"values": ["1", "0", "0", "1", "0"]}))
-    lifted = [command, str(tmp_path / "p.json")]
+    name, *options = command.split()
+    lifted = [name, str(tmp_path / "p.json")]
     clear_caches()
-    cold = run(lifted + [str(tmp_path / "thirds.json")], tmp_path / "cold.json")
-    other = run(lifted + [str(tmp_path / "ints.json")], tmp_path / "other.json")
-    assert other != cold
-    assert run(lifted + [str(tmp_path / "thirds.json")], tmp_path / "warm.json") == cold
+    cold = run(lifted + [str(tmp_path / "thirds.json")] + options, tmp_path / "cold.json")
+    other = run(lifted + [str(tmp_path / "ints.json")] + options, tmp_path / "other.json")
+    digests = tuple(hashlib.sha256(out).hexdigest() for out in (cold, other))
+    assert digests == FRACTIONAL_DIGESTS[command]
+    assert run(lifted + [str(tmp_path / "thirds.json")] + options, tmp_path / "warm.json") == cold
     clear_caches()
-    assert run(lifted + [str(tmp_path / "ints.json")], tmp_path / "other_cold.json") == other
+    assert run(lifted + [str(tmp_path / "ints.json")] + options, tmp_path / "other_cold.json") == other
 
 
 _quarter = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -155,8 +175,8 @@ _quarter = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     st.data(),
 )
 def test_the_kept_base_hull_is_the_one_every_height_scale_builds(points, data):
-    # heights in thirds or fifths rescale the points by another k than
-    # integer heights do; the base each run would build is the kept one
+    # heights in thirds, fifths or integers are each scaled by their own
+    # denominators; the base each run would build is the kept one
     config = PointConfig(dim=len(points[0]), points=tuple(points))
     scales = [1, 3, 5]
     runs = [

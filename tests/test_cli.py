@@ -111,6 +111,14 @@ def test_fan_lattice(files, capsys):
     assert len(data["nodes"]) == 10
 
 
+def test_a_fan_of_one_empty_cone_has_the_two_element_lattice(capsys, tmp_path):
+    # the empty cone is the origin alone: its ray set is empty, and only the
+    # artificial top lies above it
+    fan = _write_text(tmp_path, "origin.json", '{"rays": [], "cones": [[]]}')
+    code, out, err = run(capsys, ["fan-lattice", fan])
+    assert (code, out, err) == (0, '{"arcs": [[0, 1]], "nodes": [[], [0]]}\n', "")
+
+
 def test_flats(files, capsys):
     code, out, _ = run(capsys, ["flats", files["u24.json"]])
     assert code == 0
@@ -650,6 +658,11 @@ def test_bases_of_wrong_shape_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["bergman", empty])
     assert code == 1 and "nonempty ground set" in err
 
+    no_basis = _write_text(tmp_path, "m_none.json", '{"n": 3, "bases": []}')
+    code, out, err = run(capsys, ["bergman", no_basis])
+    assert (code, out) == (1, "")
+    assert err == f"error: bad matroid in {no_basis}: a matroid needs at least one basis\n"
+
     rank0 = _write_text(tmp_path, "r0.json", '{"n": 3, "bases": [[]]}')
     code, out, err = run(capsys, ["corank-lift", rank0])
     assert code == 1 and out == ""
@@ -940,7 +953,7 @@ def test_each_scan_record_is_its_own_lines_report(capsys, lift):
             continue
         else:
             tls = bergman_fan(m)
-        assert record == {"line": record["line"], "ok": True, **tls.report()}
+        assert record == {"line": record["line"], "ok": True, **tls.report}
 
 
 def test_lines_sharing_a_subdivision_are_capped_alike(tmp_path, capsys, monkeypatch):

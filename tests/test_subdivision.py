@@ -406,9 +406,8 @@ def _ints_where_integral(values) -> tuple:
 @given(lifted_configuration(), st.booleans())
 def test_the_frames_seed_rays_are_a_dual_basis_of_the_seed_generators(case, as_ints):
     # the DD seed is read off the configuration's cached frame; the heights
-    # enter only the upward ray's seed facet and the rescaling of the others
-    # to the heights' denominators, so both are checked on the generators
-    # the DD is actually given, cold or warm
+    # enter only the upward ray's seed facet, so the seed is checked on the
+    # generators the DD is actually given, cold or warm
     config, heights = case
     if as_ints:
         config = PointConfig(config.dim, tuple(map(_ints_where_integral, config.points)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb, gcd
 from pathlib import Path
 
@@ -198,6 +199,27 @@ def test_bergman_fan_of_a_uniform_matroid_has_binomial_f_vector(r, n):
     assert tls.bounded_f_vector == (1,)
 
 
+@pytest.mark.parametrize(
+    "r, n", [(2, 5), (2, 6), (2, 8), (3, 6), (3, 7), (3, 8), (4, 8), (3, 9)]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_a_generic_stiefel_space_attains_the_speyer_bound(r, n, seed):
+    # the min-plus maximal minors of an r x n integer matrix in which every
+    # minor has one minimizing permutation span a space whose bounded
+    # f-vector is C(n - 2i, r - i) C(n - i - 1, i - 1), i = 1..r (Speyer,
+    # Tropical linear spaces; Fink and Rincon, Stiefel tropical linear
+    # spaces); the binomials are computed here, not read off the program
+    rng = random.Random(100 * seed + 10 * r + n)
+    matrix = [[rng.randint(0, 10**6) for _ in range(n)] for _ in range(r)]
+    for cols in combinations(range(n), r):
+        sums = sorted(sum(matrix[i][c] for i, c in enumerate(p)) for p in permutations(cols))
+        assert sums[0] < sums[1], cols
+    tls = minor_tls(matrix)
+    assert tls.bounded_f_vector == tuple(
+        comb(n - 2 * i, r - i) * comb(n - i - 1, i - 1) for i in range(1, r + 1)
+    )
+
+
 def test_bergman_disconnected_lineality():
     m = u12_power(2)
     tls = bergman_fan(m)
@@ -317,7 +339,7 @@ def test_speyer_warning_fires_above_the_bound(monkeypatch, bounds):
 
 def test_tls_report_fields():
     tls = tropical_linear_space(quartet_vm())
-    rep = tls.report()
+    rep = tls.report
     assert rep["n"] == 4 and rep["r"] == 2
     assert rep["bounded_f_vector"] == [2, 1]
     assert rep["speyer_bounds"] == [2, 1]
@@ -339,7 +361,7 @@ def test_report_bounds_hold_on_census_sample():
             m = parse_census_line(line.strip(), n, r)
             if m.loops():
                 continue
-            rep = bergman_fan(m).report()
+            rep = bergman_fan(m).report
             if rep["lineality_dim"] == 0:
                 assert all(rep["within_bound"]), (path, line)
             checked += 1
