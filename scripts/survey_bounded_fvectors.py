@@ -52,7 +52,7 @@ def main(argv) -> int:
                     tls = tropical_linear_space(
                         ValuatedMatroid(valuation=v)
                     )
-                    tally[tls.bounded_f_vector] += 1
+                    tally[tuple(tls.report["bounded_f_vector"])] += 1
                 except MatroidError as exc:
                     failures += 1
                     print(f"{path}: {exc}", file=sys.stderr)

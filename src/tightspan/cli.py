@@ -70,10 +70,20 @@ def _open_output(path: str | None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _regular_stat(fh):
+    """``os.fstat`` of the regular file behind ``fh``; None for a device, a
+    pipe or a stream with no file descriptor."""
+    try:
+        st = os.fstat(fh.fileno())
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return None
+    return st if stat.S_ISREG(st.st_mode) else None
+
+
 def _emptied(fh):
     """``fh`` with the old contents of a regular file dropped, as opening
     it with mode "w" would; stdout, a device or a pipe is left as it is."""
-    if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    if fh is not sys.stdout and _regular_stat(fh):
         fh.truncate(0)
     return fh
 
@@ -266,6 +276,10 @@ def cmd_corank_lift(args) -> int:
     with _open_output(args.output) as out, (
         _open_output(args.emit_uniform) if args.emit_uniform else nullcontext()
     ) as fh:
+        if fh is not None:
+            a, b = _regular_stat(out), _regular_stat(fh)
+            if a and b and os.path.samestat(a, b):
+                raise InputError(f"-o and --emit-uniform both name {args.emit_uniform}")
         _emptied(out).write(v.to_json() + "\n")
         if fh is not None:
             _emptied(fh).write(v.owner.to_json() + "\n")
@@ -273,12 +287,13 @@ def cmd_corank_lift(args) -> int:
 
 
 # The line outcomes of the scan command running in this process, each a
-# report or a node-cap abort, keyed by (configuration, maximal cells,
-# boundary facets), which fix a report: gamma, n, r and the lineality
-# follow from the configuration.  A census file holds few distinct
-# subdivisions (26 among the 171 lines of census_n5_r3.txt under the
-# corank lift).  Emptied when a scan starts and ends, so no command reuses
-# another's work; each worker keeps its own.
+# report or a node-cap abort, keyed by (configuration, maximal cells),
+# which fix a report: the boundary facets follow from the cells and the
+# configuration's base hull, and gamma, n, r and the lineality from the
+# configuration.  A census file holds few distinct subdivisions (26 among
+# the 171 lines of census_n5_r3.txt under the corank lift).  Emptied when a
+# scan starts and ends, so no command reuses another's work; each worker
+# keeps its own.
 _line_reports: dict = {}
 
 
@@ -294,7 +309,7 @@ def _scan_line(task) -> dict:
         # a key fixes the owner's loops, the coordinates zero on every
         # point, so a hit has passed tropical_linear_space's loop check
         sub = vm.subdivision
-        key = (sub.config, sub.maximal_cells, sub.boundary_facets)
+        key = (sub.config, sub.maximal_cells)
         outcome = _line_reports.get(key)
         if outcome is None:
             try:

@@ -230,15 +230,6 @@ class PointConfig(namedtuple("PointConfig", "dim points")):
         )
         return PointConfig(dim=parse_int(data["dim"], "dim"), points=pts)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "points": [[str(x) for x in p] for p in self.points],
-            },
-            sort_keys=True,
-        )
-
 
 class Facet(NamedTuple):
     """Supporting halfspace normal.x >= -offset (normal points inward).

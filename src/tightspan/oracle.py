@@ -613,7 +613,10 @@ def covers_point(tls, x) -> bool:
     pos = {b: i for i, b in enumerate(sorted_bases(tls.source.matroid))}
     argmin = sum(1 << pos[b] for b in cell_at(tls.source, x).bases)
     system = tight_span_closure(tls.source.subdivision)
-    return any(system.cell(c.node) & ~argmin == 0 for c in tls.span.cells)
+    shift = len(tls.span.dual_vertices)  # a closed set lists its rays after its vertices
+    nodes = (sum(1 << v for v in c.vertices) | sum(1 << r for r in c.rays) << shift
+             for c in tls.span.cells)
+    return any(system.cell(node) & ~argmin == 0 for node in nodes)
 
 
 def brute_tls_membership(vm, x) -> bool:

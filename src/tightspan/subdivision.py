@@ -132,7 +132,6 @@ class SpanCell(NamedTuple):
     """Dual cell of a closed set: convex hull of the listed dual vertices
     plus the cone of the listed dual rays (plus lineality)."""
 
-    node: int
     vertices: tuple[int, ...]
     rays: tuple[int, ...]
     dim: int
@@ -235,7 +234,7 @@ def coordinatize(sub: Subdivision, gamma=(), node_cap: int = NODE_CAP) -> Extend
             continue
         vs = indices(node & vertex_part)
         rs = indices(node >> n_max)
-        cells.append(SpanCell(node=node, vertices=vs, rays=rs, dim=level - 1))
+        cells.append(SpanCell(vertices=vs, rays=rs, dim=level - 1))
 
     return ExtendedTightSpan(
         dual_vertices=tuple(dual_vertices),

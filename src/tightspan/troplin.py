@@ -101,34 +101,10 @@ class TropicalLinearSpace(namedtuple("TropicalLinearSpace", "source span report"
         return self.source, self.span
 
     @property
-    def n(self) -> int:
-        return self.report["n"]
-
-    @property
-    def r(self) -> int:
-        return self.report["r"]
-
-    @property
-    def lineality_dim(self) -> int:
-        return self.report["lineality_dim"]
-
-    @property
-    def dim(self) -> int:
-        return self.report["dim"]
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return self.span.f_vector()
-
-    @property
-    def bounded_f_vector(self) -> tuple[int, ...]:
-        return self.span.bounded_f_vector()
-
-    @property
     def lineality_basis(self) -> tuple[tuple[int, ...], ...]:
         """Sum-zero primitive representatives of the extra lineality: the
         projections off the all-ones direction independent of those before."""
-        ortho = orthogonalize([(1,) * self.n])
+        ortho = orthogonalize([(1,) * self.report["n"]])
         out = [project_off(vec, ortho) for vec in self.span.lineality]
         _, pivots = _rref(list(zip(*out)))
         return tuple(out[p] for p in pivots)

@@ -1,11 +1,15 @@
 """Shared builders: small polytopes, fans, matroids and the closure-system
-corpus used by both the unit tests and the acceptance suite."""
+corpus used by both the unit tests and the acceptance suite, and the
+command-line input files (the ``files`` fixture)."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
+
+import pytest
 
 from tightspan import (
     ClosureSystem,
@@ -20,6 +24,7 @@ from tightspan import (
     regular_subdivision,
     tight_span_closure,
 )
+from tightspan.closure import mask_of
 from tightspan.oracle import normal_fan, restrict_to_lower_set
 
 CENSUS = Path(__file__).resolve().parents[1] / "data" / "census"
@@ -29,6 +34,12 @@ CENSUS_DIGESTS = {
     "census_n5_r2.txt": (2, "c0691a7426b3e5c0baaad48d71169b0e1c24ece800bd13b67636ce9b534184e4"),
     "census_n5_r3.txt": (3, "0a8ccc14e366c61321c9135c3fe9242921ae39a9265a9708acc5381d72fbed67"),
 }
+
+
+def points_json(config: PointConfig) -> str:
+    """A point configuration in the points file format."""
+    points = [[str(x) for x in p] for p in config.points]
+    return json.dumps({"dim": config.dim, "points": points}, sort_keys=True)
 
 
 def square_config() -> PointConfig:
@@ -72,6 +83,12 @@ def u12_power(d: int) -> Matroid:
     for _ in range(d - 1):
         out = out.direct_sum(m)
     return out
+
+
+def cell_node(span, cell) -> int:
+    """The closed set of a span cell, a mask over the generators: its dual
+    vertices' maximal cells, then its dual rays' boundary facets."""
+    return mask_of(cell.vertices) | mask_of(cell.rays) << len(span.dual_vertices)
 
 
 def alternating_sum(counts) -> int:
@@ -245,3 +262,45 @@ def closure_corpus() -> list[tuple[str, ClosureSystem]]:
 
     return corpus
 
+
+@pytest.fixture
+def files(tmp_path):
+    """The command-line fixtures, each file by its name, and the directory
+    as "dir"."""
+    paths = {}
+
+    def write(name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        paths[name] = str(p)
+        return str(p)
+
+    write("square.json", points_json(square_config()))
+    write("u24.json", Matroid.uniform(2, 4).to_json())
+    write("u23.json", Matroid.uniform(2, 3).to_json())
+    write("u1212.json", u12_power(2).to_json())
+    write("d24.json", points_json(Matroid.uniform(2, 4).polytope()))
+    vals = {
+        ",".join(map(str, c)): ("1" if c == (2, 3) else "0")
+        for c in combinations(range(4), 2)
+    }
+    write("v34.json", json.dumps({"values": vals}))
+    write("h_oct.json", json.dumps({"values": ["0", "0", "0", "0", "0", "1"]}))
+    write("h_bad.json", json.dumps({"values": ["0", "1", "1", "0", "0", "0"]}))
+    write("h_sq.json", json.dumps({"values": ["0", "0", "0", "1"]}))
+    write("fig1.json", json.dumps({"dim": 1, "points": [["-1"], ["0"], ["1"]]}))
+    write("fig1h.json", json.dumps({"values": ["1", "0", "1"]}))
+    fan = normal_fan(square_config())
+    write(
+        "fan.json",
+        json.dumps(
+            {
+                "rays": [list(r) for r in fan.rays],
+                "cones": [list(c) for c in fan.maximal_cones],
+            }
+        ),
+    )
+    write("census31.txt", "111\n110\n100\n")
+    write("census42.txt", "111111\n011110\n100001\n")
+    paths["dir"] = str(tmp_path)
+    return paths

@@ -125,6 +125,32 @@ def test_flagship_tls_is_the_same_cold_and_warm(tmp_path):
     assert run(argv, tmp_path / "warm.json") == cold
 
 
+# sha256 of the linear space documents: `tls` on the flagship (the corank
+# lift of U(1,2)^4, the files above) and `bergman` on U(1,2)^3
+TLS_DIGESTS = {
+    ("tls", "json"): "5d2fa3d7f244369cd3884cc8fe21246bb33bd66c712f866e3fc73ca2e1f9b402",
+    ("tls", "pretty"): "59fe85152af4cced03577209d46eb8b913087ff861d1fece03376a11e7ac337e",
+    ("bergman", "json"): "3a11027112ec0b5fbee8b7b4408cf460f8eefdd2e300da4e6b004568a1736f94",
+    ("bergman", "pretty"): "6ab7ea7d866fce76dc9cebed9017546123e1846ac1878599be069ec0e8ffa92e",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(TLS_DIGESTS))
+def test_linear_space_documents_keep_their_bytes_cold_and_warm(tmp_path, command, fmt):
+    if command == "tls":
+        (tmp_path / "m.json").write_text(Matroid.uniform(4, 8).to_json())
+        (tmp_path / "v.json").write_text(corank_valuation(u12_power(4)).to_json())
+        argv = ["tls", str(tmp_path / "m.json"), str(tmp_path / "v.json")]
+    else:
+        (tmp_path / "m.json").write_text(u12_power(3).to_json())
+        argv = ["bergman", str(tmp_path / "m.json")]
+    argv += ["--format", fmt]
+    clear_caches()
+    cold = run(argv, tmp_path / "cold.out")
+    assert hashlib.sha256(cold).hexdigest() == TLS_DIGESTS[command, fmt]
+    assert run(argv, tmp_path / "warm.out") == cold
+
+
 # sha256 of each output, heights in thirds and in integers
 FRACTIONAL_DIGESTS = {
     "subdivide": (

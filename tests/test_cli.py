@@ -19,53 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CENSUS, CENSUS_DIGESTS, square_config, u12_power
-from tightspan import Matroid, PointConfig, bergman_fan
+from conftest import CENSUS, CENSUS_DIGESTS, u12_power
+from tightspan import PointConfig, bergman_fan
 from tightspan.cli import main
-from tightspan.oracle import brute_vertex_flags, normal_fan
+from tightspan.oracle import brute_vertex_flags
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-@pytest.fixture
-def files(tmp_path):
-    paths = {}
-
-    def write(name, text):
-        p = tmp_path / name
-        p.write_text(text)
-        paths[name] = str(p)
-        return str(p)
-
-    write("square.json", square_config().to_json())
-    write("u24.json", Matroid.uniform(2, 4).to_json())
-    write("u23.json", Matroid.uniform(2, 3).to_json())
-    write("u1212.json", u12_power(2).to_json())
-    write("d24.json", Matroid.uniform(2, 4).polytope().to_json())
-    vals = {
-        ",".join(map(str, c)): ("1" if c == (2, 3) else "0")
-        for c in combinations(range(4), 2)
-    }
-    write("v34.json", json.dumps({"values": vals}))
-    write("h_oct.json", json.dumps({"values": ["0", "0", "0", "0", "0", "1"]}))
-    write("h_bad.json", json.dumps({"values": ["0", "1", "1", "0", "0", "0"]}))
-    write("h_sq.json", json.dumps({"values": ["0", "0", "0", "1"]}))
-    write("fig1.json", json.dumps({"dim": 1, "points": [["-1"], ["0"], ["1"]]}))
-    write("fig1h.json", json.dumps({"values": ["1", "0", "1"]}))
-    fan = normal_fan(square_config())
-    write(
-        "fan.json",
-        json.dumps(
-            {
-                "rays": [list(r) for r in fan.rays],
-                "cones": [list(c) for c in fan.maximal_cones],
-            }
-        ),
-    )
-    write("census31.txt", "111\n110\n100\n")
-    write("census42.txt", "111111\n011110\n100001\n")
-    paths["dir"] = str(tmp_path)
-    return paths
 
 
 def run(capsys, argv):
@@ -258,6 +217,37 @@ def test_corank_lift_with_a_bad_uniform_path_keeps_the_old_output(files, capsys,
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert val_path.read_text() == '{"old": 1}\n'
+
+
+@pytest.mark.parametrize("alias", ["same path", "symlink"])
+def test_corank_lift_refuses_one_file_for_both_outputs(files, capsys, tmp_path, alias):
+    # both documents would land in one file, which then holds no JSON
+    val_path = tmp_path / "v.json"
+    val_path.write_text('{"old": 1}\n')
+    uniform = val_path
+    if alias == "symlink":
+        uniform = tmp_path / "link.json"
+        uniform.symlink_to(val_path)
+    argv = ["corank-lift", files["u1212.json"], "-o", str(val_path)]
+    code, out, err = run(capsys, argv + ["--emit-uniform", str(uniform)])
+    assert code == 1 and out == ""
+    assert err == f"error: -o and --emit-uniform both name {uniform}\n"
+    assert val_path.read_text() == '{"old": 1}\n'
+
+
+def test_corank_lift_refuses_the_file_standard_output_appends_to(files, tmp_path):
+    # without -o the valuation goes to standard output, here that same file
+    uniform = tmp_path / "u.json"
+    uniform.write_text('{"old": 1}\n')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["corank-lift", files["u1212.json"], "--emit-uniform", str(uniform)]
+    with open(uniform, "a", encoding="utf-8") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "tightspan", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: -o and --emit-uniform both name {uniform}\n"
+    assert uniform.read_text() == '{"old": 1}\n'
 
 
 def test_corank_lift_writes_through_a_symlink(files, capsys, tmp_path):
@@ -909,7 +899,7 @@ def test_fvector_scan_checks_the_line_length_before_listing_the_bases(tmp_path, 
 
 @pytest.mark.parametrize("census", sorted(CENSUS_DIGESTS))
 def test_each_scan_enumerates_each_distinct_subdivision_once(capsys, monkeypatch, census):
-    # 171 lines, 26 distinct (maximal cells, boundary facets) in each file;
+    # 171 lines, 26 distinct sets of maximal cells in each file;
     # a second command in the same process enumerates them all again
     from tightspan import troplin
 

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import square_config
+from conftest import points_json, square_config
 from tightspan import Matroid, PointConfig
 from tightspan.cli import main
 from tightspan.oracle import normal_fan
@@ -23,11 +23,11 @@ def _inputs() -> dict[str, str]:
     line = 0b00111  # {0, 1, 2} is dependent: a three-point line
     bases = [c for c in combinations(range(5), 3) if sum(1 << i for i in c) != line]
     return {
-        "square": square_config().to_json(),
+        "square": points_json(square_config()),
         # a triangle with an apex above and below it: 5 vertices, 6 facets
-        "bipyramid": PointConfig.from_rows(
+        "bipyramid": points_json(PointConfig.from_rows(
             [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]]
-        ).to_json(),
+        )),
         "square-fan": _fan_json(square_fan.rays, square_fan.maximal_cones),
         # a 2-cone and two lone rays: the artificial top covers the 2-cone
         # and each lone ray

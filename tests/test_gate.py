@@ -207,9 +207,9 @@ def test_tropical_minors_pass_the_gate(rn, blanks, data):
     if m.loops():
         return
     tls = tropical_linear_space(vm)
-    if tls.lineality_dim == 0:
-        assert alternating_sum(tls.bounded_f_vector) == 1, matrix
-        assert alternating_sum(tls.f_vector) == reduced_char_at_zero(
+    if tls.report["lineality_dim"] == 0:
+        assert alternating_sum(tls.span.bounded_f_vector()) == 1, matrix
+        assert alternating_sum(tls.span.f_vector()) == reduced_char_at_zero(
             m.n, m.r, [indices(b) for b in m.bases]
         ), matrix
 

@@ -151,6 +151,12 @@ def test_every_record_type_is_covered():
     }
 
 
+def test_a_span_cell_lists_its_vertices_rays_and_dimension():
+    # its closed set is not kept: the vertices and rays name its generators
+    cell = tropical_linear_space(quartet_vm()).span.cells[0]
+    assert cell._fields == ("vertices", "rays", "dim")
+
+
 @pytest.mark.parametrize(
     "record, fields", [pytest.param(r, f, id=type(r).__name__) for r, f in every_record()]
 )

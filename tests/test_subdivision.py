@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    cell_node,
     hypersimplex,
     interval_subdivision,
     square_config,
@@ -256,7 +257,7 @@ def test_duality_dimension_bijection():
         pts = sub.config.points
         seen_cells = set()
         for cell in span.cells:
-            q = tight_span_closure(sub).cell(cell.node)
+            q = tight_span_closure(sub).cell(cell_node(span, cell))
             seen_cells.add(q)
             idx = [i for i in range(len(pts)) if q >> i & 1]
             diffs = [
@@ -271,7 +272,7 @@ def test_tight_span_equals_maximal_cell_system():
     # closure system generated by the maximal cells alone
     for sub in [interval_subdivision(), three_path_subdivision(), two_pyramid_subdivision()]:
         span = coordinatize(sub, list(sub.boundary_facets))
-        span_keys = {tight_span_closure(sub).cell(c.node) for c in span.cells}
+        span_keys = {tight_span_closure(sub).cell(cell_node(span, c)) for c in span.cells}
 
         # independent path: closure system on maximal cells only
         from tightspan.closure import ClosureSystem, GroundSet
