@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -896,6 +898,22 @@ def test_fvector_scan_checks_the_line_length_before_listing_the_bases(tmp_path, 
 
 
 # -- the scan's line reports, kept per command ----------------------------------
+
+# sha256 of the standard output of `fvector-scan <file> --n N --r R --lift L
+# --format F` on every bundled census file, N and R read from its name
+SCAN_DIGESTS = json.loads(Path(__file__).with_name("census_scan_digests.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("lift", ["trivial", "corank"])
+@pytest.mark.parametrize("census", sorted(SCAN_DIGESTS))
+def test_every_census_scan_keeps_its_bytes(capsys, census, lift, fmt):
+    n, r = re.fullmatch(r"census_n(\d+)_r(\d+)\.txt", census).groups()
+    code, out, err = run(capsys, ["fvector-scan", str(CENSUS / census), "--n", n, "--r", r,
+                                  "--lift", lift, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGESTS[census][lift][fmt]
+
 
 @pytest.mark.parametrize("census", sorted(CENSUS_DIGESTS))
 def test_each_scan_enumerates_each_distinct_subdivision_once(capsys, monkeypatch, census):
