@@ -286,23 +286,18 @@ def cmd_corank_lift(args) -> int:
     return 0
 
 
-# The line outcomes of the scan command running in this process, each a
-# report or a node-cap abort, keyed by (configuration, maximal cells),
-# which fix a report: the boundary facets follow from the cells and the
-# configuration's base hull, and gamma, n, r and the lineality from the
-# configuration.  A census file holds few distinct subdivisions (26 among
-# the 171 lines of census_n5_r3.txt under the corank lift).  Emptied when a
-# scan starts and ends, so no command reuses another's work; each worker
-# keeps its own.
-_line_reports: dict = {}
-
-
-def _scan_line(task) -> dict:
-    lineno, line, n, r, order, lift, node_cap = task
+def _scan_line(lineno: int, line: str, args, reports: dict) -> dict:
+    """The record of one census line.  ``reports`` holds the command's line
+    outcomes, each a report or a node-cap abort, keyed by (configuration,
+    maximal cells), which fix a report: the boundary facets follow from the
+    cells and the configuration's base hull, and gamma, n, r and the
+    lineality from the configuration.  A census file holds few distinct
+    subdivisions (26 among the 171 lines of census_n5_r3.txt under the
+    corank lift)."""
     record = {"line": lineno}
     try:
-        m = parse_census_line(line, n, r, order=order)
-        if lift == "corank":
+        m = parse_census_line(line, args.n, args.r, order=args.order)
+        if args.lift == "corank":
             vm = ValuatedMatroid(valuation=corank_valuation(m))
         else:
             vm = bergman_source(m)
@@ -310,13 +305,13 @@ def _scan_line(task) -> dict:
         # point, so a hit has passed tropical_linear_space's loop check
         sub = vm.subdivision
         key = (sub.config, sub.maximal_cells)
-        outcome = _line_reports.get(key)
+        outcome = reports.get(key)
         if outcome is None:
             try:
-                outcome = dict(tropical_linear_space(vm, node_cap=node_cap).report, ok=True)
+                outcome = dict(tropical_linear_space(vm, node_cap=args.node_cap).report, ok=True)
             except NodeCapExceeded as exc:
                 outcome = {"ok": False, "error": str(exc), "node_cap": True}
-            _line_reports[key] = outcome
+            reports[key] = outcome
         elif outcome["ok"]:
             _check_speyer(outcome)  # tropical_linear_space checks the first line
         record.update(outcome)
@@ -344,42 +339,25 @@ def _scan_record_text(rec: dict, fmt: str) -> str:
     return f"line {rec['line']:4d}  {status}: {rec['error']}\n"
 
 
-def _scan_records(tasks, jobs: int):
-    """Records of the census lines in line order, each yielded as soon as
-    it and all lines before it are done, so that a scan cut short keeps
-    what it has already written.  At most one worker per line starts."""
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        from multiprocessing import Pool  # 4.5 ms to import, for a pool only
-
-        with Pool(workers) as pool:
-            yield from pool.imap(_scan_line, tasks)
-    else:
-        yield from map(_scan_line, tasks)
-
-
 def cmd_fvector_scan(args) -> int:
-    text = _read(args.census)
-    tasks = [
-        (i, ln.strip(), args.n, args.r, args.order, args.lift, args.node_cap)
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = _read(args.census).splitlines()
+    reports = {}  # this command's alone: no command reuses another's work
     ok = failed = crashed = 0
     with _open_output(args.output) as out:
         _emptied(out)
-        _line_reports.clear()
-        try:
-            for rec in _scan_records(tasks, args.jobs):
-                out.write(_scan_record_text(rec, args.format))
-                out.flush()
-                if rec.get("ok"):
-                    ok += 1
-                else:
-                    failed += 1
-                    crashed += "exception" in rec
-        finally:
-            _line_reports.clear()
+        for i, line in enumerate(lines):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rec = _scan_line(i, line, args, reports)
+            # written as soon as it is done, so a scan cut short keeps it
+            out.write(_scan_record_text(rec, args.format))
+            out.flush()
+            if rec.get("ok"):
+                ok += 1
+            else:
+                failed += 1
+                crashed += "exception" in rec
         if args.format == "pretty":
             out.write(f"summary: {ok} ok, {failed} failed\n")
         else:
@@ -467,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--order", choices=("lex", "revlex"), default="lex")
     p.add_argument("--lift", choices=("trivial", "corank"), default="trivial")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    # a scan runs in one process; the flag stays for callers that pass 1
+    p.add_argument("--jobs", choices=("1",), default="1")
     common(p, fmt_choices=("json", "pretty"))
     p.set_defaults(func=cmd_fvector_scan)
 

@@ -79,8 +79,8 @@ class ClosureSystem:
     set's key anywhere.  :class:`IncidenceClosure`
     caches facts about its own operator as it enumerates; each fact is
     true whichever call records it, so no answer depends on the call
-    order.  The caches are plain dicts with no locking (``--jobs`` runs
-    worker processes, not threads).
+    order.  The caches are plain dicts with no locking: the program runs
+    in one thread.
     """
 
     def __init__(self, ground: GroundSet, close_fn: Callable[[int], int]):

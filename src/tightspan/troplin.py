@@ -12,7 +12,7 @@ Both types are named tuples built once, from fewer arguments than they
 hold: ``ValuatedMatroid(valuation)`` gates the valuation's subdivision,
 and ``TropicalLinearSpace(source, span)`` forms the report, which
 ``as_dict`` joins to the span's document for the ``tls`` and ``bergman``
-commands.  Each pickles and copies through its constructor's arguments.
+commands.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class ValuatedMatroid(namedtuple("ValuatedMatroid", "valuation subdivision")):
             raise NonMatroidalValuation(indices(cell), edge)
         return super().__new__(cls, valuation, sub)
 
-    def __getnewargs__(self) -> tuple:
-        return (self.valuation,)
-
     @property
     def matroid(self) -> Matroid:
         return self.valuation.owner
@@ -96,9 +93,6 @@ class TropicalLinearSpace(namedtuple("TropicalLinearSpace", "source span report"
             "dim": len(f_vector) - 1 + lineality_dim,
         }
         return super().__new__(cls, source, span, report)
-
-    def __getnewargs__(self) -> tuple:
-        return self.source, self.span
 
     @property
     def lineality_basis(self) -> tuple[tuple[int, ...], ...]:

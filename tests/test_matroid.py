@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 
 import pytest

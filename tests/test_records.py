@@ -2,15 +2,11 @@
 value equality where a record is a cache key.
 
 The records are named tuples.  A validated record runs its checks in
-``__new__``, which a keyword call and a positional call both reach; a
-record built from fewer arguments than it has fields (``ValuatedMatroid``,
-``TropicalLinearSpace``) pickles and copies through those arguments.
+``__new__``, which a keyword call and a positional call both reach.
 """
 
 from __future__ import annotations
 
-import copy
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -181,21 +177,3 @@ def test_configurations_and_matroids_are_equal_and_hash_alike_by_value():
     m, n = Matroid.from_bases(4, bases), Matroid.from_bases(4, bases[::-1])
     assert m is not n and m == n and hash(m) == hash(n)
     assert m != U24 and m.polytope() is n.polytope()
-
-
-@pytest.mark.parametrize(
-    "round_trip", [copy.copy, lambda r: pickle.loads(pickle.dumps(r))], ids=["copy", "pickle"]
-)
-def test_the_tropical_records_survive_copy_and_pickle(round_trip):
-    # both are built from fewer arguments than they hold: the gated
-    # subdivision and the report are formed from them, not passed in
-    vm = quartet_vm()
-    tls = tropical_linear_space(vm)
-    for source in (round_trip(vm), round_trip(tls).source):
-        assert type(source) is ValuatedMatroid
-        assert source.valuation == vm.valuation
-        assert source.subdivision == vm.subdivision
-    again = round_trip(tls)
-    assert type(again) is type(tls)
-    assert again.span == tls.span and again.report == tls.report
-    assert again.as_dict() == tls.as_dict()

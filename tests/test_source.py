@@ -8,9 +8,10 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 import sys
 import types
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from tightspan.cli import main
 MODULES = sorted(
     p for p in Path(tightspan.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+ROOT = Path(tightspan.__file__).parents[2]
 # closure.py owns the subset encoding; oracle.py shares no logic by design
 MASK_OWNERS = ("closure.py", "oracle.py")
 
@@ -60,7 +62,11 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from x import T\n'T'\n") == ["T (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
 
@@ -141,7 +147,6 @@ def test_no_module_builds_a_record_around_its_checks(path):
 
 # the modules the pipeline runs, and the places outside the package that drive it
 PRODUCTION = [p for p in MODULES if p.name != "oracle.py"]
-ROOT = Path(tightspan.__file__).parents[2]
 DRIVERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
@@ -201,22 +206,28 @@ def test_every_public_name_has_a_reader_outside_the_tests():
 # -- every public member runs in production ------------------------------------
 
 def public_members(module) -> dict[str, types.CodeType]:
-    """The public functions of a module and the public methods and
-    properties of its classes (as ``Class.member``), each by the code that
-    a call enters: a cached, static or class method's wrapped function, a
-    property's getter.  Names bound from other modules are left to those."""
+    """The public functions of a module and the public and dunder methods
+    and properties of its classes (as ``Class.member``), each by the code
+    that a call enters: a cached, static or class method's wrapped
+    function, a property's getter.  Only code written in the module's own
+    file counts: names bound from other modules are left to those, and the
+    dunders that ``namedtuple`` writes are no one's."""
     out = {}
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
         members = [(name, obj)]
         if inspect.isclass(obj):
-            members = [(f"{name}.{a}", m) for a, m in vars(obj).items() if not a.startswith("_")]
+            members = [
+                (f"{name}.{a}", m)
+                for a, m in vars(obj).items()
+                if not a.startswith("_") or a.startswith("__") and a.endswith("__")
+            ]
         for qualified, member in members:
             if isinstance(member, property):
                 member = member.fget
             func = inspect.unwrap(getattr(member, "__func__", member))
-            if inspect.isfunction(func):
+            if inspect.isfunction(func) and func.__code__.co_filename == module.__file__:
                 out[qualified] = func.__code__
     return out
 
@@ -249,8 +260,10 @@ def unentered_members(modules, entered: set[types.CodeType]) -> list[str]:
 
 def test_the_check_sees_a_member_no_driver_enters():
     lib = types.ModuleType("lib")
+    lib.__file__ = "lib.py"
     source = """
 import functools
+import typing
 
 def used():
     return C().p
@@ -263,6 +276,12 @@ def cached():
     pass
 
 class C:
+    def __init__(self):
+        pass
+
+    def __len__(self):
+        return 0
+
     @property
     def p(self):
         return 1
@@ -276,14 +295,20 @@ class C:
 
     def _private(self):
         pass
+
+class R(typing.NamedTuple):  # its __new__, __repr__, ... are namedtuple's
+    x: int
 """
-    exec(source, vars(lib))
-    entered = entered_code(lambda: (lib.used(), lib.C.s()))
-    assert unentered_members([lib], entered) == ["lib: unused", "lib: cached", "lib: C.m"]
+    exec(compile(source, lib.__file__, "exec"), vars(lib))
+    entered = entered_code(lambda: (lib.used(), lib.C.s(), lib.R(1)))
+    assert unentered_members([lib], entered) == [
+        "lib: unused", "lib: cached", "lib: C.__len__", "lib: C.m"
+    ]
     # a cache hit enters nothing: only a cleared cache shows its function
     lib.cached()
     assert unentered_members([lib], entered_code(lib.cached)) == [
-        "lib: used", "lib: unused", "lib: cached", "lib: C.p", "lib: C.s", "lib: C.m"
+        "lib: used", "lib: unused", "lib: cached", "lib: C.__init__", "lib: C.__len__",
+        "lib: C.p", "lib: C.s", "lib: C.m"
     ]
 
 
@@ -296,10 +321,15 @@ def load_script(name: str):
 
 def run_the_drivers(files: dict, out: Path) -> None:
     """Every production driver, in this process: each subcommand and format
-    of the command line on its fixtures, ``fvector-scan`` under both lifts
-    and with ``--jobs 2``, both scripts, and ``ganter_hasse`` on a plain
-    closure system, as the boolean-lattice benchmark calls it."""
+    of the command line on its fixtures, ``fvector-scan`` under both lifts,
+    a node-cap abort and a non-matroidal valuation, both scripts, and
+    ``ganter_hasse`` on a plain closure system, as the boolean-lattice
+    benchmark calls it."""
     f = files
+    # U(2,4) with {0,2} and {0,3} raised: a cell with a forbidden edge
+    bad = {f"{i},{j}": "1" if (i, j) in ((0, 2), (0, 3)) else "0"
+           for i in range(4) for j in range(i + 1, 4)}
+    (out / "v_bad.json").write_text(json.dumps({"values": bad}))
     graphs, reports = ("json", "dot", "pretty"), ("json", "pretty")
     scan = ["fvector-scan", f["census42.txt"], "--n", "4", "--r", "2"]
     commands = [
@@ -317,12 +347,18 @@ def run_the_drivers(files: dict, out: Path) -> None:
         ["corank-lift", f["u1212.json"], "--emit-uniform", str(out / "u.json")],
         *(scan + ["--lift", lift, "--format", fmt]
           for lift in ("trivial", "corank") for fmt in reports),
-        scan + ["--lift", "corank", "--jobs", "2"],
+    ]
+    # the exit code each error path ends in
+    failing = [
+        (["flats", f["u24.json"], "--node-cap", "1"], 3),
+        (["tls", f["u24.json"], str(out / "v_bad.json")], 1),
     ]
     census = str(ROOT / "data" / "census" / "census_n4_r2.txt")
-    with redirect_stdout(io.StringIO()):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         for argv in commands:
             assert main(argv) == 0, argv
+        for argv, code in failing:
+            assert main(argv) == code, argv
         assert load_script("survey_bounded_fvectors").main([census]) == 0
     load_script("make_mini_census").census_texts()
     ganter_hasse(ClosureSystem(GroundSet(4), lambda subset: subset))
