@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tally the distinct bounded f-vectors of corank-lifted tropical linear spaces.
 
-Reads census files (one basis bitstring per line), lifts every matroid to
-the corank valuation on the uniform matroid of the same parameters, and
-reports how many distinct bounded f-vectors occur, with multiplicities.
+Reads census files (one basis bitstring per line), lifts every loop-free
+matroid to the corank valuation on the uniform matroid of the same
+parameters, and reports how many distinct bounded f-vectors occur, with
+multiplicities.  Matroids with loops are skipped and not counted.
 
 Usage:
     python scripts/survey_bounded_fvectors.py data/census/census_n5_r2.txt ...

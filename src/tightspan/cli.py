@@ -280,9 +280,9 @@ def cmd_corank_lift(args) -> int:
             a, b = _regular_stat(out), _regular_stat(fh)
             if a and b and os.path.samestat(a, b):
                 raise InputError(f"-o and --emit-uniform both name {args.emit_uniform}")
-        _emptied(out).write(v.to_json() + "\n")
+        _emptied(out).write(_dumps(v.as_dict()))
         if fh is not None:
-            _emptied(fh).write(v.owner.to_json() + "\n")
+            _emptied(fh).write(_dumps(v.owner.as_dict()))
     return 0
 
 

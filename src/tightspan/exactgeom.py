@@ -486,8 +486,9 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     return hrep, incidence, flags
 
 
-def cone_hrep(generators, lines=()) -> list[tuple[IntVector, int]]:
-    """Facets of cone(generators) + span(lines), as (normal, generator mask).
+def cone_hrep(generators, lines) -> list[int]:
+    """Facets of cone(generators) + span(lines), each as the mask of the
+    generators on it.
 
     Computed via the hull of {0} union the generators union +-lines: the
     hull facets passing through the origin are exactly the cone facets.
@@ -513,13 +514,11 @@ def cone_hrep(generators, lines=()) -> list[tuple[IntVector, int]]:
                 pts.append(v)
     config = PointConfig.from_rows(pts)
     hrep, inc, _ = hull(config)
-    out = []
-    for facet, row in zip(hrep.facets, inc.rows):
-        if facet.offset != 0:
-            continue
-        mask = mask_of(j for j, pos in enumerate(gen_pos) if row >> pos & 1)
-        out.append((facet.normal, mask))
-    return out
+    return [
+        mask_of(j for j, pos in enumerate(gen_pos) if row >> pos & 1)
+        for facet, row in zip(hrep.facets, inc.rows)
+        if facet.offset == 0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +599,7 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
     for cone in fan.maximal_cones:
         if not cone:
             continue
-        hrep = cone_hrep([fan.rays[i] for i in cone], lines=fan.lineality)
-        facets = [local for _, local in hrep]
+        facets = cone_hrep([fan.rays[i] for i in cone], fan.lineality)
         # every listed ray must be extreme: the smallest face of the cone
         # containing it must be the ray alone
         faces = polytope_closure_vertex(IncidenceMatrix(tuple(facets), len(cone)))

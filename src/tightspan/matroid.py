@@ -107,15 +107,8 @@ class Matroid(namedtuple("Matroid", "n r bases")):
             )
         return m
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "r": self.r,
-                "bases": sorted(list(indices(b)) for b in self.bases),
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {"n": self.n, "r": self.r, "bases": sorted(list(indices(b)) for b in self.bases)}
 
     # -- axioms -----------------------------------------------------------
 
@@ -243,14 +236,9 @@ class Valuation(namedtuple("Valuation", "owner values")):
             values[basis] = parse_rational(val)
         return Valuation(owner=owner, values=values)
 
-    def to_json(self) -> str:
-        out = {}
-        for b, v in self.values.items():
-            key = ",".join(map(str, indices(b)))
-            out[key] = str(v)
-        return json.dumps(
-            {"n": self.owner.n, "r": self.owner.r, "values": out}, sort_keys=True
-        )
+    def as_dict(self) -> dict:
+        values = {",".join(map(str, indices(b))): str(v) for b, v in self.values.items()}
+        return {"n": self.owner.n, "r": self.owner.r, "values": values}
 
 
 def corank_valuation(m: Matroid) -> Valuation:
@@ -399,6 +387,6 @@ def parse_census_line(line: str, n: int, r: int, order: str = "lex") -> Matroid:
     return m
 
 
-def format_census_line(m: Matroid, order: str = "lex") -> str:
-    subsets = census_order(m.n, m.r, order)
+def format_census_line(m: Matroid) -> str:
+    subsets = census_order(m.n, m.r)
     return "".join("1" if mask_of(s) in m.bases else "0" for s in subsets)

@@ -149,22 +149,16 @@ class ExtendedTightSpan(NamedTuple):
     def lineality_dim(self) -> int:
         return len(self.lineality)
 
-    def f_vector(self, quotient: bool = True) -> tuple[int, ...]:
-        return self._count_dims(self.cells, quotient)
+    def f_vector(self) -> tuple[int, ...]:
+        return _count_dims(self.cells)
 
-    def bounded_f_vector(self, quotient: bool = True) -> tuple[int, ...]:
-        return self._count_dims([c for c in self.cells if not c.rays], quotient)
-
-    def _count_dims(self, cells, quotient: bool) -> tuple[int, ...]:
-        if not cells:
-            return ()
-        shift = 0 if quotient else self.lineality_dim
-        counts = [0] * (max(c.dim for c in cells) + shift + 1)
-        for c in cells:
-            counts[c.dim + shift] += 1
-        return tuple(counts)
+    def bounded_f_vector(self) -> tuple[int, ...]:
+        return _count_dims([c for c in self.cells if not c.rays])
 
     def as_dict(self, quotient: bool = True) -> dict:
+        # outside the quotient by the lineality, each cell has lineality_dim more dimensions
+        pad = () if quotient else (0,) * self.lineality_dim
+        f, bounded = (pad + v if v else v for v in (self.f_vector(), self.bounded_f_vector()))
         return {
             "vertices": [[str(x) for x in v] for v in self.dual_vertices],
             "rays": [list(r) for r in self.dual_rays],
@@ -173,10 +167,18 @@ class ExtendedTightSpan(NamedTuple):
                 {"vertices": list(c.vertices), "rays": list(c.rays)}
                 for c in self.cells
             ],
-            "f_vector": list(self.f_vector(quotient)),
-            "bounded_f_vector": list(self.bounded_f_vector(quotient)),
+            "f_vector": list(f),
+            "bounded_f_vector": list(bounded),
             "lineality_dim": self.lineality_dim,
         }
+
+
+def _count_dims(cells) -> tuple[int, ...]:
+    """The number of cells of each dimension, 0 to the largest."""
+    counts = [0] * (max((c.dim for c in cells), default=-1) + 1)
+    for c in cells:
+        counts[c.dim] += 1
+    return tuple(counts)
 
 
 @lru_cache(maxsize=8)

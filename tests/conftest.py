@@ -276,9 +276,9 @@ def files(tmp_path):
         return str(p)
 
     write("square.json", points_json(square_config()))
-    write("u24.json", Matroid.uniform(2, 4).to_json())
-    write("u23.json", Matroid.uniform(2, 3).to_json())
-    write("u1212.json", u12_power(2).to_json())
+    write("u24.json", json.dumps(Matroid.uniform(2, 4).as_dict()))
+    write("u23.json", json.dumps(Matroid.uniform(2, 3).as_dict()))
+    write("u1212.json", json.dumps(u12_power(2).as_dict()))
     write("d24.json", points_json(Matroid.uniform(2, 4).polytope()))
     vals = {
         ",".join(map(str, c)): ("1" if c == (2, 3) else "0")

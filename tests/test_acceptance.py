@@ -235,9 +235,9 @@ def test_corank_lift_ladder(tmp_path):
     for k, bounded in expected.items():
         owner = Matroid.uniform(k, 2 * k)
         matroid = tmp_path / f"u{k}.json"
-        matroid.write_text(owner.to_json())
+        matroid.write_text(json.dumps(owner.as_dict()))
         valuation = tmp_path / f"v{k}.json"
-        valuation.write_text(corank_valuation(u12_power(k)).to_json())
+        valuation.write_text(json.dumps(corank_valuation(u12_power(k)).as_dict()))
         out = tmp_path / f"tls{k}.json"
         assert main(["tls", str(matroid), str(valuation), "-o", str(out)]) == 0
         data = json.loads(out.read_text())

@@ -113,8 +113,8 @@ def test_a_census_scan_computes_each_configuration_fact_once(tmp_path):
 
 
 def test_flagship_tls_is_the_same_cold_and_warm(tmp_path):
-    (tmp_path / "m.json").write_text(Matroid.uniform(4, 8).to_json())
-    (tmp_path / "v.json").write_text(corank_valuation(u12_power(4)).to_json())
+    (tmp_path / "m.json").write_text(json.dumps(Matroid.uniform(4, 8).as_dict()))
+    (tmp_path / "v.json").write_text(json.dumps(corank_valuation(u12_power(4)).as_dict()))
     argv = ["tls", str(tmp_path / "m.json"), str(tmp_path / "v.json")]
     clear_caches()
     cold = run(argv, tmp_path / "cold.json")
@@ -135,11 +135,11 @@ TLS_DIGESTS = {
 @pytest.mark.parametrize("command, fmt", sorted(TLS_DIGESTS))
 def test_linear_space_documents_keep_their_bytes_cold_and_warm(tmp_path, command, fmt):
     if command == "tls":
-        (tmp_path / "m.json").write_text(Matroid.uniform(4, 8).to_json())
-        (tmp_path / "v.json").write_text(corank_valuation(u12_power(4)).to_json())
+        (tmp_path / "m.json").write_text(json.dumps(Matroid.uniform(4, 8).as_dict()))
+        (tmp_path / "v.json").write_text(json.dumps(corank_valuation(u12_power(4)).as_dict()))
         argv = ["tls", str(tmp_path / "m.json"), str(tmp_path / "v.json")]
     else:
-        (tmp_path / "m.json").write_text(u12_power(3).to_json())
+        (tmp_path / "m.json").write_text(json.dumps(u12_power(3).as_dict()))
         argv = ["bergman", str(tmp_path / "m.json")]
     argv += ["--format", fmt]
     clear_caches()
@@ -234,7 +234,7 @@ def test_the_zero_dimensional_point_is_the_same_cold_and_warm(tmp_path, command)
 
 def test_a_read_matroid_is_exchange_checked_once(tmp_path):
     # U(1,2) + U(1,2) has 4 of the 6 2-subsets: the exchange test scans
-    (tmp_path / "m.json").write_text(u12_power(2).to_json())
+    (tmp_path / "m.json").write_text(json.dumps(u12_power(2).as_dict()))
     clear_caches()
     assert main(["bergman", str(tmp_path / "m.json"), "-o", str(tmp_path / "b.json")]) == 0
     info = matroid._passes_exchange.cache_info()

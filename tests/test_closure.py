@@ -124,6 +124,8 @@ def test_poset_statistics():
     assert poset_statistics(hf, m.rank) == [1, 3, 1]
     empty = HasseDiagram(nodes=[], arcs=[])
     assert poset_statistics(empty, lambda m: 0) == []
+    with pytest.raises(ValueError, match="rank function must be nonnegative"):
+        poset_statistics(h, lambda m: m.bit_count() - 1)
 
 
 def test_node_cap():

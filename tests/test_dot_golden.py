@@ -34,7 +34,7 @@ def _inputs() -> dict[str, str]:
         "non-pure-fan": _fan_json(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1), (2,), (3,)]
         ),
-        "rank3-on-5": Matroid.from_bases(5, bases).to_json(),
+        "rank3-on-5": json.dumps(Matroid.from_bases(5, bases).as_dict()),
     }
 
 

@@ -19,7 +19,7 @@ from tightspan import (
     parse_census_line,
     regular_subdivision,
 )
-from tightspan.matroid import format_census_line, sorted_bases
+from tightspan.matroid import census_order, format_census_line, sorted_bases
 from tightspan.oracle import brute_closed_sets, brute_exchange, connected_components
 
 
@@ -208,6 +208,14 @@ def test_direct_sum_and_components():
     assert sorted(connected_components(u23_loop)) == [0b0111, 0b1000]
 
 
+def test_the_constructors_refuse_an_empty_basis_family_and_a_bad_shape():
+    with pytest.raises(MatroidError, match="at least one basis"):
+        Matroid(4, 2, frozenset())
+    for r, n in [(0, 3), (4, 3), (-1, 2)]:
+        with pytest.raises(MatroidError, match="1 <= r <= n"):
+            Matroid.uniform(r, n)
+
+
 def test_exchange_validation():
     with pytest.raises(MatroidError):
         Matroid.from_bases(4, [[0, 1], [2, 3]])
@@ -251,6 +259,13 @@ def test_census_parsing():
         parse_census_line("100001", 4, 2)
     with pytest.raises(MatroidError):
         parse_census_line("2111", 4, 1)
+
+
+def test_an_unknown_census_order_is_refused():
+    with pytest.raises(MatroidError, match="unknown census ordering 'colex'"):
+        census_order(4, 2, "colex")
+    with pytest.raises(MatroidError, match="unknown census ordering"):
+        parse_census_line("111111", 4, 2, order="colex")
 
 
 def test_census_round_trip():

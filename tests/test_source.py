@@ -145,6 +145,63 @@ def test_no_module_builds_a_record_around_its_checks(path):
     assert unchecked_tuple_builds(path.read_text()) == []
 
 
+def json_writers(source: str) -> list[str]:
+    """Every place a module encodes JSON: the function around each read of
+    ``json.dumps`` (``<module>`` outside any function), and each class
+    that defines ``to_json``, as ``Class.to_json``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                found.extend(f"{child.name}.to_json" for f in child.body
+                             if isinstance(f, ast.FunctionDef) and f.name == "to_json")
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.extend(scope for alias in child.names if alias.name == "dumps")
+            elif (isinstance(child, ast.Attribute) and child.attr == "dumps"
+                  and isinstance(child.value, ast.Name) and child.value.id == "json"):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_the_check_sees_a_second_json_writer():
+    source = """
+import json
+from json import dumps, loads
+
+def _dumps(doc):
+    return json.dumps(doc) + "\\n"
+
+class Record:
+    def to_json(self):
+        return str(self)
+
+    def as_dict(self):
+        return {"text": json.loads(json.dumps(self))}
+
+encode = json.dumps
+"""
+    assert json_writers(source) == [
+        "<module>", "<module>", "Record.to_json", "_dumps", "as_dict"
+    ]
+    assert json_writers("import json\njson.loads('{}')\n") == []
+
+
+# the one rendering of a document, and the two messages that quote a bad value
+JSON_WRITERS = {"cli.py": ["_dumps"], "exactgeom.py": ["parse_int", "parse_list"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_documents_are_encoded_in_one_place(path):
+    assert json_writers(path.read_text()) == JSON_WRITERS.get(path.name, [])
+
+
 # the modules the pipeline runs, and the places outside the package that drive it
 PRODUCTION = [p for p in MODULES if p.name != "oracle.py"]
 DRIVERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))

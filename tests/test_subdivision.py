@@ -27,6 +27,7 @@ from tightspan import (
     tight_span_closure,
 )
 from tightspan.closure import indices
+from tightspan.subdivision import ExtendedTightSpan
 from tightspan import exactgeom
 from tightspan.oracle import (
     _orank,
@@ -186,7 +187,16 @@ def test_simplex_trivial_span_quotient():
     assert span.f_vector() == (1, 3, 3)
     assert span.bounded_f_vector() == (1,)
     assert span.lineality_dim == 1
-    assert span.f_vector(quotient=False) == (0, 1, 3, 3)
+    assert span.as_dict(quotient=False)["f_vector"] == [0, 1, 3, 3]
+
+
+@pytest.mark.parametrize("quotient", [True, False])
+def test_a_span_without_cells_counts_none(quotient):
+    # the f-vectors of no cells stay empty; no lineality zeros are put in front
+    span = ExtendedTightSpan(dual_vertices=(), dual_rays=(), lineality=((1, 1),), cells=())
+    assert span.f_vector() == span.bounded_f_vector() == ()
+    doc = span.as_dict(quotient=quotient)
+    assert doc["f_vector"] == doc["bounded_f_vector"] == [] and doc["lineality_dim"] == 1
 
 
 def test_two_pyramid_coordinates():
