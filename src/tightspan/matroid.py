@@ -240,6 +240,9 @@ class Valuation(namedtuple("Valuation", "owner values")):
         values = {",".join(map(str, indices(b))): str(v) for b, v in self.values.items()}
         return {"n": self.owner.n, "r": self.owner.r, "values": values}
 
+    def to_json(self) -> str:  # read by bench/test_bench.py alone (ROADMAP item 1)
+        return json.dumps(self.as_dict(), sort_keys=True)
+
 
 def corank_valuation(m: Matroid) -> Valuation:
     """Valuation on the uniform matroid of the same rank and ground set,

@@ -289,19 +289,6 @@ def test_fvector_scan_pretty_names_node_cap_aborts(files, capsys):
     )
 
 
-def test_fvector_scan_skips_blank_and_comment_lines_but_counts_them(capsys, tmp_path):
-    census = tmp_path / "census.txt"
-    census.write_text("# U(2,4), then U(1,2)+U(1,2)\n\n111111\n   \n  # indented\n011110\n")
-    code, out, err = run(capsys, ["fvector-scan", str(census), "--n", "4", "--r", "2",
-                                  "--lift", "corank"])
-    assert (code, err) == (0, "")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert [(rec["line"], rec["bounded_f_vector"]) for rec in records[:-1]] == [
-        (2, [1]), (5, [2, 1])
-    ]
-    assert records[-1] == {"summary": {"ok": 2, "failed": 0}}
-
-
 def test_fvector_scan_isolation(files, capsys):
     code, out, _ = run(capsys, ["fvector-scan", files["census31.txt"], "--n", "3", "--r", "1"])
     assert code == 0
