@@ -14,6 +14,7 @@ import os
 import stat
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 
 from .closure import NODE_CAP, HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
 from .exactgeom import (
@@ -378,6 +379,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=1)  # reads no input; argparse formats help afresh per call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tightspan",

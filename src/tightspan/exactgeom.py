@@ -91,6 +91,13 @@ def parse_list(x, field: str) -> list:
     return x
 
 
+def parse_object(x, field: str) -> dict:
+    """A JSON object; anything else raises ValueError naming ``field``."""
+    if type(x) is not dict:
+        raise ValueError(f"{field} must be an object, got {json.dumps(x)}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
@@ -571,13 +578,17 @@ class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
     def from_json(text: str) -> "Fan":
         data = json.loads(text)
 
-        def ints(rows, field):
-            return tuple(tuple(parse_int(x, field) for x in row) for row in rows)
+        def ints(rows, field, row_field, entry_field):
+            return tuple(
+                tuple(parse_int(x, entry_field) for x in parse_list(row, row_field))
+                for row in parse_list(rows, field)
+            )
 
         return Fan(
-            rays=ints(data["rays"], "ray entry"),
-            maximal_cones=ints(data["cones"], "cone index"),
-            lineality=ints(data.get("lineality", []), "lineality entry"),
+            rays=ints(data["rays"], "rays", "ray", "ray entry"),
+            maximal_cones=ints(data["cones"], "cones", "cone", "cone index"),
+            lineality=ints(data.get("lineality", []), "lineality", "lineality vector",
+                           "lineality entry"),
         )
 
 

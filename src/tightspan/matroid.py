@@ -26,6 +26,8 @@ from .exactgeom import (
     PointConfig,
     _primitive,
     parse_int,
+    parse_list,
+    parse_object,
     parse_rational,
     polytope_closure_vertex,
 )
@@ -99,7 +101,10 @@ class Matroid(namedtuple("Matroid", "n r bases")):
     def from_json(text: str) -> "Matroid":
         data = json.loads(text)
         n = parse_int(data["n"], "n")
-        bases = [[parse_int(i, "basis index") for i in b] for b in data["bases"]]
+        bases = [
+            [parse_int(i, "basis index") for i in parse_list(b, "basis")]
+            for b in parse_list(data["bases"], "bases")
+        ]
         m = Matroid.from_bases(n, bases)
         if "r" in data and parse_int(data["r"], "r") != m.r:
             raise MatroidError(
@@ -212,7 +217,7 @@ class Valuation(namedtuple("Valuation", "owner values")):
         any other key raises MatroidError naming it."""
         data = json.loads(text, object_pairs_hook=_unique_keys)
         values = {}
-        for key, val in data["values"].items():
+        for key, val in parse_object(data["values"], "values").items():
             try:
                 idx = [int(t) for t in key.split(",")] if key else []
             except ValueError:

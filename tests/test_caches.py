@@ -1,10 +1,13 @@
-"""The per-configuration caches: every one bounded, none seen in an output.
+"""The program's caches: every one bounded, none seen in an output.
 
 What depends on the point configuration alone (its affine frame and DD
 seed, the gate's supports and pairs, the loop faces, the hull's dual
 frame, the uniform owner and its polytope) is kept in small
-``functools.lru_cache``s.  Each output below is compared byte for byte
-with every cache cleared and on a warm second run in the same process.
+``functools.lru_cache``s.  So is the command-line parser, which depends
+on no input and is built once per process; argparse formats its help and
+usage errors afresh on each call, for the terminal width of that call.
+Each output below is compared byte for byte with every cache cleared and
+on a warm second run in the same process.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from tightspan import (
     subdivision,
     troplin,
 )
-from tightspan.cli import main
+from tightspan.cli import build_parser, main
 
 
 def program_caches() -> dict:
@@ -68,6 +71,7 @@ def test_every_cache_is_bounded():
         "tightspan.matroid._exchange_pairs",
         "tightspan.troplin._loop_faces",
         "tightspan.subdivision._dual_frame",
+        "tightspan.cli.build_parser",
     ):
         assert name in caches
     for name, cache in caches.items():
@@ -77,6 +81,63 @@ def test_every_cache_is_bounded():
 def run(argv, out: Path) -> bytes:
     assert main(argv + ["-o", str(out)]) == 0
     return out.read_bytes()
+
+
+def write_u24_corank(directory: Path) -> list[str]:
+    """A ``tls`` argv on the corank lift of U(1,2)^2, written into ``directory``."""
+    (directory / "m.json").write_text(json.dumps(Matroid.uniform(2, 4).as_dict()))
+    (directory / "v.json").write_text(json.dumps(corank_valuation(u12_power(2)).as_dict()))
+    return ["tls", str(directory / "m.json"), str(directory / "v.json")]
+
+
+# help and usage errors, which argparse words and wraps to the terminal width
+PARSER_TEXTS = [
+    ["--help"],
+    ["tls", "--help"],
+    ["tightspan", "p.json", "h.json", "--gamma", "some"],
+    ["fvector-scan", "c.txt", "--n", "3", "--r", "4"],
+]
+
+
+def parser_text(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_warm_parser_prints_what_a_cold_one_prints(tmp_path, monkeypatch, capsys):
+    argv = write_u24_corank(tmp_path)
+    texts = {}
+    for columns, other in (("50", "200"), ("200", "50")):
+        monkeypatch.setenv("COLUMNS", columns)
+        cold = []
+        for text_argv in PARSER_TEXTS:
+            build_parser.cache_clear()
+            cold.append(parser_text(text_argv, capsys))
+        # warm: the parser a command built at the other width
+        monkeypatch.setenv("COLUMNS", other)
+        build_parser.cache_clear()
+        run(argv, tmp_path / "tls.json")
+        monkeypatch.setenv("COLUMNS", columns)
+        assert [parser_text(a, capsys) for a in PARSER_TEXTS] == cold
+        texts[columns] = cold
+    assert [code for code, _, _ in texts["50"]] == [0, 0, 2, 2]
+    assert "invalid choice: 'some'" in texts["50"][2][2]
+    assert "must be at most --n 3, got 4" in texts["50"][3][2]
+    assert texts["50"] != texts["200"]  # the width is read per call
+
+
+def test_a_process_builds_its_parser_once(tmp_path):
+    build_parser.cache_clear()
+    run(write_u24_corank(tmp_path), tmp_path / "tls.json")
+    argv = ["fvector-scan", str(CENSUS / "census_n5_r2.txt"), "--n", "5", "--r", "2",
+            "--lift", "corank"]
+    run(argv, tmp_path / "scan.jsonl")
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("census", sorted(CENSUS_DIGESTS))

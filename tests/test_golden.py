@@ -17,7 +17,8 @@ After a reviewed change of output, re-pin every case with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites ``golden_documents.json`` from the current program.
+which rewrites ``golden_documents.json`` from the current program and
+names on standard error each case it added, changed or removed.
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ INT_FIELDS = {
     "fan_float_cone.json": '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1.9]]}',
     "fan_bool_lineality.json": '{"rays": [[1, 0, 0]], "cones": [[0]], "lineality": [[0, 1, true]]}',
 }
+# a scalar where an array or an object belongs, at each level of each file
+SHAPES = {
+    "m_basis_scalar.json": '{"n": 3, "bases": [[0], 1]}',
+    "v_list.json": '{"values": ["0"]}',
+    "fan_rays_scalar.json": '{"rays": 5, "cones": []}',
+    "fan_ray_scalar.json": '{"rays": [[1, 0], 5], "cones": [[0]]}',
+    "fan_cones_scalar.json": '{"rays": [[1, 0]], "cones": 3}',
+    "fan_cone_scalar.json": '{"rays": [[1, 0]], "cones": [0]}',
+    "fan_lineality_scalar.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": 7}',
+    "fan_lineality_vector_scalar.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [1]}',
+}
 FAN_RULES = {
     "fan_repeated_ray.json": '{"rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}',
     "fan_non_primitive.json": '{"rays": [[2, 0], [0, 1]], "cones": [[0, 1]]}',
@@ -145,6 +157,7 @@ def write_inputs(directory: Path) -> None:
         "v_missing.json": _values({f"{a},{b}": "0" for a, b in combinations(range(4), 2)
                                    if (a, b) != (2, 3)}),
         **INT_FIELDS,
+        **SHAPES,
         **FAN_RULES,
         **{f"v_{name}.json": '{"values": {' + U24_VALUES + ", " + key + "}}"
            for name, key in BAD_KEYS.items()},
@@ -235,6 +248,7 @@ case("flats no_n.json")
 case("fan-lattice no_cones.json")
 case("face-lattice points_string.json")
 case("subdivide fig1.json values_object.json")
+# pinned when Python worded this error; "bergman bases_5.json" pins its text
 case("flats bases_5.json", fragment="error: bad matroid in bases_5.json: ")
 case("bergman m_ground0.json")
 case("bergman m_no_basis.json")
@@ -242,6 +256,10 @@ case("flats m_r3.json")
 case("flats m_exchange.json")
 for name in INT_FIELDS:
     command = {"m": "flats", "p": "face-lattice", "f": "fan-lattice"}[name[0]]
+    case(f"{command} {name}")
+case("bergman bases_5.json")
+for name in SHAPES:
+    command = {"m": "flats", "v": "tls u24.json", "f": "fan-lattice"}[name[0]]
     case(f"{command} {name}")
 for name in FAN_RULES:
     case(f"fan-lattice {name}")
@@ -316,14 +334,39 @@ def test_the_table_pins_every_case_and_no_other():
     assert sorted(PINNED) == sorted(CASES)
 
 
+def test_a_repin_names_what_it_adds_changes_and_removes():
+    old = {"a": {"exit": 0}, "b": {"exit": 0}, "c": {"exit": 1}}
+    new = {"a": {"exit": 0}, "b": {"exit": 2}, "d": {"exit": 0}, "e": {"exit": 1}}
+    assert repin_report(old, new) == (
+        "2 added\n  'd'\n  'e'\n1 changed\n  'b'\n1 removed\n  'c'\n"
+    )
+    assert repin_report(new, new) == "0 added\n0 changed\n0 removed\n"
+
+
 @pytest.mark.parametrize("argv", sorted(CASES))
 def test_every_document_keeps_its_bytes(inputs, monkeypatch, argv):
     monkeypatch.chdir(inputs)
     assert observe(argv) == PINNED[argv]
 
 
+def repin_report(old: dict, new: dict) -> str:
+    """The cases a re-pin adds, changes and removes: one count line per
+    kind, then the argv of each such case, indented."""
+    kinds = {
+        "added": sorted(new.keys() - old.keys()),
+        "changed": sorted(a for a in new.keys() & old.keys() if new[a] != old[a]),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+    lines = []
+    for kind, argvs in kinds.items():
+        lines.append(f"{len(argvs)} {kind}")
+        lines += [f"  {argv!r}" for argv in argvs]
+    return "\n".join(lines) + "\n"
+
+
 def repin() -> None:
-    """Rewrite the table from the current program."""
+    """Rewrite the table from the current program and report to standard
+    error what the rewrite changed."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(Path(directory))
@@ -333,6 +376,7 @@ def repin() -> None:
         finally:
             os.chdir(home)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.stderr.write(repin_report(PINNED, table))
     print(f"wrote {len(table)} cases to {TABLE}", file=sys.stderr)
 
 
