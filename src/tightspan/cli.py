@@ -194,7 +194,7 @@ def _subdivision_payload(sub) -> dict:
 
 
 def _heights(text: str) -> list:
-    return [parse_rational(x) for x in parse_list(json.loads(text)["values"], "values")]
+    return [parse_rational(x, "height") for x in parse_list(json.loads(text)["values"], "values")]
 
 
 def _lifted_subdivision(args):

@@ -110,12 +110,19 @@ class ClosureSystem:
 
 def transpose(rows, width: int) -> tuple[int, ...]:
     """Transpose of a 0/1 matrix given as row masks over ``width`` columns:
-    entry k of the result is the mask of the rows whose bit k is set."""
-    cols = [0] * width
-    for j, r in enumerate(rows):
-        for k in indices(r):
-            cols[k] |= 1 << j
-    return tuple(cols)
+    entry k of the result is the mask of the rows whose bit k is set.
+
+    The loops run in C: the rows, last first, are written as
+    ``width``-digit binary strings, ``zip`` reads them column by column
+    and each column is read back as an int.  A row with a bit at
+    ``width`` or above raises ValueError."""
+    if rows and max(rows) >> width:
+        raise ValueError(f"incidence row wider than {width} columns")
+    if not rows or not width:
+        return (0,) * width
+    digits = f"0{width}b"
+    cols = zip(*[format(r, digits) for r in reversed(rows)])
+    return tuple([int("".join(c), 2) for c in cols][::-1])
 
 
 class IncidenceClosure(ClosureSystem):

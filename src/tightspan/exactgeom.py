@@ -46,7 +46,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -63,10 +63,16 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
-def parse_rational(x) -> Fraction:
-    """Exact value of a JSON entry: an int, a float (read from its ``str``,
-    such as ``1e-07``), or a string holding an int, a decimal or ``p/q``.
-    Raises ValueError for a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+def parse_rational(x, field: str) -> Fraction:
+    """Exact value of a JSON entry: an int, a finite float (read from its
+    ``str``, such as ``1e-07``), or a string holding an int, a decimal or
+    ``p/q``.  Anything else (null, a boolean, an array, an object, or a
+    number too large for a float, read as infinite) raises ValueError
+    naming ``field``; so does a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT."""
+    kind = type(x)
+    if not (kind is int or kind is str or kind is float and isfinite(x)):
+        raise ValueError(f"{field} must be a finite number or a string, got {json.dumps(x)}")
     text = str(x)
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
@@ -232,7 +238,7 @@ class PointConfig(namedtuple("PointConfig", "dim points")):
     def from_json(text: str) -> "PointConfig":
         data = json.loads(text)
         pts = tuple(
-            tuple(parse_rational(x) for x in parse_list(row, "point"))
+            tuple(parse_rational(x, "point entry") for x in parse_list(row, "point"))
             for row in parse_list(data["points"], "points")
         )
         return PointConfig(dim=parse_int(data["dim"], "dim"), points=pts)
@@ -295,34 +301,43 @@ def _dd_polar_rays(
     is a bit mask over ``gens`` marking the generators the ray vanishes on;
     these are exactly the facet normals of cone(gens) with their generator
     incidences.
+
+    Each insertion is one pass over the rays, sorting them by their sign
+    on the new generator; with no negative ray nothing is paired.  A
+    positive and a negative ray whose common zeros number at least m - 2
+    and lie in no third ray's zeros are adjacent, and give the new ray
+    valp rn - valn rp.  The rays stay in the order positive, zero, new.
     """
-    m = len(gens[0])
-    pending = [i for i in range(len(gens)) if not seed >> i & 1]
-    for t in pending:
-        v = gens[t]
-        vals = [_dot(r, v) for r, _ in rays]
-        pos = [(r, z, val) for (r, z), val in zip(rays, vals) if val > 0]
-        zero = [(r, z | (1 << t)) for (r, z), val in zip(rays, vals) if val == 0]
-        neg = [(r, z, val) for (r, z), val in zip(rays, vals) if val < 0]
+    m2 = len(gens[0]) - 2
+    for t, v in enumerate(gens):
+        if seed >> t & 1:
+            continue
+        bit = 1 << t
+        pos, zero, neg = [], [], []
+        for r, z in rays:
+            val = sum(map(mul, r, v))
+            if val > 0:
+                pos.append((r, z, val))
+            elif val:
+                neg.append((r, z, val))
+            else:
+                zero.append((r, z | bit))
+        if not neg:
+            rays = [(r, z) for r, z, _ in pos] + zero
+            continue
         all_zs = [z for _, z in rays]
         new: dict[IntVector, int] = {}
         for rn, zn, valn in neg:
             for rp, zp, valp in pos:
                 common = zp & zn
-                if common.bit_count() < m - 2:
+                if common.bit_count() < m2:
                     continue
-                adjacent = True
                 for z3 in all_zs:
-                    if z3 == zp or z3 == zn:
-                        continue
-                    if common & z3 == common:
-                        adjacent = False
+                    if common & z3 == common and z3 != zp and z3 != zn:
                         break
-                if not adjacent:
-                    continue
-                a, b = valp, -valn  # both positive
-                w = _content_free([a * x + b * y for x, y in zip(rn, rp)])
-                new.setdefault(w, common | (1 << t))
+                else:
+                    w = _content_free([valp * x - valn * y for x, y in zip(rn, rp)])
+                    new.setdefault(w, common | bit)
         rays = [(r, z) for r, z, _ in pos] + zero + list(new.items())
     return rays
 

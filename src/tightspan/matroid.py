@@ -124,7 +124,7 @@ class Matroid(namedtuple("Matroid", "n r bases")):
     # -- rank and flats ----------------------------------------------------
 
     def rank(self, subset: int) -> int:
-        return max((subset & b).bit_count() for b in self.bases)
+        return max([(subset & b).bit_count() for b in self.bases])
 
     def closure_system(self) -> ClosureSystem:
         ground = GroundSet(self.n)
@@ -178,7 +178,13 @@ def _passes_exchange(bases: frozenset[int], n: int, r: int) -> bool:
     for basis in bases:
         for b in indices(basis):
             rest = basis ^ 1 << b
-            swaps = mask_of(c for c in indices(full ^ rest) if rest | 1 << c in bases)
+            swaps = 0
+            outside = full ^ rest
+            while outside:
+                low = outside & -outside
+                if rest | low in bases:
+                    swaps |= low
+                outside ^= low
             if (full ^ swaps).bit_count() > r and not all(
                 other & swaps for other in bases
             ):
@@ -238,7 +244,7 @@ class Valuation(namedtuple("Valuation", "owner values")):
                 raise MatroidError(f"valuation key {key!r} is not a basis of the matroid")
             if basis in values:
                 raise MatroidError(f"valuation key {key!r} names a basis given before")
-            values[basis] = parse_rational(val)
+            values[basis] = parse_rational(val, "value")
         return Valuation(owner=owner, values=values)
 
     def as_dict(self) -> dict:
@@ -253,7 +259,8 @@ def corank_valuation(m: Matroid) -> Valuation:
     """Valuation on the uniform matroid of the same rank and ground set,
     assigning each basis its corank r - rank_m(B)."""
     uni = Matroid.uniform(m.r, m.n)
-    values = {b: Fraction(m.r - m.rank(b)) for b in uni.bases}
+    corank = [Fraction(m.r - k) for k in range(m.r + 1)]  # indexed by rank
+    values = {b: corank[m.rank(b)] for b in uni.bases}
     return Valuation(owner=uni, values=values)
 
 

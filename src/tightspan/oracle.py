@@ -32,6 +32,11 @@ swaps on masks; on the points of every maximal cell it gives the gate
 tests their verdict (Gelfand-Goresky-MacPherson-Serganova).  The
 characteristic polynomial's value at zero, against which the tests check
 whole f-vectors, is summed over all subsets with a rank of its own.
+The transpose of an incidence matrix is formed one set bit at a time,
+where ``closure.transpose`` reads columns off binary strings, and the
+boundary facets of a subdivision are found by testing every pair of
+pieces, where ``subdivision._boundary`` tests each piece against the
+maximal pieces kept so far.
 
 The helpers that no production module calls live here too, each naming
 the production code it calls: lower-set restriction, normal fans,
@@ -90,6 +95,19 @@ def brute_incidence_close(rows, n_points, forbidden, f) -> int:
         if common <= {p for p in range(n_points) if t >> p & 1}:
             return (1 << len(rows)) - 1
     return sum(1 << j for j, pts in enumerate(points_of) if common <= pts)
+
+
+def brute_transpose(rows, width: int) -> tuple[int, ...]:
+    """Transpose of a 0/1 matrix of row masks, one set bit at a time, where
+    ``closure.transpose`` reads the columns off binary strings; a row wider
+    than ``width`` raises IndexError."""
+    from .closure import indices  # the subset encoding only
+
+    cols = [0] * width
+    for j, r in enumerate(rows):
+        for k in indices(r):
+            cols[k] |= 1 << j
+    return tuple(cols)
 
 
 def restrict_to_lower_set(system, keep):
@@ -282,6 +300,22 @@ def _cells_only(config, cells, base_hrep, base_inc) -> SimpleNamespace:
         maximal_cells=tuple(cells), boundary_facets=boundary, carrier_facet=carriers,
         base_hrep=base_hrep, base_incidence=base_inc, n_points=len(config.points),
     )
+
+
+def brute_boundary(cells, base_inc) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Boundary facets and carrier facets of a subdivision by a pairwise
+    maximality test: the pieces of the cells on each hull facet, in
+    increasing order, that no other piece contains, where
+    ``subdivision._boundary`` tests each piece only against the maximal
+    ones kept so far."""
+    boundary, carriers = [], []
+    for fi, frow in enumerate(base_inc.rows):
+        cands = sorted({c & frow for c in cells if c & frow})
+        for a in cands:
+            if not any(b != a and a & b == a for b in cands):
+                boundary.append(a)
+                carriers.append(fi)
+    return tuple(boundary), tuple(carriers)
 
 
 def two_hull_subdivision(config, heights) -> SimpleNamespace:

@@ -68,15 +68,24 @@ class Subdivision(NamedTuple):
 def _boundary(cells, base_inc: IncidenceMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The boundary facets of a subdivision and their carrier facets:
     restrict the cells to every hull facet and keep the inclusion-maximal
-    pieces."""
+    pieces, in increasing order per facet.  A strict superset is a larger
+    int, so the pieces are taken largest first and each is tested only
+    against the maximal pieces already kept."""
     boundary: list[int] = []
     carriers: list[int] = []
     for fi, frow in enumerate(base_inc.rows):
-        cands = sorted({c & frow for c in cells if c & frow})
-        for a in cands:
-            if not any(b != a and a & b == a for b in cands):
-                boundary.append(a)
-                carriers.append(fi)
+        pieces = {c & frow for c in cells}
+        pieces.discard(0)
+        maximal: list[int] = []
+        for a in sorted(pieces, reverse=True):
+            for b in maximal:
+                if a & b == a:
+                    break
+            else:
+                maximal.append(a)
+        maximal.reverse()
+        boundary += maximal
+        carriers += [fi] * len(maximal)
     return tuple(boundary), tuple(carriers)
 
 

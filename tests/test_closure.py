@@ -16,10 +16,11 @@ from tightspan import (
     ganter_hasse,
     poset_statistics,
 )
-from tightspan.closure import HasseDiagram, IncidenceClosure, indices, mask_of
+from tightspan.closure import HasseDiagram, IncidenceClosure, indices, mask_of, transpose
 from tightspan.oracle import (
     brute_closed_sets,
     brute_incidence_close,
+    brute_transpose,
     restrict_to_lower_set,
 )
 from tightspan.subdivision import tight_span_closure
@@ -35,6 +36,47 @@ def test_indices_and_mask_of_invert_each_other(m):
     elements = indices(m)
     assert all(a < b for a, b in zip(elements, elements[1:]))
     assert mask_of(elements) == m
+
+
+@st.composite
+def bit_matrix(draw):
+    """Row masks over ``width`` columns, widths from 0 past one machine word."""
+    width = draw(st.sampled_from([0, 1, 2, 5, 8, 63, 64, 65, 130]))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=70))
+    return rows, width
+
+
+@given(bit_matrix(), st.booleans())
+def test_transpose_matches_the_bitwise_loop(case, as_tuple):
+    rows, width = case
+    rows = tuple(rows) if as_tuple else rows
+    cols = transpose(rows, width)
+    assert cols == brute_transpose(rows, width)
+    assert len(cols) == width
+    assert transpose(cols, len(rows)) == tuple(rows)
+
+
+@pytest.mark.parametrize("rows, width, expected", [
+    ((), 0, ()),
+    ((), 3, (0, 0, 0)),
+    ((0, 0), 0, ()),
+    ((0b100,), 3, (0, 0, 1)),
+    ((0b100, 0b101, 0b001), 3, (0b110, 0, 0b011)),
+    ((1 << 64,), 65, (0,) * 64 + (1,)),
+])
+def test_transpose_at_the_edges(rows, width, expected):
+    assert transpose(rows, width) == brute_transpose(rows, width) == expected
+
+
+@pytest.mark.parametrize("rows, width", [((1,), 0), ((0b1000,), 3), ((0, 0b11), 1),
+                                         ((1 << 64,), 64)])
+def test_a_row_wider_than_the_width_raises(rows, width):
+    with pytest.raises(IndexError):
+        brute_transpose(rows, width)
+    with pytest.raises(ValueError, match="wider than"):
+        transpose(rows, width)
+    with pytest.raises(ValueError, match="outside the point set"):
+        IncidenceClosure(rows, width)
 
 
 def test_identity_boolean_lattice():

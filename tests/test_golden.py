@@ -97,6 +97,16 @@ SHAPES = {
     "fan_lineality_scalar.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": 7}',
     "fan_lineality_vector_scalar.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [1]}',
 }
+# a JSON value that is no rational number, in place of a valuation value,
+# a height and a point entry
+NOT_RATIONAL = {
+    "null": "null",
+    "bool": "true",
+    "array": "[1]",
+    "object": '{"p": 1}',
+    "huge": "1e400",
+    "nan": "NaN",
+}
 FAN_RULES = {
     "fan_repeated_ray.json": '{"rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}',
     "fan_non_primitive.json": '{"rays": [[2, 0], [0, 1]], "cones": [[0, 1]]}',
@@ -161,6 +171,12 @@ def write_inputs(directory: Path) -> None:
         **FAN_RULES,
         **{f"v_{name}.json": '{"values": {' + U24_VALUES + ", " + key + "}}"
            for name, key in BAD_KEYS.items()},
+        **{f"v_not_{name}.json": '{"values": {' + U24_VALUES.replace('"2,3": "1"', f'"2,3": {value}') + "}}"
+           for name, value in NOT_RATIONAL.items()},
+        **{f"h_not_{name}.json": f'{{"values": ["1", {value}, "1"]}}'
+           for name, value in NOT_RATIONAL.items()},
+        **{f"p_not_{name}.json": f'{{"dim": 1, "points": [[0], [{value}]]}}'
+           for name, value in NOT_RATIONAL.items()},
     }
     for name, text in files.items():
         (directory / name).write_text(text)
@@ -265,6 +281,10 @@ for name in FAN_RULES:
     case(f"fan-lattice {name}")
 for name in BAD_KEYS:
     case(f"tls u24.json v_{name}.json")
+for name in NOT_RATIONAL:
+    case(f"tls u24.json v_not_{name}.json")
+    case(f"subdivide fig1.json h_not_{name}.json")
+    case(f"face-lattice p_not_{name}.json")
 case("tls u24.json v_missing.json")
 case("tls u24.json v_bad.json")
 case("face-lattice p_div0.json")

@@ -210,12 +210,12 @@ def text(doc):
     assert json_writers(others) == ["<module>", "<module>", "save", "text"]
 
 
-# the one rendering of a document, and the three messages that quote a bad
+# the one rendering of a document, and the four messages that quote a bad
 # value; Valuation.to_json goes when bench/test_bench.py reads as_dict
 # (ROADMAP item 1)
 JSON_WRITERS = {
     "cli.py": ["_dumps"],
-    "exactgeom.py": ["parse_int", "parse_list", "parse_object"],
+    "exactgeom.py": ["parse_int", "parse_list", "parse_object", "parse_rational"],
     "matroid.py": ["Valuation.to_json", "to_json"],
 }
 

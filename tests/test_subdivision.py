@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    CENSUS,
     cell_node,
     hypersimplex,
     interval_subdivision,
@@ -23,6 +24,7 @@ from tightspan import (
     corank_valuation,
     ganter_hasse,
     hull,
+    parse_census_line,
     regular_subdivision,
     tight_span_closure,
 )
@@ -31,6 +33,7 @@ from tightspan.subdivision import ExtendedTightSpan
 from tightspan import exactgeom
 from tightspan.oracle import (
     _orank,
+    brute_boundary,
     brute_hull,
     brute_lower_cells,
     relative_volume,
@@ -399,6 +402,39 @@ def test_one_double_description_matches_two_hulls(case):
     assert sub.base_incidence == ref.base_incidence
     if len(config.points) <= 8 and config.dim <= 4:
         assert set(sub.maximal_cells) == brute_lower_cells(config, heights)
+
+
+def pieces_and_kept(sub) -> tuple[int, int]:
+    """The pieces of the cells on the hull facets, and the boundary facets
+    kept of them, each after checking the boundary against the pairwise
+    maximality test, order included."""
+    assert (sub.boundary_facets, sub.carrier_facet) == brute_boundary(
+        sub.maximal_cells, sub.base_incidence
+    )
+    pieces = sum(len({c & f for c in sub.maximal_cells} - {0})
+                 for f in sub.base_incidence.rows)
+    return pieces, len(sub.boundary_facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration())
+def test_boundary_matches_the_pairwise_maximality_test(case):
+    pieces_and_kept(regular_subdivision(*case))
+
+
+def test_boundary_matches_the_pairwise_test_on_corank_lifts_and_single_cells():
+    lifts = [corank_valuation(u12_power(k)) for k in (2, 3, 4)]
+    for name, n, r in [("census_n4_r2.txt", 4, 2), ("census_n5_r2.txt", 5, 2),
+                       ("census_n5_r3.txt", 5, 3)]:
+        lifts += [corank_valuation(parse_census_line(line, n, r))
+                  for line in (CENSUS / name).read_text().split()]
+    subs = [regular_subdivision(v.owner.polytope(), v.heights()) for v in lifts]
+    subs += [regular_subdivision(config, (0,) * len(config.points))
+             for config in (square_config(), hypersimplex(2, 4), PointConfig.from_rows([[1, 2]]))]
+    counts = [pieces_and_kept(sub) for sub in subs]
+    assert sum(len(sub.maximal_cells) == 1 for sub in subs) >= 5
+    # some facets hold pieces that a larger piece contains
+    assert sum(pieces > kept for pieces, kept in counts) >= 100
 
 
 @settings(max_examples=150, deadline=None)
