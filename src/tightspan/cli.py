@@ -11,19 +11,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 from contextlib import nullcontext
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
-from .closure import NODE_CAP, HasseDiagram, NodeCapExceeded, ganter_hasse, poset_statistics
+from .closure import (
+    NODE_CAP,
+    HasseDiagram,
+    NodeCapExceeded,
+    ganter_hasse,
+    mask_of,
+    poset_statistics,
+)
 from .exactgeom import (
     Fan,
     PointConfig,
     fan_closure,
     hull,
-    parse_list,
-    parse_rational,
     polytope_closure_facet,
     polytope_closure_vertex,
 )
@@ -99,26 +107,155 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def _load(what: str, path: str, parse):
-    """Parse the JSON object in ``path``; a file that is not a JSON object,
-    lacks a key, holds a value of the wrong shape or nests too deeply for
-    the decoder is an InputError."""
+# Fraction expands a decimal exponent into an exact integer, at a cost that
+# grows with the exponent, so a few bytes of input could stall a loader.
+# 4300 is the default of sys.get_int_max_str_digits: past it Python 3.11
+# cannot print the expanded number anyway.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_rational(x, field: str) -> Fraction:
+    """Exact value of a JSON entry: an int, a JSON number (decoded as the
+    ``Decimal`` of its text, so ``0.50000000000000000001`` keeps every
+    digit), or a string holding an int, a decimal or ``p/q``.  Anything
+    else (null, a boolean, an array, an object, ``NaN`` or ``Infinity``)
+    raises ValueError naming ``field``; so does a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT."""
+    kind = type(x)
+    if not (kind is str or kind is int or kind is Decimal):
+        raise ValueError(
+            f"{field} must be a finite number or a string, got {json.dumps(x, default=float)}"
+        )
+    text = str(x)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
+        )
+    return Fraction(text)
+
+
+def parse_int(x, field: str) -> int:
+    """A JSON integer; any other number or a boolean raises ValueError
+    naming ``field``."""
+    if type(x) is not int:
+        raise ValueError(f"{field} must be an integer, got {json.dumps(x, default=float)}")
+    return x
+
+
+def parse_list(x, field: str) -> list:
+    """A JSON array; a string, an object or a scalar raises ValueError
+    naming ``field`` (iterating them would read made-up entries)."""
+    if type(x) is not list:
+        raise ValueError(f"{field} must be an array, got {json.dumps(x, default=float)}")
+    return x
+
+
+def parse_object(x, field: str) -> dict:
+    """A JSON object; anything else raises ValueError naming ``field``."""
+    if type(x) is not dict:
+        raise ValueError(f"{field} must be an object, got {json.dumps(x, default=float)}")
+    return x
+
+
+def _load(what: str, path: str, read, *args):
+    """``read(doc, *args)`` of the JSON object ``doc`` in ``path``, the one
+    decoding of an input file: a JSON number becomes the ``Decimal`` of its
+    text, never a float.  Each fault is an InputError, reported in this
+    order: a text that is no JSON (or nests too deeply for the decoder), a
+    text that is no JSON object, a key given twice in any object, then the
+    first field that is missing or of the wrong shape."""
     text = _read(path)
+    repeated = []  # keys given twice, in the order their objects close
+
+    def unique_keys(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated.append(next(k for i, k in enumerate(keys) if k in keys[:i]))
+        return out
+
     try:
-        try:
-            return parse(text)
-        except Exception:
-            # decode again, on failure only, so that a text that is no JSON
-            # object is reported as such before any fault of its fields
-            if not isinstance(json.loads(text), dict):
-                raise ValueError("expected a JSON object") from None
-            raise
+        doc = json.loads(text, parse_float=Decimal, object_pairs_hook=unique_keys)
+        if type(doc) is not dict:
+            raise ValueError("expected a JSON object")
+        if repeated:
+            raise ValueError(f"key {repeated[0]!r} appears twice")
+        return read(doc, *args)
     except ZeroDivisionError as exc:
         raise InputError(f"bad {what} in {path}: a fraction has denominator 0") from exc
     except KeyError as exc:
         raise InputError(f'bad {what} in {path}: missing key "{exc.args[0]}"') from exc
     except (AttributeError, RecursionError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} in {path}: {exc}") from exc
+
+
+def _rows(x, field: str, row: str, entry: str, parse=parse_int) -> tuple:
+    """An array of arrays of ``parse``d entries, as a tuple of tuples; a
+    fault names its level: ``field``, ``row`` or ``entry``."""
+    return tuple(
+        tuple([parse(v, entry) for v in parse_list(r, row)]) for r in parse_list(x, field)
+    )
+
+
+def _points(doc: dict) -> PointConfig:
+    """``{"dim": d, "points": [[rational, ...], ...]}``."""
+    points = _rows(doc["points"], "points", "point", "point entry", parse_rational)
+    return PointConfig(dim=parse_int(doc["dim"], "dim"), points=points)
+
+
+def _heights(doc: dict) -> list:
+    """``{"values": [rational, ...]}``, one height per point."""
+    return [parse_rational(x, "height") for x in parse_list(doc["values"], "values")]
+
+
+def _matroid(doc: dict) -> Matroid:
+    """``{"n": n, "r": r, "bases": [[index, ...], ...]}``; ``r`` may be
+    left out, and when given it must be the size of the bases."""
+    n = parse_int(doc["n"], "n")
+    m = Matroid.from_bases(n, _rows(doc["bases"], "bases", "basis", "basis index"))
+    if "r" in doc and parse_int(doc["r"], "r") != m.r:
+        raise ValueError(f"stated rank r = {doc['r']} differs from the basis size {m.r}")
+    return m
+
+
+def _fan(doc: dict) -> Fan:
+    """``{"rays": [[int, ...], ...], "cones": [[ray index, ...], ...],
+    "lineality": [[int, ...], ...]}``; the lineality may be left out."""
+    return Fan(
+        rays=_rows(doc["rays"], "rays", "ray", "ray entry"),
+        maximal_cones=_rows(doc["cones"], "cones", "cone", "cone index"),
+        lineality=_rows(doc.get("lineality", []), "lineality", "lineality vector",
+                        "lineality entry"),
+    )
+
+
+def _valuation(doc: dict, owner: Matroid) -> Valuation:
+    """``{"values": {"i,j,...": rational}}``.  Each key lists a basis of
+    ``owner`` by its indices in increasing order, and no basis twice; any
+    other key raises ValueError naming it."""
+    values = {}
+    for key, val in parse_object(doc["values"], "values").items():
+        try:
+            idx = [int(t) for t in key.split(",")] if key else []
+        except ValueError:
+            raise ValueError(
+                f"valuation key {key!r} is not a comma-joined list of indices"
+            ) from None
+        if any(not 0 <= i < owner.n for i in idx):
+            raise ValueError(f"valuation key {key!r} has an index outside 0..{owner.n - 1}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(
+                f"valuation key {key!r} does not list distinct indices in increasing order"
+            )
+        basis = mask_of(idx)
+        if basis not in owner.bases:
+            raise ValueError(f"valuation key {key!r} is not a basis of the matroid")
+        if basis in values:
+            raise ValueError(f"valuation key {key!r} names a basis given before")
+        values[basis] = parse_rational(val, "value")
+    return Valuation(owner=owner, values=values)
 
 
 def _diagram_output(diagram: HasseDiagram, fmt: str, f_vec=None, name=str) -> str:
@@ -146,7 +283,7 @@ def _face_lattice_f_vector(diagram: HasseDiagram, inverted: bool) -> list[int]:
 
 
 def cmd_face_lattice(args) -> int:
-    config = _load("point configuration", args.input, PointConfig.from_json)
+    config = _load("point configuration", args.input, _points)
     hrep, inc, flags = hull(config)
     if args.encoding == "vertex":
         system = polytope_closure_vertex(inc.restricted_to(flags))
@@ -163,7 +300,7 @@ def cmd_face_lattice(args) -> int:
 
 
 def cmd_fan_lattice(args) -> int:
-    fan = _load("fan", args.input, Fan.from_json)
+    fan = _load("fan", args.input, _fan)
     try:
         system = fan_closure(fan)
     except ValueError as exc:
@@ -175,7 +312,7 @@ def cmd_fan_lattice(args) -> int:
 
 
 def cmd_flats(args) -> int:
-    m = _load("matroid", args.input, Matroid.from_json)
+    m = _load("matroid", args.input, _matroid)
     diagram = ganter_hasse(m.closure_system(), node_cap=args.node_cap)
     f_vec = poset_statistics(diagram, m.rank)
     _emit(_diagram_output(diagram, args.format, f_vec), args.output)
@@ -193,14 +330,10 @@ def _subdivision_payload(sub) -> dict:
     return payload
 
 
-def _heights(text: str) -> list:
-    return [parse_rational(x, "height") for x in parse_list(json.loads(text)["values"], "values")]
-
-
 def _lifted_subdivision(args):
     """The regular subdivision of the points file lifted by the heights
     file, ``{"values": [...]}`` with one rational per point."""
-    config = _load("point configuration", args.points, PointConfig.from_json)
+    config = _load("point configuration", args.points, _points)
     heights = _load("height function", args.heights, _heights)
     if len(heights) != len(config.points):
         raise InputError(
@@ -251,8 +384,8 @@ def _tls_output(tls, fmt: str) -> str:
 
 
 def cmd_tls(args) -> int:
-    m = _load("matroid", args.matroid, Matroid.from_json)
-    v = _load("valuation", args.valuation, lambda text: Valuation.from_json(m, text))
+    m = _load("matroid", args.matroid, _matroid)
+    v = _load("valuation", args.valuation, _valuation, m)
     vm = ValuatedMatroid(valuation=v)
     tls = tropical_linear_space(vm, node_cap=args.node_cap)
     _emit(_tls_output(tls, args.format), args.output)
@@ -260,14 +393,14 @@ def cmd_tls(args) -> int:
 
 
 def cmd_bergman(args) -> int:
-    m = _load("matroid", args.input, Matroid.from_json)
+    m = _load("matroid", args.input, _matroid)
     tls = bergman_fan(m, node_cap=args.node_cap)
     _emit(_tls_output(tls, args.format), args.output)
     return 0
 
 
 def cmd_corank_lift(args) -> int:
-    m = _load("matroid", args.input, Matroid.from_json)
+    m = _load("matroid", args.input, _matroid)
     if m.r == 0:
         raise InputError(
             f"bad matroid in {args.input}: it has rank 0, and a corank lift needs rank 1 or more"

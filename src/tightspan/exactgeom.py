@@ -41,12 +41,10 @@ scan under the corank lift) so pays for the configuration once.
 
 from __future__ import annotations
 
-import json
-import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -54,54 +52,6 @@ from .closure import IncidenceClosure, indices, mask_of, transpose
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-
-# Fraction expands a decimal exponent into an exact integer, at a cost that
-# grows with the exponent, so a few bytes of input could stall a loader.
-# 4300 is the default of sys.get_int_max_str_digits: past it Python 3.11
-# cannot print the expanded number anyway.
-MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
-def parse_rational(x, field: str) -> Fraction:
-    """Exact value of a JSON entry: an int, a finite float (read from its
-    ``str``, such as ``1e-07``), or a string holding an int, a decimal or
-    ``p/q``.  Anything else (null, a boolean, an array, an object, or a
-    number too large for a float, read as infinite) raises ValueError
-    naming ``field``; so does a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT."""
-    kind = type(x)
-    if not (kind is int or kind is str or kind is float and isfinite(x)):
-        raise ValueError(f"{field} must be a finite number or a string, got {json.dumps(x)}")
-    text = str(x)
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(
-            f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
-        )
-    return Fraction(text)
-
-
-def parse_int(x, field: str) -> int:
-    """A JSON integer; a float or a boolean raises ValueError naming ``field``."""
-    if type(x) is not int:
-        raise ValueError(f"{field} must be an integer, got {json.dumps(x)}")
-    return x
-
-
-def parse_list(x, field: str) -> list:
-    """A JSON array; a string, an object or a scalar raises ValueError
-    naming ``field`` (iterating them would read made-up entries)."""
-    if type(x) is not list:
-        raise ValueError(f"{field} must be an array, got {json.dumps(x)}")
-    return x
-
-
-def parse_object(x, field: str) -> dict:
-    """A JSON object; anything else raises ValueError naming ``field``."""
-    if type(x) is not dict:
-        raise ValueError(f"{field} must be an object, got {json.dumps(x)}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +183,6 @@ class PointConfig(namedtuple("PointConfig", "dim points")):
     def from_rows(rows) -> "PointConfig":
         pts = tuple(tuple(Fraction(x) for x in row) for row in rows)
         return PointConfig(dim=len(pts[0]), points=pts)
-
-    @staticmethod
-    def from_json(text: str) -> "PointConfig":
-        data = json.loads(text)
-        pts = tuple(
-            tuple(parse_rational(x, "point entry") for x in parse_list(row, "point"))
-            for row in parse_list(data["points"], "points")
-        )
-        return PointConfig(dim=parse_int(data["dim"], "dim"), points=pts)
 
 
 class Facet(NamedTuple):
@@ -504,7 +445,7 @@ def hull(config: PointConfig) -> tuple[HRep, IncidenceMatrix, tuple[bool, ...]]:
     # a point is a vertex iff the facets through it meet in it alone
     faces = polytope_closure_vertex(incidence)
     npts = incidence.n_points
-    flags = tuple(faces.close_cell(faces.cell(1 << i)) == 1 << i for i in range(npts))
+    flags = tuple(faces.close(1 << i) == 1 << i for i in range(npts))
     return hrep, incidence, flags
 
 
@@ -589,23 +530,6 @@ class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
                     raise ValueError("maximal cones must not contain one another")
         return super().__new__(cls, rays, maximal_cones, lineality)
 
-    @staticmethod
-    def from_json(text: str) -> "Fan":
-        data = json.loads(text)
-
-        def ints(rows, field, row_field, entry_field):
-            return tuple(
-                tuple(parse_int(x, entry_field) for x in parse_list(row, row_field))
-                for row in parse_list(rows, field)
-            )
-
-        return Fan(
-            rays=ints(data["rays"], "rays", "ray", "ray entry"),
-            maximal_cones=ints(data["cones"], "cones", "cone", "cone index"),
-            lineality=ints(data.get("lineality", []), "lineality", "lineality vector",
-                           "lineality entry"),
-        )
-
 
 def fan_closure(fan: Fan) -> IncidenceClosure:
     """Closure operator on the rays of a fan plus one artificial top element.
@@ -630,7 +554,7 @@ def fan_closure(fan: Fan) -> IncidenceClosure:
         # containing it must be the ray alone
         faces = polytope_closure_vertex(IncidenceMatrix(tuple(facets), len(cone)))
         for j, i in enumerate(cone):
-            if faces.close_cell(faces.cell(1 << j)) != 1 << j:
+            if faces.close(1 << j) != 1 << j:
                 raise ValueError(
                     f"ray {i} is not extreme in cone {cone}; "
                     "rays must be positively independent modulo lineality"

@@ -22,30 +22,12 @@ from itertools import combinations
 from math import comb
 
 from .closure import ClosureSystem, GroundSet, indices, mask_of
-from .exactgeom import (
-    PointConfig,
-    _primitive,
-    parse_int,
-    parse_list,
-    parse_object,
-    parse_rational,
-    polytope_closure_vertex,
-)
+from .exactgeom import PointConfig, _primitive, polytope_closure_vertex
 from .subdivision import Subdivision
 
 
 class MatroidError(ValueError):
     pass
-
-
-def _unique_keys(pairs) -> dict:
-    """JSON object hook: a dict of the pairs, refusing a key given twice."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise MatroidError(f"key {key!r} appears twice")
-        out[key] = value
-    return out
 
 
 class Matroid(namedtuple("Matroid", "n r bases")):
@@ -96,21 +78,6 @@ class Matroid(namedtuple("Matroid", "n r bases")):
         return Matroid(
             n=n, r=r, bases=frozenset(mask_of(c) for c in combinations(range(n), r))
         )
-
-    @staticmethod
-    def from_json(text: str) -> "Matroid":
-        data = json.loads(text)
-        n = parse_int(data["n"], "n")
-        bases = [
-            [parse_int(i, "basis index") for i in parse_list(b, "basis")]
-            for b in parse_list(data["bases"], "bases")
-        ]
-        m = Matroid.from_bases(n, bases)
-        if "r" in data and parse_int(data["r"], "r") != m.r:
-            raise MatroidError(
-                f"stated rank r = {data['r']} differs from the basis size {m.r}"
-            )
-        return m
 
     def as_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "bases": sorted(list(indices(b)) for b in self.bases)}
@@ -215,37 +182,6 @@ class Valuation(namedtuple("Valuation", "owner values")):
     @staticmethod
     def zero(owner: Matroid) -> "Valuation":
         return Valuation(owner=owner, values={b: Fraction(0) for b in owner.bases})
-
-    @staticmethod
-    def from_json(owner: Matroid, text: str) -> "Valuation":
-        """Read ``{"values": {"i,j,...": value}}``.  Each key lists a basis
-        of ``owner`` by its indices in increasing order, and no basis twice;
-        any other key raises MatroidError naming it."""
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-        values = {}
-        for key, val in parse_object(data["values"], "values").items():
-            try:
-                idx = [int(t) for t in key.split(",")] if key else []
-            except ValueError:
-                raise MatroidError(
-                    f"valuation key {key!r} is not a comma-joined list of indices"
-                ) from None
-            if any(not 0 <= i < owner.n for i in idx):
-                raise MatroidError(
-                    f"valuation key {key!r} has an index outside 0..{owner.n - 1}"
-                )
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise MatroidError(
-                    f"valuation key {key!r} does not list distinct indices "
-                    "in increasing order"
-                )
-            basis = mask_of(idx)
-            if basis not in owner.bases:
-                raise MatroidError(f"valuation key {key!r} is not a basis of the matroid")
-            if basis in values:
-                raise MatroidError(f"valuation key {key!r} names a basis given before")
-            values[basis] = parse_rational(val, "value")
-        return Valuation(owner=owner, values=values)
 
     def as_dict(self) -> dict:
         values = {",".join(map(str, indices(b))): str(v) for b, v in self.values.items()}
@@ -352,7 +288,7 @@ def non_matroidal_witness(sub: Subdivision):
         for a, b in combinations(range(len(bases)), 2):
             pair = 1 << a | 1 << b
             diagonal = (bases[a] ^ bases[b]).bit_count() > 2
-            if diagonal and faces.close_cell(faces.cell(pair)) == pair:
+            if diagonal and faces.close(pair) == pair:
                 return witness(a, b)
 
     # the exchange inequalities are invariant under positive scaling, so

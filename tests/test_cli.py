@@ -14,6 +14,7 @@ import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CENSUS, CENSUS_DIGESTS, u12_power
-from tightspan import PointConfig, bergman_fan
-from tightspan.cli import main
+from tightspan import bergman_fan
+from tightspan.cli import _points, main
 from tightspan.oracle import brute_vertex_flags
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -420,10 +421,6 @@ def permuted_lifting(draw):
     ]
 
 
-def _config(payload):
-    return PointConfig.from_json(json.dumps(payload))
-
-
 def _as_points(cells, points):
     """Each cell, a list of indices into ``points``, as the set of its points."""
     return sorted(sorted(points[i] for i in cell) for cell in cells)
@@ -437,8 +434,8 @@ def test_permuting_the_input_points_permutes_every_document(lifting, gamma):
 
     # face-lattice: vertex nodes name vertices in input order, facet nodes
     # name facets in their sorted order
-    verts = [p for p, flag in zip(pts, brute_vertex_flags(_config(config))) if flag]
-    pverts = [p for p, flag in zip(ppts, brute_vertex_flags(_config(pconfig))) if flag]
+    verts = [p for p, flag in zip(pts, brute_vertex_flags(_points(config))) if flag]
+    pverts = [p for p, flag in zip(ppts, brute_vertex_flags(_points(pconfig))) if flag]
     doc, pdoc = (_cli_document("face-lattice", [c]) for c in (config, pconfig))
     assert _as_points(doc["nodes"], verts) == _as_points(pdoc["nodes"], pverts)
     assert doc["f_vector"] == pdoc["f_vector"]
@@ -478,6 +475,45 @@ def test_permuting_the_input_points_permutes_every_document(lifting, gamma):
     assert cells == pcells
 
 
+def _outcome(command: str, texts) -> tuple:
+    """Exit code, standard output and standard error of ``command`` on
+    input files holding ``texts``, with the files' directory cut from the
+    error text."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"in{i}.json") for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *paths])
+        return code, out.getvalue(), err.getvalue().replace(d, "")
+
+
+U24_TEXT = '{"n": 4, "bases": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}'
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.decimals(min_value=Decimal("-1e-18"), max_value=Decimal("1e-18"), places=40))
+def test_a_json_number_reads_the_same_as_its_string(offset):
+    # each value lies within 1e-18 of where its output changes, closer than
+    # a float resolves, with up to 40 significant digits: a height (the
+    # middle point of 0, 1, 2 above or below the segment), a point entry
+    # (distinct from the point 1 unless offset is 0) and a valuation value
+    # (a vertex coordinate of the linear space)
+    half, one = Decimal("0.5") + offset, 1 + offset
+    forms = {
+        "subdivide": ('{"dim": 1, "points": [[0], [1], [2]]}', '{"values": [0, %s, 1]}'),
+        "face-lattice": ('{"dim": 1, "points": [[0], [1], [%s]]}',),
+        "tls": (U24_TEXT, '{"values": {"0,1": 0, "0,2": 0, "0,3": 0, "1,2": 0, '
+                          '"1,3": 0, "2,3": %s}}'),
+    }
+    for command, texts in forms.items():
+        value = one if command == "face-lattice" else half
+        as_number = [t.replace("%s", str(value)) for t in texts]
+        as_string = [t.replace("%s", json.dumps(str(value))) for t in texts]
+        assert _outcome(command, as_number) == _outcome(command, as_string)
+
+
 # -- malformed input: one "error:" line and exit code 1, never a traceback -----
 
 def _write_text(tmp_path, name, text):
@@ -498,20 +534,21 @@ def test_zero_denominator_is_input_error(files, capsys, tmp_path):
 
 @pytest.mark.parametrize("entry", ["point", "height", "valuation"])
 def test_huge_decimal_exponent_is_input_error(files, capsys, tmp_path, entry):
-    # expanding 10**10000000 exactly would take minutes
-    huge = "1e10000000"
-    if entry == "point":
-        bad = _write_text(tmp_path, "p.json", json.dumps({"dim": 1, "points": [[huge], ["0"]]}))
-        argv = ["face-lattice", bad]
-    elif entry == "height":
-        bad = _write_text(tmp_path, "h.json", json.dumps({"values": [huge, "0", "1"]}))
-        argv = ["subdivide", files["fig1.json"], bad]
-    else:
-        bad = _write_text(tmp_path, "v.json", json.dumps({"values": {"0,1": huge}}))
-        argv = ["tls", files["u24.json"], bad]
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == "" and "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error:") and "exponent" in err
+    # expanding 10**10000000 exactly would take minutes; a JSON number is
+    # read from its decimal text, so it meets the same guard as a string
+    for huge in ('"1e10000000"', "1e10000000"):
+        if entry == "point":
+            bad = _write_text(tmp_path, "p.json", '{"dim": 1, "points": [[%s], ["0"]]}' % huge)
+            argv = ["face-lattice", bad]
+        elif entry == "height":
+            bad = _write_text(tmp_path, "h.json", '{"values": [%s, "0", "1"]}' % huge)
+            argv = ["subdivide", files["fig1.json"], bad]
+        else:
+            bad = _write_text(tmp_path, "v.json", '{"values": {"0,1": %s}}' % huge)
+            argv = ["tls", files["u24.json"], bad]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "exponent" in err
 
 
 def test_each_input_file_is_decoded_once(files, capsys, monkeypatch):

@@ -98,7 +98,8 @@ SHAPES = {
     "fan_lineality_vector_scalar.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [1]}',
 }
 # a JSON value that is no rational number, in place of a valuation value,
-# a height and a point entry
+# a height and a point entry; all but "huge", a number beyond a float's
+# range that reads as exactly 10^400
 NOT_RATIONAL = {
     "null": "null",
     "bool": "true",
@@ -106,6 +107,21 @@ NOT_RATIONAL = {
     "object": '{"p": 1}',
     "huge": "1e400",
     "nan": "NaN",
+    "infinity": "Infinity",
+}
+# a key given twice, in each kind of input file (v_duplicate.json is the
+# valuation's)
+TWICE = {
+    "p_twice.json": '{"dim": 1, "dim": 2, "points": [[0], [1]]}',
+    "h_twice.json": '{"values": ["1", "0", "1"], "values": ["0", "0", "0"]}',
+    "m_twice.json": '{"n": 3, "bases": [[0, 1]], "n": 4}',
+    "fan_twice.json": '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "cones": [[0]]}',
+}
+# a height with more significant digits than a float holds, as a JSON
+# number and as a string: both must lift the middle point above the segment
+EXACT = {
+    "h_exact_number.json": '{"values": [0, 0.50000000000000000001, 1]}',
+    "h_exact_string.json": '{"values": [0, "0.50000000000000000001", 1]}',
 }
 FAN_RULES = {
     "fan_repeated_ray.json": '{"rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}',
@@ -126,6 +142,7 @@ def write_inputs(directory: Path) -> None:
         "point.json": points_json(PointConfig.from_rows([[0]])),
         "fig1.json": json.dumps({"dim": 1, "points": [["-1"], ["0"], ["1"]]}),
         "fig1h.json": _values(["1", "0", "1"]),
+        "line3.json": json.dumps({"dim": 1, "points": [[0], [1], [2]]}),
         "d24.json": points_json(hypersimplex(2, 4)),
         "h_oct.json": _values(["0", "0", "0", "0", "0", "1"]),
         "h_bad.json": _values(["0", "1", "1", "0", "0", "0"]),
@@ -168,6 +185,8 @@ def write_inputs(directory: Path) -> None:
                                    if (a, b) != (2, 3)}),
         **INT_FIELDS,
         **SHAPES,
+        **TWICE,
+        **EXACT,
         **FAN_RULES,
         **{f"v_{name}.json": '{"values": {' + U24_VALUES + ", " + key + "}}"
            for name, key in BAD_KEYS.items()},
@@ -277,6 +296,12 @@ case("bergman bases_5.json")
 for name in SHAPES:
     command = {"m": "flats", "v": "tls u24.json", "f": "fan-lattice"}[name[0]]
     case(f"{command} {name}")
+for name in TWICE:
+    command = {"m": "flats", "p": "face-lattice", "h": "subdivide fig1.json",
+               "f": "fan-lattice"}[name[0]]
+    case(f"{command} {name}")
+for name in EXACT:
+    case(f"subdivide line3.json {name}")
 for name in FAN_RULES:
     case(f"fan-lattice {name}")
 for name in BAD_KEYS:
@@ -352,6 +377,11 @@ PINNED = json.loads(TABLE.read_text()) if TABLE.exists() else {}
 
 def test_the_table_pins_every_case_and_no_other():
     assert sorted(PINNED) == sorted(CASES)
+
+
+def test_a_height_reads_the_same_as_a_number_and_as_a_string():
+    number, string = (PINNED[f"subdivide line3.json {name}"] for name in EXACT)
+    assert number == string and number["exit"] == 0
 
 
 def test_a_repin_names_what_it_adds_changes_and_removes():

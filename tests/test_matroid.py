@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 import pytest
@@ -19,6 +18,7 @@ from tightspan import (
     parse_census_line,
     regular_subdivision,
 )
+from tightspan.cli import _matroid
 from tightspan.matroid import census_order, format_census_line, sorted_bases
 from tightspan.oracle import brute_closed_sets, brute_exchange, connected_components
 
@@ -232,12 +232,12 @@ def test_large_ground_sets_defer_to_polytope_criterion():
     assert _polytope_is_matroidal(good) is True
 
 
-def test_from_json_checks_a_stated_rank():
+def test_the_reader_checks_a_stated_rank():
     pairs = [list(b) for b in combinations(range(4), 2)]
     for doc in ({"n": 4, "r": 2, "bases": pairs}, {"n": 4, "bases": pairs}):
-        assert Matroid.from_json(json.dumps(doc)) == Matroid.uniform(2, 4)
-    with pytest.raises(MatroidError, match="r = 3 differs from the basis size 2"):
-        Matroid.from_json(json.dumps({"n": 4, "r": 3, "bases": pairs}))
+        assert _matroid(doc) == Matroid.uniform(2, 4)
+    with pytest.raises(ValueError, match="r = 3 differs from the basis size 2"):
+        _matroid({"n": 4, "r": 3, "bases": pairs})
 
 
 def test_census_parsing():

@@ -145,11 +145,12 @@ def test_no_module_builds_a_record_around_its_checks(path):
     assert unchecked_tuple_builds(path.read_text()) == []
 
 
-def json_writers(source: str) -> list[str]:
-    """Every place a module encodes JSON: the function around each read of
-    ``json.dumps`` or ``json.dump``, each import of either from ``json``,
-    and each read of ``JSONEncoder`` (``<module>`` outside any function);
-    and each class that defines ``to_json``, as ``Class.to_json``."""
+def json_codec_uses(source: str, functions: tuple[str, ...], codec: str,
+                    method: str) -> list[str]:
+    """The function around each read of ``json.<f>`` for an f in
+    ``functions``, each import of one from ``json``, and each read of the
+    class ``codec`` by any path (``<module>`` outside any function); and
+    each class that defines ``method``, as ``Class.<method>``."""
     found = []
 
     def visit(node, scope):
@@ -158,20 +159,33 @@ def json_writers(source: str) -> list[str]:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.ClassDef):
-                found.extend(f"{child.name}.to_json" for f in child.body
-                             if isinstance(f, ast.FunctionDef) and f.name == "to_json")
-            elif isinstance(child, ast.ImportFrom) and child.module in ("json", "json.encoder"):
+                found.extend(f"{child.name}.{method}" for f in child.body
+                             if isinstance(f, ast.FunctionDef) and f.name == method)
+            elif (isinstance(child, ast.ImportFrom)
+                  and child.module in ("json", "json.encoder", "json.decoder")):
                 found.extend(scope for alias in child.names
-                             if alias.name in ("dumps", "dump", "JSONEncoder"))
-            elif (isinstance(child, ast.Attribute) and child.attr in ("dumps", "dump")
+                             if alias.name in (*functions, codec))
+            elif (isinstance(child, ast.Attribute) and child.attr in functions
                   and isinstance(child.value, ast.Name) and child.value.id == "json"):
                 found.append(scope)
-            elif "JSONEncoder" in (getattr(child, "attr", None), getattr(child, "id", None)):
+            elif codec in (getattr(child, "attr", None), getattr(child, "id", None)):
                 found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def json_writers(source: str) -> list[str]:
+    """Every place a module encodes JSON: ``json.dumps``, ``json.dump``,
+    ``JSONEncoder`` and ``to_json`` methods."""
+    return json_codec_uses(source, ("dumps", "dump"), "JSONEncoder", "to_json")
+
+
+def json_readers(source: str) -> list[str]:
+    """Every place a module decodes JSON: ``json.loads``, ``json.load``,
+    ``JSONDecoder`` and ``from_json`` methods."""
+    return json_codec_uses(source, ("loads", "load"), "JSONDecoder", "from_json")
 
 
 def test_the_check_sees_a_second_json_writer():
@@ -214,8 +228,7 @@ def text(doc):
 # value; Valuation.to_json goes when bench/test_bench.py reads as_dict
 # (ROADMAP item 1)
 JSON_WRITERS = {
-    "cli.py": ["_dumps"],
-    "exactgeom.py": ["parse_int", "parse_list", "parse_object", "parse_rational"],
+    "cli.py": ["_dumps", "parse_int", "parse_list", "parse_object", "parse_rational"],
     "matroid.py": ["Valuation.to_json", "to_json"],
 }
 
@@ -223,6 +236,52 @@ JSON_WRITERS = {
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_documents_are_encoded_in_one_place(path):
     assert json_writers(path.read_text()) == JSON_WRITERS.get(path.name, [])
+
+
+def test_the_check_sees_a_second_json_reader():
+    source = """
+import json
+from json import dumps, loads
+
+def _load(text):
+    return json.loads(text)
+
+class Record:
+    @staticmethod
+    def from_json(text):
+        return Record(text)
+
+    def as_dict(self):
+        return json.loads(json.dumps(self))
+
+decode = json.loads
+"""
+    assert json_readers(source) == [
+        "<module>", "<module>", "Record.from_json", "_load", "as_dict"
+    ]
+    assert json_readers("import json\njson.dumps({})\n") == []
+    # the other decoders: json.load, its import, and JSONDecoder by any path
+    others = """
+import json
+from json import load
+from json.decoder import JSONDecoder
+
+def read(fh):
+    return json.load(fh)
+
+def text(s):
+    return json.JSONDecoder(strict=False).decode(s)
+"""
+    assert json_readers(others) == ["<module>", "<module>", "read", "text"]
+
+
+# the one decoding of an input file: no record type reads JSON itself
+JSON_READERS = {"cli.py": ["_load"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_input_files_are_decoded_in_one_place(path):
+    assert json_readers(path.read_text()) == JSON_READERS.get(path.name, [])
 
 
 # the modules the pipeline runs, and the places outside the package that drive it
