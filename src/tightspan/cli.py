@@ -115,25 +115,29 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
+def _checked(text: str) -> str:
+    """``text``, unless its decimal exponent, as written, is beyond the guard."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return text
+
+
 def parse_rational(x, field: str) -> Fraction:
     """Exact value of a JSON entry: an int, a JSON number (decoded as the
     ``Decimal`` of its text, so ``0.50000000000000000001`` keeps every
     digit), or a string holding an int, a decimal or ``p/q``.  Anything
     else (null, a boolean, an array, an object, ``NaN`` or ``Infinity``)
-    raises ValueError naming ``field``; so does a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT."""
+    raises ValueError naming ``field``; so does a string whose decimal
+    exponent lies beyond MAX_DECIMAL_EXPONENT."""
     kind = type(x)
-    if not (kind is str or kind is int or kind is Decimal):
+    if kind is str:
+        return Fraction(_checked(x))
+    if not (kind is int or kind is Decimal):
         raise ValueError(
             f"{field} must be a finite number or a string, got {json.dumps(x, default=float)}"
         )
-    text = str(x)
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(
-            f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
-        )
-    return Fraction(text)
+    return Fraction(x)
 
 
 def parse_int(x, field: str) -> int:
@@ -163,9 +167,9 @@ def _load(what: str, path: str, read, *args):
     """``read(doc, *args)`` of the JSON object ``doc`` in ``path``, the one
     decoding of an input file: a JSON number becomes the ``Decimal`` of its
     text, never a float.  Each fault is an InputError, reported in this
-    order: a text that is no JSON (or nests too deeply for the decoder), a
-    text that is no JSON object, a key given twice in any object, then the
-    first field that is missing or of the wrong shape."""
+    order: a text that is no JSON (or nests too deeply, or has a number
+    beyond the exponent guard), a text that is no JSON object, a key given
+    twice in any object, then the first field missing or of wrong shape."""
     text = _read(path)
     repeated = []  # keys given twice, in the order their objects close
 
@@ -177,7 +181,8 @@ def _load(what: str, path: str, read, *args):
         return out
 
     try:
-        doc = json.loads(text, parse_float=Decimal, object_pairs_hook=unique_keys)
+        doc = json.loads(text, parse_float=lambda t: Decimal(_checked(t)),
+                         object_pairs_hook=unique_keys)
         if type(doc) is not dict:
             raise ValueError("expected a JSON object")
         if repeated:

@@ -14,7 +14,7 @@ import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from itertools import combinations
 from pathlib import Path
 
@@ -496,11 +496,12 @@ U24_TEXT = '{"n": 4, "bases": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}'
 @given(st.decimals(min_value=Decimal("-1e-18"), max_value=Decimal("1e-18"), places=40))
 def test_a_json_number_reads_the_same_as_its_string(offset):
     # each value lies within 1e-18 of where its output changes, closer than
-    # a float resolves, with up to 40 significant digits: a height (the
+    # a float resolves, with up to 41 significant digits: a height (the
     # middle point of 0, 1, 2 above or below the segment), a point entry
     # (distinct from the point 1 unless offset is 0) and a valuation value
     # (a vertex coordinate of the linear space)
-    half, one = Decimal("0.5") + offset, 1 + offset
+    with localcontext(prec=60):  # exact sums, not the default 28 digits
+        half, one = Decimal("0.5") + offset, 1 + offset
     forms = {
         "subdivide": ('{"dim": 1, "points": [[0], [1], [2]]}', '{"values": [0, %s, 1]}'),
         "face-lattice": ('{"dim": 1, "points": [[0], [1], [%s]]}',),
@@ -535,8 +536,10 @@ def test_zero_denominator_is_input_error(files, capsys, tmp_path):
 @pytest.mark.parametrize("entry", ["point", "height", "valuation"])
 def test_huge_decimal_exponent_is_input_error(files, capsys, tmp_path, entry):
     # expanding 10**10000000 exactly would take minutes; a JSON number is
-    # read from its decimal text, so it meets the same guard as a string
-    for huge in ('"1e10000000"', "1e10000000"):
+    # read from its decimal text, so it meets the same guard as a string,
+    # also where its exponent is beyond what a Decimal can hold
+    exponents = ("1e10000000", "1e1000000000000000000", "1e-1000000000000000000")
+    for huge in [f'"{e}"' for e in exponents] + list(exponents):
         if entry == "point":
             bad = _write_text(tmp_path, "p.json", '{"dim": 1, "points": [[%s], ["0"]]}' % huge)
             argv = ["face-lattice", bad]
