@@ -31,6 +31,7 @@ from .exactgeom import (
     Fan,
     PointConfig,
     fan_closure,
+    height_class,
     hull,
     polytope_closure_facet,
     polytope_closure_vertex,
@@ -123,6 +124,18 @@ def _checked(text: str) -> str:
     return text
 
 
+def _quoted(x) -> str:
+    """A bad JSON value as its text, a ``Decimal`` by its own digits,
+    unquoted, at any depth: ``2.50000000000000000001``, not ``2.5``."""
+    if type(x) is Decimal:
+        return str(x)
+    if type(x) is list:
+        return f"[{', '.join(map(_quoted, x))}]"
+    if type(x) is dict:
+        return "{%s}" % ", ".join(f"{_quoted(k)}: {_quoted(v)}" for k, v in x.items())
+    return json.dumps(x)
+
+
 def parse_rational(x, field: str) -> Fraction:
     """Exact value of a JSON entry: an int, a JSON number (decoded as the
     ``Decimal`` of its text, so ``0.50000000000000000001`` keeps every
@@ -135,7 +148,7 @@ def parse_rational(x, field: str) -> Fraction:
         return Fraction(_checked(x))
     if not (kind is int or kind is Decimal):
         raise ValueError(
-            f"{field} must be a finite number or a string, got {json.dumps(x, default=float)}"
+            f"{field} must be a finite number or a string, got {_quoted(x)}"
         )
     return Fraction(x)
 
@@ -144,7 +157,7 @@ def parse_int(x, field: str) -> int:
     """A JSON integer; any other number or a boolean raises ValueError
     naming ``field``."""
     if type(x) is not int:
-        raise ValueError(f"{field} must be an integer, got {json.dumps(x, default=float)}")
+        raise ValueError(f"{field} must be an integer, got {_quoted(x)}")
     return x
 
 
@@ -152,14 +165,14 @@ def parse_list(x, field: str) -> list:
     """A JSON array; a string, an object or a scalar raises ValueError
     naming ``field`` (iterating them would read made-up entries)."""
     if type(x) is not list:
-        raise ValueError(f"{field} must be an array, got {json.dumps(x, default=float)}")
+        raise ValueError(f"{field} must be an array, got {_quoted(x)}")
     return x
 
 
 def parse_object(x, field: str) -> dict:
     """A JSON object; anything else raises ValueError naming ``field``."""
     if type(x) is not dict:
-        raise ValueError(f"{field} must be an object, got {json.dumps(x, default=float)}")
+        raise ValueError(f"{field} must be an object, got {_quoted(x)}")
     return x
 
 
@@ -425,34 +438,42 @@ def cmd_corank_lift(args) -> int:
     return 0
 
 
-def _scan_line(lineno: int, line: str, args, reports: dict) -> dict:
-    """The record of one census line.  ``reports`` holds the command's line
-    outcomes, each a report or a node-cap abort, keyed by (configuration,
+def _scan_line(lineno: int, line: str, args, classes: dict, reports: dict) -> dict:
+    """The record of one census line.  ``classes`` and ``reports`` hold the
+    command's line outcomes, each a report or a node-cap abort.
+
+    ``classes`` is keyed by (configuration, height class).  Adding an
+    affine function to the heights or scaling them by a positive number
+    changes neither the subdivision nor the gate's verdict (both sides of
+    each exchange inequality sum the same two characteristic vectors), so a
+    hit runs no double description and no gate.  A miss builds and gates
+    the subdivision and looks it up in ``reports``, keyed by (configuration,
     maximal cells), which fix a report: the boundary facets follow from the
     cells and the configuration's base hull, and gamma, n, r and the
-    lineality from the configuration.  A census file holds few distinct
-    subdivisions (26 among the 171 lines of census_n5_r3.txt under the
-    corank lift)."""
+    lineality from the configuration.  The 171 lines of census_n5_r3.txt
+    fall into 26 classes under the corank lift, one per subdivision."""
     record = {"line": lineno}
     try:
         m = parse_census_line(line, args.n, args.r, order=args.order)
-        if args.lift == "corank":
-            vm = ValuatedMatroid(valuation=corank_valuation(m))
-        else:
-            vm = bergman_source(m)
-        # a key fixes the owner's loops, the coordinates zero on every
-        # point, so a hit has passed tropical_linear_space's loop check
-        sub = vm.subdivision
-        key = (sub.config, sub.maximal_cells)
-        outcome = reports.get(key)
+        v = corank_valuation(m) if args.lift == "corank" else Valuation.zero(m)
+        # the configuration fixes the owner's loops, the coordinates zero on
+        # every point, so a hit has passed the loop check of the line before
+        config = v.owner.polytope()
+        key = (config, height_class(config, v.heights()))
+        outcome = classes.get(key)
+        if outcome is None:
+            vm = ValuatedMatroid(valuation=v) if args.lift == "corank" else bergman_source(m)
+            cells = (config, vm.subdivision.maximal_cells)
+            outcome = reports.get(cells)
         if outcome is None:
             try:
                 outcome = dict(tropical_linear_space(vm, node_cap=args.node_cap).report, ok=True)
             except NodeCapExceeded as exc:
                 outcome = {"ok": False, "error": str(exc), "node_cap": True}
-            reports[key] = outcome
+            reports[cells] = outcome
         elif outcome["ok"]:
             _check_speyer(outcome)  # tropical_linear_space checks the first line
+        classes[key] = outcome
         record.update(outcome)
     except ValueError as exc:  # MatroidError among them
         record.update(ok=False, error=str(exc))
@@ -480,7 +501,7 @@ def _scan_record_text(rec: dict, fmt: str) -> str:
 
 def cmd_fvector_scan(args) -> int:
     lines = _read(args.census).splitlines()
-    reports = {}  # this command's alone: no command reuses another's work
+    classes, reports = {}, {}  # this command's alone: no command reuses another's work
     ok = failed = crashed = 0
     with _open_output(args.output) as out:
         _emptied(out)
@@ -488,7 +509,7 @@ def cmd_fvector_scan(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = _scan_line(i, line, args, reports)
+            rec = _scan_line(i, line, args, classes, reports)
             # written as soon as it is done, so a scan cut short keeps it
             out.write(_scan_record_text(rec, args.format))
             out.flush()

@@ -36,7 +36,10 @@ base.  The upward ray spans the height axis, so the seed's points and
 their seed facets do not depend on the heights; a run scales only its
 heights, by their own denominators, and adds only the upward ray's own
 seed facet.  A scan of many valuations on one configuration (a census
-scan under the corank lift) so pays for the configuration once.
+scan under the corank lift) so pays for the configuration once.  That
+facet's pairings with the lifted points, ``height_class``, are equal for
+heights that differ by an affine function and a positive scale; such
+heights give one subdivision, so a scan tells a known one before any DD.
 """
 
 from __future__ import annotations
@@ -292,9 +295,11 @@ class _Frame(NamedTuple):
     pivot coordinates, ``proj`` those projections in that order.  ``seed``
     holds the positions in that order of the first affinely independent
     points, and ``seed_rays[t]`` is the primitive w with w.(1, q) > 0 for
-    the projection q of seed point t and 0 for the other seed points.
-    ``base`` is empty until the first run puts the assembled (HRep,
-    IncidenceMatrix) of conv(config) in it, for every later run to return.
+    the projection q of seed point t and 0 for the other seed points.  With
+    the pairings c_t = w_t.(1, q_t), ``seed_lcm`` is L = lcm(c_t) and
+    ``seed_weights[t]`` is L / c_t.  ``base`` is empty until the first run
+    puts the assembled (HRep, IncidenceMatrix) of conv(config) in it, for
+    every later run to return.
     """
 
     scale: int
@@ -304,6 +309,8 @@ class _Frame(NamedTuple):
     proj: tuple[IntVector, ...]
     seed: tuple[int, ...]
     seed_rays: tuple[IntVector, ...]
+    seed_lcm: int
+    seed_weights: tuple[int, ...]
     base: list
 
 
@@ -328,17 +335,49 @@ def _frame(config: PointConfig) -> _Frame:
     proj = [tuple(p[c] for c in pivots) for p in ipts]
     order = sorted(range(npts), key=proj.__getitem__)
     proj = [proj[i] for i in order]
-    if not pivots:
-        return _Frame(scale, equations, (), tuple(order), tuple(proj), (), (), [])
-
     m = len(pivots) + 1
     homogenized = [(1,) + q for q in proj]
     rr, seed = _rref([
         [g[j] for g in homogenized] + [int(j == t) for t in range(m)] for j in range(m)
     ])
     seed_rays = tuple(_content_free(row[npts:]) for row in rr)
+    pairings = [_dot(w, homogenized[t]) for w, t in zip(seed_rays, seed)]
+    big = lcm(*pairings)
     return _Frame(scale, equations, tuple(pivots), tuple(order), tuple(proj), tuple(seed),
-                  seed_rays, [])
+                  seed_rays, big, tuple(big // c for c in pairings), [])
+
+
+def _lifted_heights(frame: _Frame, heights) -> tuple[int, list[int], IntVector]:
+    """The heights' normal form on a configuration's frame: the lcm s of
+    their denominators, the integer heights s h, and the upward ray's seed
+    facet u = L e_last - sum_t (L h_t / c_t) (w_t, 0) over the seed points'
+    integer heights h_t, made content-free.  With the lifted point
+    (1, q, s h), u pairs to L (s h - a(q)) up to its content, where a is
+    the affine function that agrees with s h on the seed points."""
+    hscale = lcm(*(h.denominator for h in heights))
+    iheights = [h.numerator * (hscale // h.denominator) for h in heights]
+    u = [0] * (len(frame.pivots) + 1) + [frame.seed_lcm]
+    for w, weight, pos in zip(frame.seed_rays, frame.seed_weights, frame.seed):
+        f = weight * iheights[frame.order[pos]]
+        for j, x in enumerate(w):
+            u[j] -= f * x
+    return hscale, iheights, _content_free(u)
+
+
+def height_class(config: PointConfig, heights) -> IntVector:
+    """The class of ``heights`` (one int or ``Fraction`` per point) under
+    adding an affine function and scaling by a positive number, neither of
+    which changes the regular subdivision: the pairings of the seed facet u
+    of ``_lifted_heights`` with the lifted points, in point order, made
+    content-free.  Two height vectors have one class exactly when one is a
+    positive multiple of the other plus an affine function; affine heights
+    have the zero class.  One short dot product per point."""
+    frame = _frame(config)
+    _, iheights, (u0, *uq, uh) = _lifted_heights(frame, heights)
+    pairings = [0] * len(iheights)
+    for i, q in zip(frame.order, frame.proj):
+        pairings[i] = u0 + _dot(uq, q) + uh * iheights[i]
+    return _content_free(pairings)
 
 
 def _hull_and_lower_cells(
@@ -361,13 +400,11 @@ def _hull_and_lower_cells(
     without a DD.
 
     The seed is the frame's: its seed rays have no height entry, and the
-    upward ray's own seed facet is u = L e_last - sum_t (L h_t / c_t)
-    (w_t, 0), over the seed points' heights h_t and pairings
-    c_t = w_t.(1, q_t), with L = lcm(c_t), made content-free.  Each seed
-    facet is unique up to a positive factor, so these are the rays one
-    elimination of the generators would give.  A vertical ray is a facet
-    of the projections alone, so the first run's base serves every later
-    one.
+    upward ray's own seed facet is the u of ``_lifted_heights``, which
+    ``height_class`` reads too.  Each seed facet is unique up to a positive
+    factor, so these are the rays one elimination of the generators would
+    give.  A vertical ray is a facet of the projections alone, so the first
+    run's base serves every later one.
 
     Each cell comes as (point mask, (numerators, denominator)), the second
     a slope y with height(p) - p.y constant on the cell: a lower facet
@@ -384,24 +421,14 @@ def _hull_and_lower_cells(
             [(1, ((0,) * d, 1))],
         )
 
-    hscale = lcm(*(h.denominator for h in heights))
-    iheights = [h.numerator * (hscale // h.denominator) for h in heights]
+    hscale, iheights, u = _lifted_heights(frame, heights)
     up = (0,) * (len(frame.pivots) + 1) + (1,)
     gens = [up] + [(1,) + q + (iheights[i],) for i, q in zip(frame.order, frame.proj)]
 
     seed = [1 + pos for pos in frame.seed]  # generator 0 is up
     seed_mask = 1 | mask_of(seed)
-    ws = frame.seed_rays
-    pairings = [_dot(w, gens[g]) for w, g in zip(ws, seed)]  # w has no height entry
-    big = lcm(*pairings)
-    u = [0] * len(up)
-    u[-1] = big
-    for w, c, g in zip(ws, pairings, seed):
-        f = big // c * gens[g][-1]
-        for j, x in enumerate(w):
-            u[j] -= f * x
-    rays = [(_content_free(u), seed_mask ^ 1)] + [
-        (w + (0,), seed_mask ^ 1 << g) for w, g in zip(ws, seed)
+    rays = [(u, seed_mask ^ 1)] + [
+        (w + (0,), seed_mask ^ 1 << g) for w, g in zip(frame.seed_rays, seed)
     ]
 
     base = frame.base

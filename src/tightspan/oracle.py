@@ -36,7 +36,10 @@ The transpose of an incidence matrix is formed one set bit at a time,
 where ``closure.transpose`` reads columns off binary strings, and the
 boundary facets of a subdivision are found by testing every pair of
 pieces, where ``subdivision._boundary`` tests each piece against the
-maximal pieces kept so far.
+maximal pieces kept so far.  Two height vectors are in one class when
+solving a linear system shows their difference, up to a positive scale,
+affine, where ``exactgeom.height_class`` pairs them with the DD seed's
+upward facet.
 
 The helpers that no production module calls live here too, each naming
 the production code it calls: lower-set restriction, normal fans,
@@ -287,6 +290,22 @@ def brute_lower_cells(config, heights):
         if nvec[-1] > 0:
             cells.add(onset)
     return cells
+
+
+def same_height_class(points, heights, other) -> bool:
+    """Whether ``other`` - mu ``heights`` is affine on the points for some
+    mu > 0, the reference for ``exactgeom.height_class``: one elimination
+    of the system a0 + a.p_i + mu heights_i = other_i in the unknowns
+    (a0, a, mu).  mu's column comes last, so it is a pivot column exactly
+    when ``heights`` is not affine, and then its row fixes mu; otherwise
+    every mu solves a solvable system."""
+    rows = [[Fraction(1), *map(Fraction, p), Fraction(h), Fraction(g)]
+            for p, h, g in zip(points, heights, other)]
+    rr, pivots = _orrref(rows)
+    mu = len(rows[0]) - 2
+    if mu + 1 in pivots:
+        return False
+    return mu not in pivots or rr[pivots.index(mu)][-1] > 0
 
 
 def _cells_only(config, cells, base_hrep, base_inc) -> SimpleNamespace:

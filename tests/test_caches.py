@@ -151,24 +151,32 @@ def test_census_scans_are_the_same_cold_and_warm(tmp_path, census):
     assert run(argv, tmp_path / "warm.jsonl") == cold
 
 
-def test_a_census_scan_computes_each_configuration_fact_once(tmp_path):
+def test_a_census_scan_computes_each_configuration_fact_once(tmp_path, monkeypatch):
     # every corank line of a file lifts onto U(3, 5), one configuration;
-    # the 171 lines are gated one by one, and their 26 distinct
-    # subdivisions are enumerated once each
+    # the 171 lines fall into 26 height classes, one per subdivision, and
+    # only a class's first line runs a subdivision (a DD) and a gate
+    calls = {"regular_subdivision": 0, "non_matroidal_witness": 0}
+    for name in calls:
+        real = getattr(troplin, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(troplin, name, counted)
     clear_caches()
     argv = ["fvector-scan", str(CENSUS / "census_n5_r3.txt"), "--n", "5", "--r", "3",
             "--lift", "corank"]
     run(argv, tmp_path / "scan.jsonl")
-    for cache in (
-        exactgeom._frame,
-        Matroid.uniform,
-        Matroid.polytope,
-        matroid._supports,
-        matroid._exchange_pairs,
-    ):
+    assert calls == {"regular_subdivision": 26, "non_matroidal_witness": 26}
+    for cache in (exactgeom._frame, Matroid.uniform, Matroid.polytope):
         info = cache.cache_info()
         assert info.misses == 1 and info.hits >= 170, cache
-    for cache in (troplin._loop_faces, subdivision._dual_frame):
+    for cache in (
+        matroid._exchange_pairs,
+        troplin._loop_faces,
+        subdivision._dual_frame,
+    ):
         info = cache.cache_info()
         assert info.misses == 1 and info.hits == 25, cache
 

@@ -554,6 +554,20 @@ def test_huge_decimal_exponent_is_input_error(files, capsys, tmp_path, entry):
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "exponent" in err
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_the_exponent_guard_reads_4300_and_refuses_4301(capsys, tmp_path, sign):
+    for exponent, code in ((4300, 0), (4301, 1)):
+        number = f"1e{sign}{exponent}"
+        for entry in (number, json.dumps(number)):
+            path = _write_text(tmp_path, "p.json", '{"dim": 1, "points": [[%s], ["0"]]}' % entry)
+            got, out, err = run(capsys, ["face-lattice", path])
+            assert got == code, entry
+            if code:
+                assert out == "" and err.startswith("error:") and "beyond 4300" in err
+            else:
+                assert json.loads(out)["f_vector"] == [2] and err == ""
+
+
 def test_each_input_file_is_decoded_once(files, capsys, monkeypatch):
     calls = []
     loads = json.loads

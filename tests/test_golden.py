@@ -82,6 +82,9 @@ INT_FIELDS = {
     "m_float_r.json": '{"n": 4, "r": 2.0, "bases": [[0, 1], [0, 2]]}',
     "p_float_dim.json": '{"dim": 2.5, "points": [[0, 0], [1, 0]]}',
     "p_bool_dim.json": '{"dim": true, "points": [[0], [1]]}',
+    # quoted by their own digits, not through a float (2.5, Infinity)
+    "p_decimal_dim.json": '{"dim": 2.50000000000000000001, "points": [[0, 0], [1, 0]]}',
+    "p_huge_dim.json": '{"dim": 1e400, "points": [[0]]}',
     "fan_float_ray.json": '{"rays": [[1.5, 0], [0, 1]], "cones": [[0, 1]]}',
     "fan_float_cone.json": '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1.9]]}',
     "fan_bool_lineality.json": '{"rays": [[1, 0, 0]], "cones": [[0]], "lineality": [[0, 1, true]]}',
@@ -104,6 +107,7 @@ NOT_RATIONAL = {
     "null": "null",
     "bool": "true",
     "array": "[1]",
+    "decimals": '[0.10000000000000000001, {"p": 1e400}]',
     "object": '{"p": 1}',
     "huge": "1e400",
     "nan": "NaN",

@@ -37,6 +37,7 @@ from tightspan.oracle import (
     brute_hull,
     brute_lower_cells,
     relative_volume,
+    same_height_class,
     solved_dual_vertices,
     span_cell_rank_dims,
     subdivision_from_cells,
@@ -493,6 +494,63 @@ def test_the_frames_seed_rays_are_a_dual_basis_of_the_seed_generators(case, as_i
         facets, equations = brute_hull(config)
         assert set(incidence.rows) == {onset for _, _, onset in facets}
         assert len(hrep.equations) == len(equations)
+
+
+# -- height classes: the key of a census scan's memo -------------------------
+
+def assert_classes(config, heights, other) -> bool:
+    """Whether ``heights`` and ``other`` have one ``height_class``, after
+    checking that against the linear-algebra oracle and, for one class,
+    that they give one subdivision."""
+    same = exactgeom.height_class(config, heights) == exactgeom.height_class(config, other)
+    assert same == same_height_class(config.points, heights, other)
+    if same:
+        cells = regular_subdivision(config, heights).maximal_cells
+        assert regular_subdivision(config, other).maximal_cells == cells
+    return same
+
+
+positive_rational = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration(), positive_rational, st.data())
+def test_an_affine_function_and_a_positive_scale_keep_the_height_class(case, scale, data):
+    config, heights = case
+    slope = data.draw(st.tuples(*[small_rational] * config.dim))
+    c = data.draw(small_rational)
+    other = [scale * h + sum((a * x for a, x in zip(slope, p)), c)
+             for h, p in zip(heights, config.points)]
+    assert assert_classes(config, heights, other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_configuration(), st.data())
+def test_equal_height_classes_are_the_oracles_and_give_equal_cells(case, data):
+    # few distinct values, so that classes often meet
+    config, _ = case
+    n = len(config.points)
+    few = st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=n, max_size=n)
+    assert_classes(config, data.draw(few), data.draw(few))
+
+
+@pytest.mark.parametrize("config, heights, other, same", [
+    # zero heights and affine ones: the one cell of every point
+    (square_config(), (0, 0, 0, 0), (1, 2, 3, 4), True),
+    (square_config(), (0, 0, 0, 0), (0, 0, 0, 1), False),
+    # a single point: every height is affine on it
+    (PointConfig.from_rows([[1, 2]]), (5,), (Fraction(-1, 3),), True),
+    # fractional heights, a positive and a negative scale
+    (square_config(), (0, Fraction(1, 2), 0, 0), (Fraction(1, 3), Fraction(7, 6), 1, 1), True),
+    (square_config(), (0, Fraction(1, 2), 0, 0), (0, Fraction(-1, 2), 0, 0), False),
+    (hypersimplex(2, 4), (0, 0, 0, 0, 0, Fraction(1, 3)), (0, 0, 0, 0, 0, 2), True),
+])
+def test_height_classes_of_zero_single_point_and_fractional_heights(config, heights, other,
+                                                                    same):
+    assert assert_classes(config, heights, other) == same
+    assert assert_classes(config, other, heights) == same
+    if same and not any(heights):
+        assert not any(exactgeom.height_class(config, other))
 
 
 def test_coordinatize_eliminates_nothing(monkeypatch):
