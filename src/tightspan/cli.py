@@ -438,42 +438,39 @@ def cmd_corank_lift(args) -> int:
     return 0
 
 
-def _scan_line(lineno: int, line: str, args, classes: dict, reports: dict) -> dict:
-    """The record of one census line.  ``classes`` and ``reports`` hold the
-    command's line outcomes, each a report or a node-cap abort.
-
-    ``classes`` is keyed by (configuration, height class).  Adding an
-    affine function to the heights or scaling them by a positive number
-    changes neither the subdivision nor the gate's verdict (both sides of
-    each exchange inequality sum the same two characteristic vectors), so a
-    hit runs no double description and no gate.  A miss builds and gates
-    the subdivision and looks it up in ``reports``, keyed by (configuration,
-    maximal cells), which fix a report: the boundary facets follow from the
-    cells and the configuration's base hull, and gamma, n, r and the
-    lineality from the configuration.  The 171 lines of census_n5_r3.txt
-    fall into 26 classes under the corank lift, one per subdivision."""
+def _scan_line(lineno: int, line: str, args, outcomes: dict) -> dict:
+    """The record of one census line.  ``outcomes`` holds the command's
+    line outcomes, each a report or a node-cap abort, keyed by
+    (configuration, height class).  Adding an affine function to the
+    heights or scaling them by a positive number changes neither the
+    subdivision nor the gate's verdict (both sides of each exchange
+    inequality sum the same two characteristic vectors), so a hit runs no
+    double description and no gate; the configuration fixes gamma, n, r,
+    the lineality and the base hull, so the report too.  Under the trivial
+    lift every height class is the zero class, and the configuration alone
+    is the key.  The 171 lines of census_n5_r3.txt fall into 26 classes
+    under the corank lift."""
     record = {"line": lineno}
     try:
         m = parse_census_line(line, args.n, args.r, order=args.order)
-        v = corank_valuation(m) if args.lift == "corank" else Valuation.zero(m)
         # the configuration fixes the owner's loops, the coordinates zero on
         # every point, so a hit has passed the loop check of the line before
-        config = v.owner.polytope()
-        key = (config, height_class(config, v.heights()))
-        outcome = classes.get(key)
+        if args.lift == "corank":
+            v = corank_valuation(m)
+            config = v.owner.polytope()
+            key = (config, height_class(config, v.heights()))
+        else:
+            key = (m.polytope(), ())
+        outcome = outcomes.get(key)
         if outcome is None:
             vm = ValuatedMatroid(valuation=v) if args.lift == "corank" else bergman_source(m)
-            cells = (config, vm.subdivision.maximal_cells)
-            outcome = reports.get(cells)
-        if outcome is None:
             try:
                 outcome = dict(tropical_linear_space(vm, node_cap=args.node_cap).report, ok=True)
             except NodeCapExceeded as exc:
                 outcome = {"ok": False, "error": str(exc), "node_cap": True}
-            reports[cells] = outcome
+            outcomes[key] = outcome
         elif outcome["ok"]:
             _check_speyer(outcome)  # tropical_linear_space checks the first line
-        classes[key] = outcome
         record.update(outcome)
     except ValueError as exc:  # MatroidError among them
         record.update(ok=False, error=str(exc))
@@ -501,7 +498,7 @@ def _scan_record_text(rec: dict, fmt: str) -> str:
 
 def cmd_fvector_scan(args) -> int:
     lines = _read(args.census).splitlines()
-    classes, reports = {}, {}  # this command's alone: no command reuses another's work
+    outcomes = {}  # this command's alone: no command reuses another's work
     ok = failed = crashed = 0
     with _open_output(args.output) as out:
         _emptied(out)
@@ -509,7 +506,7 @@ def cmd_fvector_scan(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = _scan_line(i, line, args, classes, reports)
+            rec = _scan_line(i, line, args, outcomes)
             # written as soon as it is done, so a scan cut short keeps it
             out.write(_scan_record_text(rec, args.format))
             out.flush()

@@ -169,6 +169,9 @@ def test_a_census_scan_computes_each_configuration_fact_once(tmp_path, monkeypat
             "--lift", "corank"]
     run(argv, tmp_path / "scan.jsonl")
     assert calls == {"regular_subdivision": 26, "non_matroidal_witness": 26}
+    # 26 gates and the one _exchange_pairs miss read the supports
+    info = matroid._supports.cache_info()
+    assert info.misses == 1 and info.hits == 26
     for cache in (exactgeom._frame, Matroid.uniform, Matroid.polytope):
         info = cache.cache_info()
         assert info.misses == 1 and info.hits >= 170, cache
