@@ -108,27 +108,42 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-# Fraction expands a decimal exponent into an exact integer, at a cost that
-# grows with the exponent, so a few bytes of input could stall a loader.
-# 4300 is the default of sys.get_int_max_str_digits: past it Python 3.11
-# cannot print the expanded number anyway.
+# A number's text, in a string or as a JSON number, is what Fraction reads on
+# Python 3.11: optional whitespace and sign, digits with single underscores
+# between them, a "." and an exponent, or digits/digits.  An exact value
+# expands its exponent, at a cost that grows with it, so one past 4300 (the
+# default of sys.get_int_max_str_digits) is refused.  ``re`` compiles the
+# pattern on first use, so a command that reads no number never pays for it.
 MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = (rf"\s*(?:(?P<p>[-+]?{_DIGITS})/(?P<q>{_DIGITS})|[-+]?(?=\.?\d)(?:{_DIGITS})?"
+           rf"(?:\.(?:{_DIGITS})?)?(?:[eE](?P<e>[-+]?{_DIGITS}))?)\s*\Z")
 
 
-def _checked(text: str) -> str:
-    """``text``, unless its decimal exponent, as written, is beyond the guard."""
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+def _integer(text: str) -> int:
+    """An integer's text, read through ``Decimal``, which has no digit limit."""
+    return int(Decimal(text))
+
+
+def _number(text: str, field: str = "number") -> Decimal | Fraction:
+    """The one reading of a number's text: ``p/q`` as the ``Fraction`` of two
+    integers, else its exact ``Decimal``.  Other text (``abc``, ``Infinity``,
+    ``1/-2``) or an exponent past MAX_DECIMAL_EXPONENT raises ValueError."""
+    number = re.match(_NUMBER, text)
+    if number is None:
+        raise ValueError(f"{field} {text!r} is no finite decimal or p/q")
+    if number["q"]:
+        return Fraction(_integer(number["p"]), _integer(number["q"]))
+    if number["e"] and abs(_integer(number["e"])) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"number {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
-    return text
+    return Decimal(text)
 
 
 def _quoted(x) -> str:
-    """A bad JSON value as its text, a ``Decimal`` by its own digits,
-    unquoted, at any depth: ``2.50000000000000000001``, not ``2.5``."""
-    if type(x) is Decimal:
-        return str(x)
+    """A bad JSON value as its text, a number by its own digits through
+    ``Decimal``, at any depth: ``2.50000000000000000001``, not ``2.5``."""
+    if type(x) in (int, Decimal):
+        return str(Decimal(x))
     if type(x) is list:
         return f"[{', '.join(map(_quoted, x))}]"
     if type(x) is dict:
@@ -137,19 +152,15 @@ def _quoted(x) -> str:
 
 
 def parse_rational(x, field: str) -> Fraction:
-    """Exact value of a JSON entry: an int, a JSON number (decoded as the
-    ``Decimal`` of its text, so ``0.50000000000000000001`` keeps every
-    digit), or a string holding an int, a decimal or ``p/q``.  Anything
-    else (null, a boolean, an array, an object, ``NaN`` or ``Infinity``)
-    raises ValueError naming ``field``; so does a string whose decimal
-    exponent lies beyond MAX_DECIMAL_EXPONENT."""
-    kind = type(x)
-    if kind is str:
-        return Fraction(_checked(x))
-    if not (kind is int or kind is Decimal):
-        raise ValueError(
-            f"{field} must be a finite number or a string, got {_quoted(x)}"
-        )
+    """Exact value of a JSON entry: a JSON number or a string holding a
+    number's text, both read by ``_number``, so ``0.50000000000000000001``
+    keeps every digit and no part has a length limit.  Anything else (null,
+    a boolean, an array, an object, ``NaN`` or ``Infinity``) raises
+    ValueError naming ``field``; so does a string ``_number`` refuses."""
+    if type(x) is str:
+        x = _number(x, field)
+    elif type(x) not in (int, Decimal):
+        raise ValueError(f"{field} must be a finite number or a string, got {_quoted(x)}")
     return Fraction(x)
 
 
@@ -178,8 +189,8 @@ def parse_object(x, field: str) -> dict:
 
 def _load(what: str, path: str, read, *args):
     """``read(doc, *args)`` of the JSON object ``doc`` in ``path``, the one
-    decoding of an input file: a JSON number becomes the ``Decimal`` of its
-    text, never a float.  Each fault is an InputError, reported in this
+    decoding of an input file: a JSON number becomes the int or ``Decimal`` of
+    its text, never a float.  Each fault is an InputError, reported in this
     order: a text that is no JSON (or nests too deeply, or has a number
     beyond the exponent guard), a text that is no JSON object, a key given
     twice in any object, then the first field missing or of wrong shape."""
@@ -194,7 +205,7 @@ def _load(what: str, path: str, read, *args):
         return out
 
     try:
-        doc = json.loads(text, parse_float=lambda t: Decimal(_checked(t)),
+        doc = json.loads(text, parse_float=_number, parse_int=_integer,
                          object_pairs_hook=unique_keys)
         if type(doc) is not dict:
             raise ValueError("expected a JSON object")
@@ -234,7 +245,7 @@ def _matroid(doc: dict) -> Matroid:
     n = parse_int(doc["n"], "n")
     m = Matroid.from_bases(n, _rows(doc["bases"], "bases", "basis", "basis index"))
     if "r" in doc and parse_int(doc["r"], "r") != m.r:
-        raise ValueError(f"stated rank r = {doc['r']} differs from the basis size {m.r}")
+        raise ValueError(f"stated rank r = {_quoted(doc['r'])} differs from the basis size {m.r}")
     return m
 
 

@@ -68,17 +68,15 @@ def _content_free(ints) -> IntVector:
 
 
 def _primitive(vec) -> IntVector:
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    mult = lcm(*(x.denominator for x in vals))
-    return _content_free([x.numerator * (mult // x.denominator) for x in vals])
+    """Scale a vector of ints and ``Fraction``s to a primitive integer vector."""
+    mult = lcm(*(x.denominator for x in vec))
+    return _content_free([x.numerator * (mult // x.denominator) for x in vec])
 
 
 def _rref(rows) -> tuple[list[IntVector], list[int]]:
-    """Fraction-free reduced row echelon form; returns nonzero rows and
-    pivot columns.
+    """Fraction-free reduced row echelon form of rows of ints and
+    ``Fraction``s; returns nonzero rows and pivot columns.
 
-    Entries may be ints, ``Fraction``s or anything ``Fraction`` accepts.
     Each returned row is a primitive integer vector with a positive entry
     in its pivot column and zeros in the other pivot columns, so divided by
     that entry it is the row of the rational reduced row echelon form.
@@ -247,7 +245,8 @@ def _dd_polar_rays(
     incidences.
 
     Each insertion is one pass over the rays, sorting them by their sign
-    on the new generator; with no negative ray nothing is paired.  A
+    on the new generator.  Some ray is negative on it: the caller sorts the
+    points, so each lies outside the hull of those inserted before it.  A
     positive and a negative ray whose common zeros number at least m - 2
     and lie in no third ray's zeros are adjacent, and give the new ray
     valp rn - valn rp.  The rays stay in the order positive, zero, new.
@@ -266,9 +265,6 @@ def _dd_polar_rays(
                 neg.append((r, z, val))
             else:
                 zero.append((r, z | bit))
-        if not neg:
-            rays = [(r, z) for r, z, _ in pos] + zero
-            continue
         all_zs = [z for _, z in rays]
         new: dict[IntVector, int] = {}
         for rn, zn, valn in neg:

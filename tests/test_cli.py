@@ -15,6 +15,7 @@ import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CENSUS, CENSUS_DIGESTS, u12_power
 from tightspan import bergman_fan
-from tightspan.cli import _points, main
+from tightspan.cli import _points, main, parse_rational
 from tightspan.oracle import brute_vertex_flags
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -513,6 +514,81 @@ def test_a_json_number_reads_the_same_as_its_string(offset):
         as_number = [t.replace("%s", str(value)) for t in texts]
         as_string = [t.replace("%s", json.dumps(str(value))) for t in texts]
         assert _outcome(command, as_number) == _outcome(command, as_string)
+
+
+def test_a_number_past_4300_digits_reads_the_same_as_its_string():
+    # past 4300 digits int() and Fraction(text) refuse a number's text; each
+    # form is read exactly, as a JSON number and as a string alike
+    tiny = "0." + "0" * 4301 + "1"
+    ones = "1" * 5000
+    forms = {
+        "subdivide": ('{"dim": 1, "points": [[0], [1], [2]]}', '{"values": [0, %s, 1]}'),
+        "face-lattice": ('{"dim": 1, "points": [[0], [%s]]}',),
+    }
+    cases = [("subdivide", tiny), ("face-lattice", ones), ("face-lattice", "1." + ones),
+             ("face-lattice", "1e" + "0" * 5000)]
+    for command, value in cases:
+        as_number = [t.replace("%s", value) for t in forms[command]]
+        as_string = [t.replace("%s", f'"{value}"') for t in forms[command]]
+        outcome = _outcome(command, as_number)
+        assert outcome[0] == 0 and outcome[2] == "", value[:10]
+        assert _outcome(command, as_string) == outcome, value[:10]
+    # the same values, and a p/q whose denominator has 4301 digits
+    assert parse_rational(tiny, "height") == Fraction(1, 10**4302)
+    assert parse_rational(ones, "point entry") == (10**5000 - 1) // 9
+    assert parse_rational("1/" + "1" * 4301, "point entry") == Fraction(9, 10**4301 - 1)
+    ratio = _outcome("face-lattice", ['{"dim": 1, "points": [[0], ["1/%s"]]}' % ("1" * 4301)])
+    assert ratio == _outcome("face-lattice", ['{"dim": 1, "points": [[0], [1]]}'])
+    # a stated rank of 5000 digits is quoted by its digits
+    code, _, err = _outcome("flats", ['{"n": 3, "r": %s, "bases": [[0]]}' % ones])
+    assert code == 1 and f"stated rank r = {ones} differs" in err
+    # an exponent of 5000 digits is beyond the guard, in its own words
+    for entry in ("1e" + ones, '"1e%s"' % ones):
+        code, out, err = _outcome("face-lattice", ['{"dim": 1, "points": [[0], [%s]]}' % entry])
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: bad point configuration in") and "beyond 4300" in err
+
+
+def _reads_as_fraction_reads(text: str) -> None:
+    """Fraction(text) is the oracle: both refuse ``text`` or both give one
+    value, except that an exponent beyond 4300, as written, is refused."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        got = parse_rational(text, "entry")
+    except ZeroDivisionError:
+        got = None
+    except ValueError as exc:
+        got, message = None, str(exc)
+        assert "Invalid literal" not in message and "Exceeds the limit" not in message
+        if "beyond 4300" in message:
+            assert expected is not None
+            assert abs(int(text.lower().rsplit("e", 1)[1])) > 4300
+            return
+        assert message == f"entry {text!r} is no finite decimal or p/q"
+    assert got == expected
+
+
+ON_311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                            reason="the number grammar is the text Fraction reads on Python 3.11")
+
+
+@ON_311
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from([*"0159+-.eE_/ infa", "inf", "nan"]), max_size=8).map("".join))
+def test_a_string_reads_as_fraction_reads_it(text):
+    _reads_as_fraction_reads(text)
+
+
+@ON_311
+@pytest.mark.parametrize("text", [
+    "1__0", "_1", "1_", "1_.5", "1._5", "1e_5", "1e5_", " -1_0/2_0 ", "1 /2", "1/ 2", "1/+2",
+    "1.5/2", "1/2e3", ".", "e5", "1e", " .5e-3 ", "5.", "-inf", "nan", "1e9999", "1E-4301",
+])
+def test_a_string_edge_reads_as_fraction_reads_it(text):
+    _reads_as_fraction_reads(text)
 
 
 # -- malformed input: one "error:" line and exit code 1, never a traceback -----

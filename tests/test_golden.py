@@ -102,7 +102,8 @@ SHAPES = {
 }
 # a JSON value that is no rational number, in place of a valuation value,
 # a height and a point entry; all but "huge", a number beyond a float's
-# range that reads as exactly 10^400
+# range that reads as exactly 10^400.  The last three are strings that are
+# no number's text.
 NOT_RATIONAL = {
     "null": "null",
     "bool": "true",
@@ -112,6 +113,9 @@ NOT_RATIONAL = {
     "huge": "1e400",
     "nan": "NaN",
     "infinity": "Infinity",
+    "abc_text": '"abc"',
+    "infinity_text": '"Infinity"',
+    "negative_denominator": '"1/-2"',
 }
 # a key given twice, in each kind of input file (v_duplicate.json is the
 # valuation's)
@@ -151,6 +155,9 @@ def write_inputs(directory: Path) -> None:
         "h_oct.json": _values(["0", "0", "0", "0", "0", "1"]),
         "h_bad.json": _values(["0", "1", "1", "0", "0", "0"]),
         "h_sq.json": _values(["0", "0", "0", "1"]),
+        # two disjoint supports, {0, 1} and {2, 3}: no matroid's bases
+        "p_disjoint.json": json.dumps({"dim": 4, "points": [[1, 1, 0, 0], [0, 0, 1, 1]]}),
+        "h_two.json": _values(["0", "0"]),
         # the square of U(1,2)+U(1,2), bases 02, 03, 12, 13: lineality 2
         "p1212.json": points_json(u12_power(2).polytope()),
         "h1212.json": _values(["0", "1", "1", "0"]),
@@ -228,7 +235,7 @@ for fmt in GRAPHS:
 case("face-lattice square.json -o lattice.json", writes=("lattice.json",))
 for points, heights in [("d24.json", "h_oct.json"), ("d24.json", "h_bad.json"),
                         ("square.json", "h_sq.json"), ("p1212.json", "h1212.json"),
-                        ("fig1.json", "fig1h.json")]:
+                        ("fig1.json", "fig1h.json"), ("p_disjoint.json", "h_two.json")]:
     case(f"subdivide {points} {heights}")
 case("subdivide d24.json h_oct.json -o sub.json", writes=("sub.json",))
 for fmt in REPORTS:
