@@ -25,7 +25,7 @@ from tightspan import (
     tight_span_closure,
 )
 from tightspan.closure import mask_of
-from tightspan.oracle import normal_fan, restrict_to_lower_set
+from oracle import normal_fan, restrict_to_lower_set
 
 CENSUS = Path(__file__).resolve().parents[1] / "data" / "census"
 # sha256 of `fvector-scan <file> --n 5 --r R --lift corank`, the digests the

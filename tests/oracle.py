@@ -104,7 +104,7 @@ def brute_transpose(rows, width: int) -> tuple[int, ...]:
     """Transpose of a 0/1 matrix of row masks, one set bit at a time, where
     ``closure.transpose`` reads the columns off binary strings; a row wider
     than ``width`` raises IndexError."""
-    from .closure import indices  # the subset encoding only
+    from tightspan.closure import indices  # the subset encoding only
 
     cols = [0] * width
     for j, r in enumerate(rows):
@@ -121,7 +121,7 @@ def restrict_to_lower_set(system, keep):
     sets, which is not verified.  The meaning of an incidence closure's
     ``forbidden`` masks, stated on any ``closure.ClosureSystem``.
     """
-    from .closure import ClosureSystem  # type construction only, no logic reuse
+    from tightspan.closure import ClosureSystem  # type construction only, no logic reuse
 
     full = system.ground.full_mask
 
@@ -251,7 +251,7 @@ def brute_hull(config):
 def brute_vertex_flags(config) -> tuple[bool, ...]:
     """Point i is a vertex iff it lies outside the hull of the other points,
     decided against the facets and equations ``brute_hull`` gives them."""
-    from .exactgeom import PointConfig  # type construction only, no logic reuse
+    from tightspan.exactgeom import PointConfig  # type construction only, no logic reuse
 
     pts = config.points
     flags = []
@@ -272,7 +272,7 @@ def brute_lower_cells(config, heights):
     """Maximal cells of the regular subdivision, via the hyperplane oracle on
     the lifted configuration.  Returns a set of point-index masks."""
     lifted_rows = [tuple(p) + (h,) for p, h in zip(config.points, heights)]
-    from .exactgeom import PointConfig  # type construction only, no logic reuse
+    from tightspan.exactgeom import PointConfig  # type construction only, no logic reuse
 
     lifted = PointConfig.from_rows(lifted_rows)
     base_diffs = [
@@ -312,7 +312,7 @@ def _cells_only(config, cells, base_hrep, base_inc) -> SimpleNamespace:
     """A subdivision by its cells alone, with no heights: the fields of a
     ``Subdivision`` that ``subdivision.tight_span_closure`` reads, boundary
     facets and carriers from ``subdivision._boundary``."""
-    from .subdivision import _boundary
+    from tightspan.subdivision import _boundary
 
     boundary, carriers = _boundary(cells, base_inc)
     return SimpleNamespace(
@@ -342,7 +342,7 @@ def two_hull_subdivision(config, heights) -> SimpleNamespace:
     configuration, whose facets with positive last normal coordinate are
     the maximal cells (one cell of every point when the lift is no higher
     dimensional than the base).  Both hulls come from ``exactgeom.hull``."""
-    from .exactgeom import PointConfig, hull
+    from tightspan.exactgeom import PointConfig, hull
 
     base_hrep, base_inc, _ = hull(config)
     lifted = PointConfig(
@@ -365,7 +365,7 @@ def subdivision_from_cells(config, maximal_cells) -> SimpleNamespace:
     """Subdivision given combinatorially by its maximal cells (collections
     of point indices), which need not be regular; the hull comes from
     ``exactgeom.hull``."""
-    from .exactgeom import hull
+    from tightspan.exactgeom import hull
 
     base_hrep, base_inc, _ = hull(config)
     npts = len(config.points)
@@ -434,7 +434,7 @@ def _cell_edges(dim, cell_pts):
     """Edges of conv(cell_pts) as index pairs into cell_pts, memoised on
     the points: a shrinking property test meets the same cells again and
     again, and each would cost a hull and a rank per vertex pair."""
-    from .exactgeom import PointConfig, hull  # facets only; faces and ranks are ours
+    from tightspan.exactgeom import PointConfig, hull  # facets only; faces and ranks are ours
 
     hrep, inc, flags = hull(PointConfig(dim=dim, points=cell_pts))
     if hrep.dim < 1:
@@ -471,7 +471,7 @@ def normal_fan(config):
     orthogonally to the lineality (= affine hull normals), maximal cones are
     the vertex normal cones.  Facets, incidences, vertex flags and the
     projection come from ``exactgeom``; the fan is built here."""
-    from .exactgeom import Fan, _primitive, hull, orthogonalize, project_off
+    from tightspan.exactgeom import Fan, _primitive, hull, orthogonalize, project_off
 
     hrep, inc, flags = hull(config)
     lin = tuple(_primitive(e.normal) for e in hrep.equations)
@@ -523,7 +523,7 @@ def verify_hrep(hrep, config) -> bool:
 def triangulate(points) -> list[tuple[int, ...]]:
     """Placing triangulation of conv(points) into full-dimensional simplices,
     returned as index tuples into ``points``."""
-    from .exactgeom import PointConfig, hull  # facets and vertices only
+    from tightspan.exactgeom import PointConfig, hull  # facets and vertices only
 
     hrep, inc, flags = hull(PointConfig(dim=len(points[0]), points=tuple(points)))
     verts = [i for i in range(len(points)) if flags[i]]
@@ -640,7 +640,7 @@ def connected_components(m) -> list[int]:
 def cell_at(vm, x):
     """Matroid of the bases minimizing value(B) - e_B . x, a cell of the
     subdivision a valuated matroid induces; exact rational comparison."""
-    from .matroid import Matroid  # type construction only, no logic reuse
+    from tightspan.matroid import Matroid  # type construction only, no logic reuse
 
     m = vm.matroid
     xs = [Fraction(v) for v in x]
@@ -660,8 +660,8 @@ def covers_point(tls, x) -> bool:
     iff the cell cut out by F lies inside the minimizer set at x.  The
     cells come from ``subdivision.tight_span_closure``, the point order
     from ``matroid.sorted_bases``; the minimizer set from ``cell_at``."""
-    from .matroid import sorted_bases
-    from .subdivision import tight_span_closure
+    from tightspan.matroid import sorted_bases
+    from tightspan.subdivision import tight_span_closure
 
     pos = {b: i for i, b in enumerate(sorted_bases(tls.source.matroid))}
     argmin = sum(1 << pos[b] for b in cell_at(tls.source, x).bases)

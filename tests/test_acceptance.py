@@ -47,7 +47,7 @@ from tightspan import (
 )
 from tightspan.closure import indices
 from tightspan.matroid import non_matroidal_witness
-from tightspan.oracle import (
+from oracle import (
     brute_closed_sets,
     brute_tls_membership,
     connected_components,

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CENSUS, CENSUS_DIGESTS, u12_power
 from tightspan import bergman_fan
 from tightspan.cli import _points, main, parse_rational
-from tightspan.oracle import brute_vertex_flags
+from oracle import brute_vertex_flags
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

@@ -17,7 +17,7 @@ from tightspan import (
     poset_statistics,
 )
 from tightspan.closure import HasseDiagram, IncidenceClosure, indices, mask_of, transpose
-from tightspan.oracle import (
+from oracle import (
     brute_closed_sets,
     brute_incidence_close,
     brute_transpose,

@@ -11,7 +11,7 @@ import pytest
 from conftest import points_json, square_config
 from tightspan import Matroid, PointConfig
 from tightspan.cli import main
-from tightspan.oracle import normal_fan
+from oracle import normal_fan
 
 
 def _fan_json(rays, cones) -> str:

@@ -27,7 +27,7 @@ from tightspan import (
     regular_subdivision,
 )
 from tightspan.exactgeom import _nullspace, _rref
-from tightspan.oracle import (
+from oracle import (
     _oprimitive,
     _orank,
     _orrref,

@@ -27,7 +27,7 @@ from tightspan import (
 )
 from tightspan.closure import indices, mask_of
 from tightspan.matroid import is_hypersimplex_subset
-from tightspan.oracle import brute_cell_edges, brute_exchange, reduced_char_at_zero
+from oracle import brute_cell_edges, brute_exchange, reduced_char_at_zero
 
 
 # hypothesis's explain phase only annotates a failure report, yet it took

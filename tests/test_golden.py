@@ -39,7 +39,7 @@ from conftest import hypersimplex, points_json, square_config, u12_power
 from tightspan import Matroid, PointConfig
 from tightspan.cli import main
 from tightspan.closure import indices
-from tightspan.oracle import normal_fan
+from oracle import normal_fan
 
 TABLE = Path(__file__).with_name("golden_documents.json")
 

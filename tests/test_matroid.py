@@ -20,7 +20,7 @@ from tightspan import (
 )
 from tightspan.cli import _matroid
 from tightspan.matroid import census_order, format_census_line, sorted_bases
-from tightspan.oracle import brute_closed_sets, brute_exchange, connected_components
+from oracle import brute_closed_sets, brute_exchange, connected_components
 
 
 def mask(elements):

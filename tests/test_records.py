@@ -23,7 +23,7 @@ from tightspan import (
     tropical_linear_space,
 )
 from tightspan import exactgeom
-from tightspan.oracle import normal_fan
+from oracle import normal_fan
 
 U24 = Matroid.uniform(2, 4)
 

@@ -25,8 +25,8 @@ MODULES = sorted(
     p for p in Path(tightspan.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 ROOT = Path(tightspan.__file__).parents[2]
-# closure.py owns the subset encoding; oracle.py shares no logic by design
-MASK_OWNERS = ("closure.py", "oracle.py")
+# the package's modules, and the brute-force oracles the tests hold them to
+SOURCES = MODULES + [ROOT / "tests" / "oracle.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,7 +117,8 @@ def test_the_check_sees_a_hand_written_mask_walk():
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in MASK_OWNERS], ids=lambda p: p.name
+    # closure.py owns the subset encoding
+    "path", [p for p in MODULES if p.name != "closure.py"], ids=lambda p: p.name
 )
 def test_subsets_are_listed_through_closure(path):
     assert hand_written_indices(path.read_text()) == []
@@ -140,7 +141,7 @@ def test_the_check_sees_an_unchecked_tuple_build():
     assert unchecked_tuple_builds("Matroid(*t)\nmake(t)\nx = m._replace\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_builds_a_record_around_its_checks(path):
     assert unchecked_tuple_builds(path.read_text()) == []
 
@@ -233,7 +234,7 @@ JSON_WRITERS = {
 }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_documents_are_encoded_in_one_place(path):
     assert json_writers(path.read_text()) == JSON_WRITERS.get(path.name, [])
 
@@ -279,13 +280,12 @@ def text(s):
 JSON_READERS = {"cli.py": ["_load"]}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_input_files_are_decoded_in_one_place(path):
     assert json_readers(path.read_text()) == JSON_READERS.get(path.name, [])
 
 
-# the modules the pipeline runs, and the places outside the package that drive it
-PRODUCTION = [p for p in MODULES if p.name != "oracle.py"]
+# the places outside the package that drive it
 DRIVERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
@@ -338,7 +338,7 @@ def test_the_check_sees_a_name_only_tests_read():
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    modules = {p.name: p.read_text() for p in PRODUCTION}
+    modules = {p.name: p.read_text() for p in MODULES}
     assert unread_public_names(modules, [p.read_text() for p in DRIVERS]) == []
 
 
@@ -505,7 +505,7 @@ def run_the_drivers(files: dict, out: Path) -> None:
 
 def test_every_public_member_runs_in_production(files, tmp_path):
     # a member that no driver enters is kept for the tests alone
-    modules = [importlib.import_module(f"tightspan.{p.stem}") for p in PRODUCTION
+    modules = [importlib.import_module(f"tightspan.{p.stem}") for p in MODULES
                if p.name != "__main__.py"]
     clear_caches()  # a cache hit would not enter the function it keeps
     entered = entered_code(lambda: run_the_drivers(files, tmp_path))

@@ -31,7 +31,7 @@ from tightspan import (
 from tightspan.closure import indices
 from tightspan.subdivision import ExtendedTightSpan
 from tightspan import exactgeom
-from tightspan.oracle import (
+from oracle import (
     _orank,
     brute_boundary,
     brute_hull,

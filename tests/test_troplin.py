@@ -35,7 +35,7 @@ from tightspan import (
 from tightspan import troplin
 from tightspan.closure import indices
 from tightspan.matroid import sorted_bases
-from tightspan.oracle import (
+from oracle import (
     _orank,
     brute_tls_membership,
     cell_at,
