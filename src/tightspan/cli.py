@@ -60,10 +60,12 @@ class InputError(ValueError):
 
 
 def _read(path: str) -> str:
+    """The text of ``path``; a file that cannot be opened or is no UTF-8
+    text is an InputError that names it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -176,6 +176,9 @@ def write_inputs(directory: Path) -> None:
         "census_mixed.txt": "# U(2,4) and friends\n\n111111\n11111x\n1111\n000000\n110000\n",
         # inputs that fail
         "not_json.json": "not json",
+        # a UTF-16 byte order mark: no UTF-8 text
+        "not_utf8.json": b"\xff\xfe{}",
+        "census_not_utf8.txt": b"\xff\xfe111111\n",
         "array.json": "[[0, 0], [1, 1]]",
         "deep.json": '{"dim": 2, "points": ' + "[" * 100_000 + "]" * 100_000 + "}",
         "no_points.json": '{"dim": 2}',
@@ -209,7 +212,10 @@ def write_inputs(directory: Path) -> None:
            for name, value in NOT_RATIONAL.items()},
     }
     for name, text in files.items():
-        (directory / name).write_text(text)
+        if isinstance(text, bytes):
+            (directory / name).write_bytes(text)
+        else:
+            (directory / name).write_text(text)
 
 
 # argv -> (the files it writes, the fragment of a standard error that
@@ -284,6 +290,8 @@ case("face-lattice missing.json")
 case("face-lattice not_json.json",
      fragment="error: bad point configuration in not_json.json: ")
 case("tls u24.json not_json.json", fragment="error: bad valuation in not_json.json: ")
+case("face-lattice not_utf8.json")
+case("fvector-scan census_not_utf8.txt --n 4 --r 2")
 case("face-lattice deep.json", fragment="error: bad point configuration in deep.json: ")
 for command in ("face-lattice", "flats", "fan-lattice"):
     case(f"{command} array.json")
