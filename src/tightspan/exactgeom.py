@@ -531,11 +531,19 @@ def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
 
 class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
     """Rays (primitive integer directions), maximal cones as ray-index sets,
-    and an explicit basis of the lineality space."""
+    and an explicit basis of the lineality space.  Rays and lineality
+    vectors have one length."""
 
     __slots__ = ()
 
     def __new__(cls, rays, maximal_cones, lineality=()):
+        named = [(f"ray {i}", r) for i, r in enumerate(rays)]
+        named += [(f"lineality vector {i}", v) for i, v in enumerate(lineality)]
+        for name, v in named:
+            if len(v) != len(named[0][1]):
+                raise ValueError(
+                    f"{name} has length {len(v)}, {named[0][0]} has length {len(named[0][1])}"
+                )
         if len(set(rays)) != len(rays):
             raise ValueError("fan rays must be distinct")
         for r in rays:

@@ -885,8 +885,15 @@ def test_fan_with_unknown_ray_is_input_error(capsys, tmp_path):
             '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1], [0]]}',
             "maximal cones must not contain one another",
         ),
+        ('{"rays": [[1, 0], [0]], "cones": [[0]]}', "ray 1 has length 1, ray 0 has length 2"),
+        ('{"rays": [[1, 0], [0, 1, 5]], "cones": [[0]]}', "ray 1 has length 3, ray 0 has length 2"),
+        (
+            '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[0, 1, 0]]}',
+            "lineality vector 0 has length 3, ray 0 has length 2",
+        ),
     ],
-    ids=["repeated-ray", "non-primitive-ray", "nested-cones"],
+    ids=["repeated-ray", "non-primitive-ray", "nested-cones", "short-ray", "long-ray",
+         "long-lineality"],
 )
 def test_fan_breaking_a_rule_is_input_error(capsys, tmp_path, text, reason):
     bad = _write_text(tmp_path, "fan.json", text)

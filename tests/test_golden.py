@@ -138,6 +138,9 @@ FAN_RULES = {
     "fan_unknown_ray.json": '{"rays": [[1, 0], [0, 1]], "cones": [[0, 5]]}',
     "fan_non_extreme.json": '{"rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1, 2]]}',
     "fan_cone_repeats.json": '{"rays": [[1, 0], [0, 1]], "cones": [[0, 0, 1]]}',
+    "fan_short_ray.json": '{"rays": [[1, 0], [0]], "cones": [[0]]}',
+    "fan_long_ray.json": '{"rays": [[1, 0], [0, 1, 5]], "cones": [[0]]}',
+    "fan_long_lineality.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[0, 1, 0]]}',
 }
 
 
