@@ -532,7 +532,7 @@ def polytope_closure_facet(inc: IncidenceMatrix) -> IncidenceClosure:
 class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
     """Rays (primitive integer directions), maximal cones as ray-index sets,
     and an explicit basis of the lineality space.  Rays and lineality
-    vectors have one length."""
+    vectors have one length, and no ray lies in the lineality space."""
 
     __slots__ = ()
 
@@ -546,9 +546,12 @@ class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
                 )
         if len(set(rays)) != len(rays):
             raise ValueError("fan rays must be distinct")
-        for r in rays:
+        ortho = orthogonalize(lineality)
+        for i, r in enumerate(rays):
             if r != _primitive(r):
                 raise ValueError(f"ray {r} is not primitive")
+            if not any(project_off(r, ortho)):
+                raise ValueError(f"ray {i} lies in the lineality space")
         if any(not 0 <= i < len(rays) for c in maximal_cones for i in c):
             raise ValueError("cone refers to a ray index outside the ray list")
         for c in maximal_cones:

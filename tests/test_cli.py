@@ -891,9 +891,18 @@ def test_fan_with_unknown_ray_is_input_error(capsys, tmp_path):
             '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[0, 1, 0]]}',
             "lineality vector 0 has length 3, ray 0 has length 2",
         ),
+        (
+            '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[1, 0]]}',
+            "ray 0 lies in the lineality space",
+        ),
+        # the cone's other ray is extreme: ray 0 is the one to name
+        (
+            '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "lineality": [[1, 0]]}',
+            "ray 0 lies in the lineality space",
+        ),
     ],
     ids=["repeated-ray", "non-primitive-ray", "nested-cones", "short-ray", "long-ray",
-         "long-lineality"],
+         "long-lineality", "ray-is-lineality", "ray-in-lineality-of-cone"],
 )
 def test_fan_breaking_a_rule_is_input_error(capsys, tmp_path, text, reason):
     bad = _write_text(tmp_path, "fan.json", text)

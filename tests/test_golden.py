@@ -141,6 +141,9 @@ FAN_RULES = {
     "fan_short_ray.json": '{"rays": [[1, 0], [0]], "cones": [[0]]}',
     "fan_long_ray.json": '{"rays": [[1, 0], [0, 1, 5]], "cones": [[0]]}',
     "fan_long_lineality.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[0, 1, 0]]}',
+    "fan_lineality_ray.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[1, 0]]}',
+    "fan_lineality_ray_in_cone.json":
+        '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "lineality": [[1, 0]]}',
 }
 
 
