@@ -549,7 +549,7 @@ class Fan(namedtuple("Fan", "rays maximal_cones lineality")):
         ortho = orthogonalize(lineality)
         for i, r in enumerate(rays):
             if r != _primitive(r):
-                raise ValueError(f"ray {r} is not primitive")
+                raise ValueError(f"ray {i} is not primitive")
             if not any(project_off(r, ortho)):
                 raise ValueError(f"ray {i} lies in the lineality space")
         if any(not 0 <= i < len(rays) for c in maximal_cones for i in c):

@@ -880,7 +880,7 @@ def test_fan_with_unknown_ray_is_input_error(capsys, tmp_path):
     "text, reason",
     [
         ('{"rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}', "fan rays must be distinct"),
-        ('{"rays": [[2, 0], [0, 1]], "cones": [[0, 1]]}', "ray (2, 0) is not primitive"),
+        ('{"rays": [[2, 0], [0, 1]], "cones": [[0, 1]]}', "ray 0 is not primitive"),
         (
             '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1], [0]]}',
             "maximal cones must not contain one another",
@@ -909,6 +909,15 @@ def test_fan_breaking_a_rule_is_input_error(capsys, tmp_path, text, reason):
     code, out, err = run(capsys, ["fan-lattice", bad])
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: bad fan") and reason in err
+
+
+def test_a_non_primitive_ray_past_4300_digits_is_named_by_index(capsys, tmp_path):
+    # the ray itself would not print: Python refuses to format an int that long
+    ray = "2" + "0" * 4999
+    bad = _write_text(tmp_path, "fan.json", f'{{"rays": [[0, 1], [{ray}, 0]], "cones": [[0, 1]]}}')
+    code, out, err = run(capsys, ["fan-lattice", bad])
+    assert code == 1 and out == ""
+    assert err == f"error: bad fan in {bad}: ray 1 is not primitive\n"
 
 
 def test_fan_with_non_extreme_ray_is_input_error(capsys, tmp_path):

@@ -144,6 +144,8 @@ FAN_RULES = {
     "fan_lineality_ray.json": '{"rays": [[1, 0]], "cones": [[0]], "lineality": [[1, 0]]}',
     "fan_lineality_ray_in_cone.json":
         '{"rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "lineality": [[1, 0]]}',
+    "fan_huge_non_primitive.json":
+        '{"rays": [[0, 1], [2' + "0" * 4999 + ', 0]], "cones": [[0, 1]]}',
 }
 
 
