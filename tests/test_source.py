@@ -342,6 +342,59 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert unread_public_names(modules, [p.read_text() for p in DRIVERS]) == []
 
 
+def modules_imported(source: str) -> set[str]:
+    """The modules of the package that a source imports, by name: through
+    ``from .x import``, ``from . import x``, ``from tightspan.x import``,
+    ``from tightspan import x`` or ``import tightspan.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("tightspan.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "tightspan":
+                    continue
+                module = module.partition(".")[2]
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return found
+
+
+def unimported_modules(package: dict[str, str], drivers: list[str]) -> list[str]:
+    """Modules of ``package`` (name -> source), other than ``__init__`` and
+    ``__main__``, that no other of its modules and no driver imports:
+    modules kept for the tests alone."""
+    imported = set()
+    for name, source in package.items():
+        imported |= modules_imported(source) - {name}
+    for text in drivers:
+        imported |= modules_imported(text)
+    return [name for name in package
+            if name not in ("__init__", "__main__") and name not in imported]
+
+
+def test_the_check_sees_a_module_only_tests_import():
+    package = {
+        "__init__": "from .a import f\n",
+        "__main__": "from .b import main\n",
+        "a": "from . import c\n",
+        "b": "",
+        "c": "from .c import x\n",
+        "d": "from .d import y\n",  # only itself
+        "e": "",
+    }
+    assert unimported_modules(package, []) == ["d", "e"]
+    assert unimported_modules(package, ["from tightspan.e import g\n"]) == ["d"]
+    assert unimported_modules(package, ["import tightspan.d\nfrom tightspan import e\n"]) == []
+    assert unimported_modules(package, ["from other.d import y\nimport e\n"]) == ["d", "e"]
+
+
+def test_every_module_has_an_importer_outside_the_tests():
+    package = {p.stem: p.read_text() for p in Path(tightspan.__file__).parent.glob("*.py")}
+    assert unimported_modules(package, [p.read_text() for p in DRIVERS]) == []
+
+
 # -- every public member runs in production ------------------------------------
 
 def public_members(module) -> dict[str, types.CodeType]:
