@@ -137,7 +137,8 @@ class IncidenceClosure(ClosureSystem):
     lying inside one of the ``forbidden`` point masks closes to the full
     ground set instead: the closed sets are restricted to the lower set
     keep(F) = "cell(F) lies in no forbidden mask", stated as a mask test
-    (``oracle.restrict_to_lower_set`` states it on any closure system).
+    (``restrict_to_lower_set`` in ``tests/oracle.py`` states it on any
+    closure system).
 
     Single closures run through :meth:`ClosureSystem.close`.  The
     candidates of a node N are formed from its cell instead (Kaibel and
